@@ -10,7 +10,7 @@ REV ?= dev
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: check fmt vet build test race fuzz lint bench experiments bench-json bench-gate bench-profile bench-allocs
+.PHONY: check fmt vet build test race fuzz lint bench experiments bench-json bench-gate bench-profile bench-allocs perfbench-smoke
 
 check: fmt vet build race lint fuzz
 
@@ -55,6 +55,12 @@ lint:
 # rejected with a typed error, never a panic or hostile allocation.
 fuzz:
 	$(GO) test ./internal/stream/ -run=^$$ -fuzz=FuzzOpenBinary -fuzztime=10s
+
+# The repository benchmark (perfbench/, see BENCHMARK.json) is a module
+# of its own, so the root `go test ./...` never builds it: vet it and run
+# its toy-size smoke tests, which build every workload (about 12 s).
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Root testing.B benchmarks: one per experiment table, quick mode.
 bench:

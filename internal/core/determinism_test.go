@@ -22,7 +22,6 @@ func TestCheckLP7Deterministic(t *testing.T) {
 	// the vertex-capacity check instead.
 	in := microInput{
 		edges:   []supportEdge{{u: 0, v: 1, k: 0, w: 1}},
-		zeta:    map[rowKey]float64{},
 		rho:     1,
 		beta:    8,
 		eps:     0.25,

@@ -33,8 +33,10 @@ type supportEdge struct {
 // microInput bundles a MicroOracle invocation.
 type microInput struct {
 	edges   []supportEdge
-	zeta    map[rowKey]float64 // ζ_{i,k} (same scale as uˢ)
-	rho     float64            // the Lagrange multiplier ϱ
+	rt      *rowTable // the P_o rows of edges
+	zeta    []float64 // ζ_{i,k} per row of rt (same scale as uˢ; +0 where unset)
+	zetaSet []bool    // per row: ζ is set (a positive packing multiplier)
+	rho     float64   // the Lagrange multiplier ϱ
 	beta    float64
 	eps     float64
 	bOf     func(v int) int
@@ -82,55 +84,55 @@ func runMicroOracle(in microInput) microResult {
 }
 
 func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
-	sc.beginMicro()
-	// Per-(i,k) incident support weight s_{i,k} = Σ_j uˢ_{ijk}.
-	s := sc.s
-	// Total weighted support (uˢ)ᵀc = Σ_k ŵ_k Σ_{E'_k} uˢ.
-	usC := 0.0
-	levelsInUse := sc.levelsInUse
-	for _, e := range in.edges {
-		s[rowKey{e.u, e.k}] += e.w
-		s[rowKey{e.v, e.k}] += e.w
-		usC += in.wHat(e.k) * e.w
-		levelsInUse[e.k] = true
-	}
-	// Map iteration order is randomized in Go, and float addition is not
-	// associative: every sum over these maps walks keys in sorted order so
-	// the oracle is a pure function of its input — the determinism the
-	// parallel pipeline's bit-identical contract rests on.
-	zetaKeys := sortedRowKeysInto(sc.zetaKeys, in.zeta)
-	sc.zetaKeys = zetaKeys
-	sKeys := sortedRowKeysInto(sc.sKeys, s)
-	sc.sKeys = sKeys
+	rt := in.rt
+	rows, zeta := rt.rows, in.zeta
+	// Per-(i,k) incident support weight s_{i,k} = Σ_j uˢ_{ijk} and the
+	// total weighted support (uˢ)ᵀc = Σ_k ŵ_k Σ_{E'_k} uˢ come with the
+	// row table. Float addition is not associative: every sum over rows
+	// walks them in the table's (v, k) order, so the oracle is a pure
+	// function of its input — the determinism the parallel pipeline's
+	// bit-identical contract rests on.
+	s := rt.s
+	usC := rt.usC
 	// γ = (uˢ)ᵀc - 3ϱ Σ_{i,k} ŵ_k ζ_{i,k}.
 	gamma := usC
-	for _, rk := range zetaKeys {
-		gamma -= 3 * in.rho * in.wHat(rk.k) * in.zeta[rk]
+	for _, ri := range rt.sorted {
+		if in.zetaSet[ri] {
+			gamma -= 3 * in.rho * in.wHat(rows[ri].k) * zeta[ri]
+		}
 	}
 	res := microResult{gamma: gamma}
 	if gamma <= 0 {
 		// Step 1 note: x = 0 satisfies LagInner trivially.
 		return res
 	}
-	// d_{i,k} = s_{i,k} - 2ϱζ_{i,k}; Pos(i) = {k : d_{i,k} > 0}.
-	pos := sc.pos
-	posVerts := sc.posVerts
-	for _, rk := range sKeys {
-		d := s[rk] - 2*in.rho*in.zeta[rk]
-		if d > 0 {
-			if len(pos[rk.v]) == 0 {
-				posVerts = append(posVerts, rk.v)
-				pos[rk.v] = sc.posList()
+	// d_{i,k} = s_{i,k} - 2ϱζ_{i,k}; Pos(i) = {k : d_{i,k} > 0}. A
+	// vertex's Pos entries are contiguous in sc.pos (the walk is grouped
+	// by vertex): posVerts[j] owns pos[posOff[j]:posOff[j+1]].
+	inPos := resizeZeroed(sc.inPos, len(rows))
+	sc.inPos = inPos
+	pos, posVerts, posOff := sc.pos[:0], sc.posVerts[:0], sc.posOff[:0]
+	for v := 0; v < rt.nV; v++ {
+		start := len(pos)
+		for _, ri := range rt.vertexRows(int32(v)) {
+			if d := s[ri] - 2*in.rho*zeta[ri]; d > 0 {
+				inPos[ri] = true
+				pos = append(pos, posEntry{rows[ri].k, d})
 			}
-			pos[rk.v] = append(pos[rk.v], posEntry{rk.k, d})
+		}
+		if len(pos) > start {
+			posVerts = append(posVerts, int32(v))
+			posOff = append(posOff, int32(start))
 		}
 	}
-	sc.posVerts = posVerts
+	posOff = append(posOff, int32(len(pos)))
+	sc.pos, sc.posVerts, sc.posOff = pos, posVerts, posOff
+	posOf := func(j int) []posEntry { return pos[posOff[j]:posOff[j+1]] }
 	// ζ rows with no support mass have d <= 0 and never join Pos.
 	// Δ(i,ℓ) = Σ_{k∈Pos(i),k<=ℓ} ŵ_k d_{i,k} + Σ_{k∈Pos(i),k>ℓ} ŵ_ℓ d_{i,k}.
-	delta := func(i int32, l int) float64 {
+	delta := func(j, l int) float64 {
 		t := 0.0
-		for _, pe := range pos[i] {
+		for _, pe := range posOf(j) {
 			if pe.k <= l {
 				t += in.wHat(pe.k) * pe.d
 			} else {
@@ -139,34 +141,41 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		}
 		return t
 	}
-	// k*_i = largest ℓ with Δ(i,ℓ) > γ·b_i·ŵ_ℓ/β (-1 if none).
-	kstar := sc.kstar
+	// k*_i = largest ℓ with Δ(i,ℓ) > γ·b_i·ŵ_ℓ/β (-1 if none), per
+	// vertex; viol lists the violating vertices' posVerts positions.
+	kstar := resizeZeroed(sc.kstar, rt.nV)
+	sc.kstar = kstar
+	for v := range kstar {
+		kstar[v] = -1
+	}
 	gammaOverBeta := gamma / in.beta
-	var viol []int32
+	viol := sc.viol[:0]
 	gammaV := 0.0
-	for _, i := range posVerts {
+	for j, i := range posVerts {
 		ks := -1
 		for l := in.nLevels - 1; l >= 0; l-- {
-			if delta(i, l) > gammaOverBeta*float64(in.bOf(int(i)))*in.wHat(l) {
+			if delta(j, l) > gammaOverBeta*float64(in.bOf(int(i)))*in.wHat(l) {
 				ks = l
 				break
 			}
 		}
 		if ks >= 0 {
 			kstar[i] = ks
-			viol = append(viol, i)
-			gammaV += delta(i, ks)
+			viol = append(viol, j)
+			gammaV += delta(j, ks)
 		}
 	}
+	sc.viol = viol
 	// Case A (step 5): vertex violations pay. The answer container is
 	// lent from the scratch pool: the binary search in runMiniOracle
 	// holds several micro answers at once, and all of them die by the
 	// next MiniOracle call's reclaim.
 	if gammaV >= in.eps*gamma/24 {
 		res.answer.xEntries = sc.xents.getEmpty()
-		for _, i := range viol {
+		for _, j := range viol {
+			i := posVerts[j]
 			ks := kstar[i]
-			for _, pe := range pos[i] {
+			for _, pe := range posOf(j) {
 				var val float64
 				if pe.k > ks {
 					val = gamma * in.wHat(ks) / gammaV
@@ -179,30 +188,28 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		sc.xents.retain(res.answer.xEntries)
 		return res
 	}
-	// Step 9: raise ζ to ζ̄ on violating (i, k<=k*, k∈Pos).
-	zetaBar := func(i int32, k int) float64 {
-		if ks, ok := kstar[i]; ok && k <= ks {
-			for _, pe := range pos[i] {
-				if pe.k == k {
-					// ζ̄ = s_{i,k}/(2ϱ).
-					return s[rowKey{i, k}] / (2 * in.rho)
-				}
-			}
-		}
-		return in.zeta[rowKey{i, k}]
-	}
-	// γ′ (step 10).
+	// Step 9: raise ζ to ζ̄ = s_{i,k}/(2ϱ) on violating (i, k<=k*,
+	// k∈Pos); elsewhere ζ̄ = ζ. γ′ (step 10) subtracts every row's ζ̄.
+	zetaBar := resizeZeroed(sc.zetaBar, len(rows))
+	sc.zetaBar = zetaBar
 	gammaP := usC
-	zetaBarSums := sc.zetaBarSums // cache ζ̄ per touched row
-	for _, rk := range sKeys {
-		zb := zetaBar(rk.v, rk.k)
-		zetaBarSums[rk] = zb
+	for _, ri := range rt.sorted {
+		rk := rows[ri]
+		zb := zeta[ri]
+		if inPos[ri] && rk.k <= kstar[rk.v] {
+			zb = s[ri] / (2 * in.rho)
+		}
+		zetaBar[ri] = zb
 		gammaP -= 3 * in.rho * in.wHat(rk.k) * zb
 	}
-	for _, rk := range zetaKeys {
-		if _, ok := s[rk]; !ok {
-			gammaP -= 3 * in.rho * in.wHat(rk.k) * in.zeta[rk]
+	// suffixZetaBar adds Σ_{k>=ℓ} ζ̄_{v,k} into t, level by level.
+	suffixZetaBar := func(t float64, v int32, l int) float64 {
+		for _, ri := range rt.vertexRows(v) {
+			if rows[ri].k >= l {
+				t += zetaBar[ri]
+			}
 		}
+		return t
 	}
 	// Steps 11-14: per level ℓ, collect disjoint dense odd sets K(ℓ).
 	// Charges (proof of Lemma 16): q_ij(ℓ) = (1-ε/4)β/γ · uˢ (edges with
@@ -221,28 +228,11 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		res.matchingWitness = true
 		return res
 	}
-	// Precompute per-vertex suffix ζ̄ sums and per-edge suffix inclusion.
-	maxV := int32(0)
-	for _, e := range in.edges {
-		if e.u > maxV {
-			maxV = e.u
-		}
-		if e.v > maxV {
-			maxV = e.v
-		}
-	}
-	nV := int(maxV) + 1
+	nV := rt.nV
 	// Only levels that actually carry support edges can yield distinct
 	// collections: for ℓ between two active levels the charges q(ℓ) are
 	// identical to those of the next active level up, so z_{U,ℓ} placed
 	// there covers the same constraints. Iterate active levels only.
-	activeDesc := sc.activeDesc
-	//lint:ordered key collection, sortDesc'd immediately below
-	for l := range levelsInUse {
-		activeDesc = append(activeDesc, l)
-	}
-	sortDesc(activeDesc)
-	sc.activeDesc = activeDesc
 	// The odd-set instance buffers live one level at a time: Collect
 	// returns fresh member copies, so nothing retained by perLevel
 	// aliases them and the next level overwrites in place.
@@ -252,7 +242,7 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 	if cap(sc.bnorm) < nV {
 		sc.bnorm = make([]int, nV)
 	}
-	for _, l := range activeDesc {
+	for _, l := range rt.activeDesc {
 		inst := &oddset.Instance{
 			N:       nV,
 			QHat:    sc.qhat[:nV],
@@ -267,12 +257,7 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 			if bn[v] != 1 {
 				unit = false
 			}
-			zsum := 0.0
-			for k := l; k < in.nLevels; k++ {
-				if zb, ok := zetaBarSums[rowKey{int32(v), k}]; ok {
-					zsum += zb
-				}
-			}
+			zsum := suffixZetaBar(0, int32(v), l)
 			inst.QHat[v] = float64(bn[v]) + 2*scaleQ*in.rho*zsum
 		}
 		if !unit {
@@ -290,15 +275,13 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		}
 		ls := levelSets{level: l}
 		for _, st := range sets {
-			// Δ(U,ℓ) in uˢ units: internal/scaleQ - ϱ Σ ζ̄ suffix.
+			// Δ(U,ℓ) in uˢ units: internal/scaleQ - ϱ Σ ζ̄ suffix. The
+			// members' terms go straight into one running total (a
+			// per-member subtotal would change the float association).
 			inside := st.Internal / scaleQ
 			zpart := 0.0
 			for _, m := range st.Members {
-				for k := l; k < in.nLevels; k++ {
-					if zb, ok := zetaBarSums[rowKey{int32(m), k}]; ok {
-						zpart += zb
-					}
-				}
+				zpart = suffixZetaBar(zpart, int32(m), l)
 			}
 			d := inside - in.rho*zpart
 			ls.sets = append(ls.sets, st)
@@ -333,16 +316,9 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 	// scale (uˢ, ϱζ̂) into the LP7 solution (y, μ); the driver's offline
 	// solve extracts the integral matching per Lemma 13.
 	res.matchingWitness = true
-	zetaHat := make(map[rowKey]float64, len(zetaBarSums))
-	//lint:ordered per-key copy, no cross-key accumulation
-	for rk, zb := range zetaBarSums {
-		zetaHat[rk] = zb
-	}
-	//lint:ordered per-key fill-in, no cross-key accumulation
-	for rk, z := range in.zeta {
-		if _, ok := zetaHat[rk]; !ok {
-			zetaHat[rk] = z
-		}
+	zetaHat := make(map[rowKey]float64, len(rows))
+	for ri, rk := range rows {
+		zetaHat[rk] = zetaBar[ri]
 	}
 	for _, ls := range perLevel {
 		for _, set := range ls.sets {
@@ -511,8 +487,4 @@ func sortedRowKeys(m map[rowKey]float64) []rowKey {
 		return keys[i].k < keys[j].k
 	})
 	return keys
-}
-
-func sortDesc(xs []int) {
-	sort.Sort(sort.Reverse(sort.IntSlice(xs)))
 }

@@ -13,17 +13,30 @@ import (
 
 func unitWHat(k int) float64 { return math.Pow(1.25, float64(k)) }
 
+// microFromGraph builds a MicroOracle input over g's edges at one level.
+// zeta (nil = none set) is keyed by (vertex, level); its keys must be
+// rows of the support, as the MiniOracle's always are.
 func microFromGraph(g *graph.Graph, level int, w float64, zeta map[rowKey]float64, rho, beta, eps float64) microInput {
 	var edges []supportEdge
 	for i, e := range g.Edges() {
 		edges = append(edges, supportEdge{u: e.U, v: e.V, k: level, w: w, origIdx: i})
 	}
-	if zeta == nil {
-		zeta = map[rowKey]float64{}
+	rt := new(rowTable)
+	rt.build(edges, level+1, unitWHat)
+	zetaRows := make([]float64, len(rt.rows))
+	zetaSet := make([]bool, len(rt.rows))
+	//lint:ordered per-key store into its own row, no cross-key accumulation
+	for rk, z := range zeta {
+		ri := rt.lookup(rk.v, rk.k)
+		if ri < 0 {
+			panic("microFromGraph: zeta key is not a support row")
+		}
+		zetaRows[ri], zetaSet[ri] = z, true
 	}
 	maxNorm := int(math.Ceil(4 / eps))
 	return microInput{
-		edges: edges, zeta: zeta, rho: rho, beta: beta, eps: eps,
+		edges: edges, rt: rt, zeta: zetaRows, zetaSet: zetaSet,
+		rho: rho, beta: beta, eps: eps,
 		bOf:  func(int) int { return 1 },
 		wHat: unitWHat, nLevels: level + 1, maxNorm: maxNorm,
 	}

@@ -82,33 +82,22 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		return res
 	}
 	// P_o rows: (i,k) pairs with incident support edges; q_o = 3ŵ_k.
-	rowIndex := sc.rowIndex
-	rows := sc.rows
-	vertexRows := sc.vertexRows
-	for _, e := range edges {
-		for _, rk := range [2]rowKey{{e.u, e.k}, {e.v, e.k}} {
-			if _, ok := rowIndex[rk]; !ok {
-				rowIndex[rk] = len(rows)
-				if _, seen := vertexRows[rk.v]; !seen {
-					vertexRows[rk.v] = sc.rowList()
-				}
-				vertexRows[rk.v] = append(vertexRows[rk.v], len(rows))
-				rows = append(rows, rk)
-			}
-		}
-	}
-	sc.rows = rows
+	rt := &sc.rt
+	rt.build(edges, nLevels, wHat)
+	rows := rt.rows
 	// Row values of an answer: (2x_i(k) + Σ_{ℓ<=k} Σ_{U∋i} z_{U,ℓ}) / 3ŵ_k.
+	// Each row's terms arrive in answer-entry order whatever order a
+	// vertex's rows are visited in, so the per-vertex ranges serve.
 	rowValues := func(ans *oracleAnswer) []float64 {
 		rv := sc.f64s.get(len(rows))
 		for _, xe := range ans.xEntries {
-			if ri, ok := rowIndex[rowKey{xe.v, xe.k}]; ok {
+			if ri := rt.lookup(xe.v, xe.k); ri >= 0 {
 				rv[ri] += 2 * xe.val
 			}
 		}
 		for _, ze := range ans.zEntries {
 			for _, m := range ze.members {
-				for _, ri := range vertexRows[m] {
+				for _, ri := range rt.vertexRows(m) {
 					if rows[ri].k >= ze.level {
 						rv[ri] += ze.val
 					}
@@ -120,23 +109,23 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		}
 		return rv
 	}
-	usC := 0.0
-	for _, e := range edges {
-		usC += wHat(e.k) * e.w
-	}
+	usC := rt.usC
 
 	var accum *answerAccum
 	var pending oracleAnswer
 
 	// Oracle-P: Lemma 10's binary search over ϱ.
 	oracle := func(z []float64, _ int) ([]float64, bool) {
-		// ζ_{i,k} = z_row / (3ŵ_k) (the PST multipliers carry 1/d_r).
-		zeta := sc.zeta
-		clear(zeta)
+		// ζ_{i,k} = z_row / (3ŵ_k) (the PST multipliers carry 1/d_r),
+		// set on the rows whose multiplier is positive.
+		zeta := resizeZeroed(sc.zeta, len(rows))
+		zetaSet := resizeZeroed(sc.zetaSet, len(rows))
+		sc.zeta, sc.zetaSet = zeta, zetaSet
 		zTqo := 0.0
 		for ri, rk := range rows {
 			if z[ri] > 0 {
-				zeta[rk] = z[ri] / (3 * wHat(rk.k))
+				zeta[ri] = z[ri] / (3 * wHat(rk.k))
+				zetaSet[ri] = true
 				zTqo += z[ri]
 			}
 		}
@@ -148,7 +137,8 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		call := func(rho float64) (microResult, []float64, float64) {
 			res.microCalls++
 			mr := runMicroOracleScratch(microInput{
-				edges: edges, zeta: zeta, rho: rho, beta: beta, eps: eps,
+				edges: edges, rt: rt, zeta: zeta, zetaSet: zetaSet,
+				rho: rho, beta: beta, eps: eps,
 				bOf: bOf, wHat: wHat, nLevels: nLevels, maxNorm: maxNorm,
 				noOdd: prof.DisableOddSets,
 			}, sc)

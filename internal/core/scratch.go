@@ -1,16 +1,13 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/oddset"
-)
+import "repro/internal/oddset"
 
 // oracleScratch owns the retained working buffers of the sequential
-// refine-and-use loop: the P_o row machinery of runMiniOracle, the
-// per-call maps and odd-set instance buffers of runMicroOracle, and the
-// answer containers the packing framework averages. One scratch belongs
-// to one solver and the oracle loop is sequential, so nothing locks.
+// refine-and-use loop: the P_o row table of runMiniOracle, the per-row
+// and per-vertex state and odd-set instance buffers of runMicroOracle,
+// and the answer containers the packing framework averages. One scratch
+// belongs to one solver and the oracle loop is sequential, so nothing
+// locks.
 //
 // The aliasing rules that keep reuse sound:
 //
@@ -19,9 +16,10 @@ import (
 //     handed out during the previous call is dead by then — the final
 //     answer is consumed by dualState.Average before the next use, and
 //     pack.Solve copies its initial rows instead of retaining them.
-//   - Maps and append-buffers without lent tracking are cleared at the
-//     start of the call that owns them (zeta per packing-oracle
-//     invocation, the odd-set buffers per MicroOracle call).
+//   - The row table is rebuilt at the start of each runMiniOracle call;
+//     the per-row and per-vertex slices (ζ, ζ̄, Pos, k*) are resized and
+//     overwritten by the packing-oracle invocation or MicroOracle call
+//     that owns them, the odd-set buffers per level.
 //   - Anything that lands in long-lived state is NEVER pooled: odd-set
 //     member lists (retained by dualState.addZSet) stay freshly
 //     allocated in sortedMembers, as do the LP7 witness fields.
@@ -29,12 +27,11 @@ import (
 // A nil scratch is legal everywhere and means "allocate fresh", which
 // is also how the tests drive the oracles directly.
 type oracleScratch struct {
-	// MiniOracle row machinery, rebuilt per call.
-	rowIndex   map[rowKey]int
-	rows       []rowKey
-	vertexRows map[int32][]int
-	rowSpare   [][]int // retired vertexRows value slices
-	zeta       map[rowKey]float64
+	// MiniOracle row table, rebuilt per call, and the ζ of the current
+	// packing-oracle invocation, per row.
+	rt      rowTable
+	zeta    []float64
+	zetaSet []bool
 
 	// refineBatch buffers: per-level support rows (each written only by
 	// the worker that owns its index, so the parallel fan-out stays
@@ -54,85 +51,28 @@ type oracleScratch struct {
 	accX, finX, combX []xEntry
 	accZ, finZ, combZ []zEntry
 
-	// MicroOracle per-call state.
-	s           map[rowKey]float64
-	levelsInUse map[int]bool
-	zetaKeys    []rowKey // both key buffers are alive at once, hence two
-	sKeys       []rowKey
-	pos         map[int32][]posEntry
-	posSpare    [][]posEntry
-	posVerts    []int32
-	kstar       map[int32]int
-	zetaBarSums map[rowKey]float64
-	activeDesc  []int
-	qhat        []float64      // oddset.Instance charge vector, len nV
-	bnorm       []int          // oddset.Instance norms, len nV
-	qedges      []oddset.QEdge // oddset.Instance edge list
+	// MicroOracle per-call state: per row (Pos membership, ζ̄), per
+	// vertex (k*), and the Pos entries grouped by vertex.
+	inPos    []bool
+	zetaBar  []float64
+	kstar    []int
+	pos      []posEntry
+	posVerts []int32        // vertices with a non-empty Pos, ascending
+	posOff   []int32        // posVerts[j]'s entries are pos[posOff[j]:posOff[j+1]]
+	viol     []int          // positions in posVerts of the violating vertices
+	qhat     []float64      // oddset.Instance charge vector, len nV
+	bnorm    []int          // oddset.Instance norms, len nV
+	qedges   []oddset.QEdge // oddset.Instance edge list
 }
 
-func newOracleScratch() *oracleScratch {
-	return &oracleScratch{
-		rowIndex:    make(map[rowKey]int),
-		vertexRows:  make(map[int32][]int),
-		zeta:        make(map[rowKey]float64),
-		s:           make(map[rowKey]float64),
-		levelsInUse: make(map[int]bool),
-		pos:         make(map[int32][]posEntry),
-		kstar:       make(map[int32]int),
-		zetaBarSums: make(map[rowKey]float64),
-	}
-}
+func newOracleScratch() *oracleScratch { return &oracleScratch{} }
 
 // beginMini resets the scratch for one runMiniOracle call: reclaim the
-// lent pools (the previous call's buffers are all dead, see above) and
-// clear the row machinery.
+// lent pools (the previous call's buffers are all dead, see above).
 func (sc *oracleScratch) beginMini() {
 	sc.f64s.reclaim()
 	sc.xents.reclaim()
 	sc.zents.reclaim()
-	clear(sc.rowIndex)
-	sc.rows = sc.rows[:0]
-	//lint:ordered slice recycling into a spare pool; order never observed
-	for v, l := range sc.vertexRows {
-		sc.rowSpare = append(sc.rowSpare, l[:0])
-		delete(sc.vertexRows, v)
-	}
-}
-
-// rowList returns an empty []int for a vertexRows entry, recycling a
-// retired one when available.
-func (sc *oracleScratch) rowList() []int {
-	if last := len(sc.rowSpare) - 1; last >= 0 {
-		l := sc.rowSpare[last]
-		sc.rowSpare = sc.rowSpare[:last]
-		return l
-	}
-	return nil
-}
-
-// beginMicro resets the MicroOracle per-call state.
-func (sc *oracleScratch) beginMicro() {
-	clear(sc.s)
-	clear(sc.levelsInUse)
-	clear(sc.kstar)
-	clear(sc.zetaBarSums)
-	sc.posVerts = sc.posVerts[:0]
-	sc.activeDesc = sc.activeDesc[:0]
-	//lint:ordered slice recycling into a spare pool; order never observed
-	for v, l := range sc.pos {
-		sc.posSpare = append(sc.posSpare, l[:0])
-		delete(sc.pos, v)
-	}
-}
-
-// posList returns an empty []posEntry, recycling a retired one.
-func (sc *oracleScratch) posList() []posEntry {
-	if last := len(sc.posSpare) - 1; last >= 0 {
-		l := sc.posSpare[last]
-		sc.posSpare = sc.posSpare[:last]
-		return l
-	}
-	return nil
 }
 
 // posEntry is one positive-deficit level of a vertex (d_{i,k} > 0).
@@ -142,23 +82,19 @@ type posEntry struct {
 }
 
 // retainedWords approximates the scratch's pooled footprint in 64-bit
-// words: slice-backed buffers at capacity, struct sizes rounded up to
-// whole words. The map-backed scratch (row index, ζ, deficit tables) is
-// excluded — Go maps do not expose their footprint — so this is a
-// floor. Retained capacity, never part of any run's metered live space.
+// words: buffers at capacity, struct sizes rounded up to whole words,
+// bool and int32 buffers packed. Retained capacity, never part of any
+// run's metered live space.
 func (sc *oracleScratch) retainedWords() int {
 	const (
-		rowKeyW      = 2 // {int32, int}
 		supportEdgeW = 4 // {int32, int32, int, float64, int}
 		xEntryW      = 3 // {int32, int, float64}
 		zEntryW      = 5 // {int, float64, []int32 header}
 		posEntryW    = 2 // {int, float64}
 		qEdgeW       = 2 // {int32, int32, float64}
 	)
-	w := rowKeyW * (cap(sc.rows) + cap(sc.zetaKeys) + cap(sc.sKeys))
-	for _, l := range sc.rowSpare {
-		w += cap(l)
-	}
+	w := sc.rt.retainedWords()
+	w += cap(sc.zeta) + cap(sc.zetaBar) + (cap(sc.zetaSet)+cap(sc.inPos)+7)/8
 	w += supportEdgeW * cap(sc.support)
 	for _, row := range sc.perLevel {
 		w += supportEdgeW * cap(row)
@@ -168,11 +104,9 @@ func (sc *oracleScratch) retainedWords() int {
 	w += sc.zents.capWords(zEntryW)
 	w += xEntryW * (cap(sc.accX) + cap(sc.finX) + cap(sc.combX))
 	w += zEntryW * (cap(sc.accZ) + cap(sc.finZ) + cap(sc.combZ))
-	for _, l := range sc.posSpare {
-		w += posEntryW * cap(l)
-	}
-	w += (cap(sc.posVerts) + 1) / 2
-	w += cap(sc.activeDesc) + cap(sc.qhat) + cap(sc.bnorm)
+	w += posEntryW * cap(sc.pos)
+	w += (cap(sc.posVerts) + cap(sc.posOff) + 1) / 2
+	w += cap(sc.kstar) + cap(sc.viol) + cap(sc.qhat) + cap(sc.bnorm)
 	w += qEdgeW * cap(sc.qedges)
 	return w
 }
@@ -246,33 +180,4 @@ func (p *lentPool[T]) capWords(wordsPerElem int) int {
 		n += cap(b)
 	}
 	return wordsPerElem * n
-}
-
-// sortedRowKeysInto is sortedRowKeys appending into a caller-retained
-// buffer: the canonical (v, k) accumulation order without the per-call
-// key-slice allocation and without sort.Slice's reflection-based
-// swapper. Map keys are distinct, so any correct sort produces the same
-// permutation — bit-identical to the sort.Slice path.
-func sortedRowKeysInto(buf []rowKey, m map[rowKey]float64) []rowKey {
-	keys := buf[:0]
-	//lint:ordered key collection, sorted immediately below
-	for rk := range m {
-		keys = append(keys, rk)
-	}
-	slices.SortFunc(keys, func(a, b rowKey) int {
-		if a.v != b.v {
-			if a.v < b.v {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.k < b.k:
-			return -1
-		case a.k > b.k:
-			return 1
-		}
-		return 0
-	})
-	return keys
 }

@@ -13,26 +13,69 @@ import (
 // including across calls of different shapes (the dangerous path — a
 // stale entry from a larger previous call leaking into a smaller one).
 
-// TestSortedRowKeysIntoMatchesAllocating pins the scratch key-slice path
-// against the allocating sortedRowKeys across reuses of one buffer on
-// maps of varying size (shrinking included).
-func TestSortedRowKeysIntoMatchesAllocating(t *testing.T) {
+// TestRowTableOrderMatchesSortedRowKeys pins the row table that
+// replaced the per-call key sorts: across rebuilds of one table on
+// supports of varying size, vertex range and level count (shrinking
+// included), its sorted walk must visit exactly the keys sortedRowKeys
+// returns for the same rows, in the same order; the per-vertex ranges,
+// the dense lookup and the per-row sums must agree with a map-keyed
+// recomputation, and the rows must stay in first-seen order.
+func TestRowTableOrderMatchesSortedRowKeys(t *testing.T) {
 	rng := xrand.New(99)
-	var buf []rowKey
-	for trial, size := range []int{17, 120, 3, 64, 0, 9} {
-		m := make(map[rowKey]float64, size)
-		for len(m) < size {
-			m[rowKey{int32(rng.Intn(40)), rng.Intn(6)}] = rng.Float64()
-		}
-		want := sortedRowKeys(m)
-		buf = sortedRowKeysInto(buf, m)
-		if len(buf) != len(want) {
-			t.Fatalf("trial %d: got %d keys, want %d", trial, len(buf), len(want))
-		}
-		for i := range want {
-			if buf[i] != want[i] {
-				t.Fatalf("trial %d: key %d = %v, want %v", trial, i, buf[i], want[i])
+	var rt rowTable
+	for trial, tc := range []struct{ edges, verts, levels int }{
+		{17, 12, 6}, {120, 40, 6}, {3, 4, 2}, {64, 40, 9}, {0, 1, 3}, {9, 30, 1}, {200, 60, 4},
+	} {
+		var edges []supportEdge
+		for len(edges) < tc.edges {
+			u, v := int32(rng.Intn(tc.verts)), int32(rng.Intn(tc.verts))
+			if u != v {
+				edges = append(edges, supportEdge{u: u, v: v, k: rng.Intn(tc.levels), w: rng.Float64()})
 			}
+		}
+		rt.build(edges, tc.levels, unitWHat)
+
+		s := map[rowKey]float64{}
+		var firstSeen []rowKey
+		usC := 0.0
+		for _, e := range edges {
+			for _, rk := range [2]rowKey{{e.u, e.k}, {e.v, e.k}} {
+				if _, ok := s[rk]; !ok {
+					firstSeen = append(firstSeen, rk)
+				}
+				s[rk] += e.w
+			}
+			usC += unitWHat(e.k) * e.w
+		}
+		want := sortedRowKeys(s)
+		if len(rt.sorted) != len(want) || len(rt.rows) != len(firstSeen) {
+			t.Fatalf("trial %d: %d sorted / %d rows, want %d", trial, len(rt.sorted), len(rt.rows), len(want))
+		}
+		for i, ri := range rt.sorted {
+			if rt.rows[ri] != want[i] {
+				t.Fatalf("trial %d: sorted row %d = %v, want %v", trial, i, rt.rows[ri], want[i])
+			}
+		}
+		for ri, rk := range rt.rows {
+			if rk != firstSeen[ri] {
+				t.Fatalf("trial %d: row %d = %v, first-seen order has %v", trial, ri, rk, firstSeen[ri])
+			}
+			if rt.lookup(rk.v, rk.k) != int32(ri) {
+				t.Fatalf("trial %d: lookup%v = %d, want %d", trial, rk, rt.lookup(rk.v, rk.k), ri)
+			}
+			if math.Float64bits(rt.s[ri]) != math.Float64bits(s[rk]) {
+				t.Fatalf("trial %d: s%v = %v, want %v", trial, rk, rt.s[ri], s[rk])
+			}
+		}
+		for v := int32(0); v < int32(tc.verts); v++ {
+			for _, ri := range rt.vertexRows(v) {
+				if rt.rows[ri].v != v {
+					t.Fatalf("trial %d: vertex %d range holds row %v", trial, v, rt.rows[ri])
+				}
+			}
+		}
+		if math.Float64bits(rt.usC) != math.Float64bits(usC) {
+			t.Fatalf("trial %d: usC %v, want %v", trial, rt.usC, usC)
 		}
 	}
 }

@@ -5,7 +5,8 @@ package core
 // scratch arena across solves, so a second solve on a same-shape
 // instance reuses the first solve's working memory — the dual state's
 // n×nl table, the (use, level) construction grids, the staging chunk,
-// the union map/subgraph and the union-find forest pool — instead of
+// the union buffers/subgraph, the oracle scratch and the union-find
+// forest pool — instead of
 // reallocating all of it. Every solve is bit-identical to a cold
 // Solve/SolveWith of the same (source, Options): retention is capacity
 // only, never state, and the space accountant meters exactly the words
@@ -72,10 +73,12 @@ func (s *Session) Runs() int { return s.runs }
 
 // RetainedWords reports the session's retained scratch capacity — warm
 // memory between runs, not part of any run's metered live space. It
-// sums the engine arena's typed pools with the solver-owned pools this
+// sums the engine arena's typed pools with the solver-owned buffers this
 // arena cannot see: the sparsifier scratch (forests, shells, item and
-// reveal buffers) and the oracle-loop scratch. Map-backed scratch is
-// excluded (maps do not expose their footprint), so this is a floor.
+// reveal buffers), the current run's builder slots, the union buffers
+// and the oracle-loop scratch. All of it is slices, counted at
+// capacity; the one map left, each builder's few-entry class index, is
+// not counted.
 func (s *Session) RetainedWords() int {
 	return s.arena.RetainedWords() + s.alg.retainedWords()
 }

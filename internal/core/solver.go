@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -218,19 +219,21 @@ type dualPrimal struct {
 	bySlot [][]int32
 
 	// Round-loop scratch retained across rounds and runs: the (use,
-	// slot) grids of deferred constructions, the offline-solve union
-	// map and its sorted index list, the union subgraph, and the pool
-	// of union-find forests every construction draws from. All of it is
-	// rebuilt from scratch-equivalent state each round; retention only
-	// removes the per-round make/alloc traffic the allocation audit
-	// found here.
+	// slot) grids of deferred builders and their sealed sparsifiers, the
+	// offline-solve union (its (source index, edge) list, subgraph and
+	// solver buffers), and the pool of union-find forests every
+	// construction draws from. All of it is rebuilt from
+	// scratch-equivalent state each round; retention only removes the
+	// per-round make/alloc traffic the allocation audit found here. Each
+	// builder keeps its own side-data slots across the rounds of a run,
+	// so the parallel jobs of a round never share one.
 	batches   [][]*sparsify.DeferredBuilder
 	batchBuf  []*sparsify.DeferredBuilder
 	defs      [][]*sparsify.Deferred
 	defBuf    []*sparsify.Deferred
-	union     map[int]graph.Edge
-	unionIdx  []int
+	union     []unionEdge
 	sub       *graph.Graph
+	offline   matching.OfflineScratch
 	ufScratch *sparsify.Scratch
 	scratch   *oracleScratch // refine + oracle-loop working buffers
 
@@ -244,6 +247,13 @@ type dualPrimal struct {
 }
 
 type defJob struct{ q, slot, k int }
+
+// unionEdge is one sampled edge of a round's union, under its index in
+// the source stream.
+type unionEdge struct {
+	orig int
+	e    graph.Edge
+}
 
 // newDualPrimal validates the options and builds a fresh solver
 // instance for one run.
@@ -264,7 +274,7 @@ func newDualPrimal(opt Options) (*dualPrimal, error) {
 // Reset prepares the solver for another run (the engine.Algorithm
 // reuse contract): per-run results, duals-trajectory and convergence
 // state clear; the retained scratch — the dual state's backing table,
-// the job grids, the staging chunk, the union map/subgraph and the
+// the job grids, the staging chunk, the union buffers/subgraph and the
 // union-find pool — stays warm for Init to reuse. The best-so-far
 // matching is released, not truncated: the previous run's Outcome owns
 // those slices.
@@ -278,8 +288,10 @@ func (a *dualPrimal) Reset(engine.Params) {
 	a.jobs = a.jobs[:0]
 	a.levelCount, a.levelCursor, a.slotOf = nil, nil, nil // arena-backed; re-taken at Init
 	a.chunk = a.chunk[:0]
-	// Drop the previous run's construction pointers so their samples can
-	// be collected between runs; the grid backing stays.
+	// Drop the previous run's builders and sparsifiers so their samples
+	// — and, after an abort, unfinished constructions with the forest
+	// pool they reference — can be collected between runs; the grid
+	// backing stays. Builders live for one run, across its rounds.
 	clear(a.batchBuf)
 	clear(a.defBuf)
 	a.lambda, a.beta = 0, 0
@@ -294,9 +306,16 @@ func (a *dualPrimal) SetWarm(w *WarmDuals) { a.warm = w }
 
 // retainedWords sums the solver-owned pooled scratch the session arena
 // cannot see: the sparsifier scratch (forests, shells, item and reveal
-// buffers) and the oracle-loop scratch. Zero before the first Init.
+// buffers), the builders' side-data slots, the union buffers and the
+// oracle-loop scratch. Zero before the first Init.
 func (a *dualPrimal) retainedWords() int {
-	w := 0
+	const unionEdgeW = 3 // {int, {int32, int32, float64}}
+	w := unionEdgeW*cap(a.union) + a.offline.RetainedWords()
+	for _, b := range a.batchBuf {
+		if b != nil {
+			w += b.RetainedWords()
+		}
+	}
 	if a.ufScratch != nil {
 		w += a.ufScratch.RetainedWords()
 	}
@@ -436,9 +455,6 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	// and the instance; a session's next run finds it warm.
 	a.batches, a.batchBuf = grid(a.batches, a.batchBuf, a.tUses, len(a.liveLevels))
 	a.defs, a.defBuf = grid(a.defs, a.defBuf, a.tUses, len(a.liveLevels))
-	if a.union == nil {
-		a.union = make(map[int]graph.Edge)
-	}
 	if a.sub == nil || a.sub.N() != a.n {
 		a.sub = graph.New(a.n)
 	}
@@ -463,9 +479,9 @@ func resizeRows[T any](rows [][]T, n int) [][]T {
 
 // grid carves an r×c grid of row views out of one flat buffer, reusing
 // both allocations across runs. Stale entries from a previous round or
-// run are left in place — every (row, col) cell is overwritten before
-// it is read in each round — except that Reset clears the buffer so
-// retired constructions do not outlive their run.
+// run are left in place — every (row, col) cell is overwritten (or, for
+// builders, Reset) before it is read in each round — except that Reset
+// clears both buffers so samples do not outlive their run.
 func grid[T any](rows [][]T, buf []T, r, c int) ([][]T, []T) {
 	if cap(buf) >= r*c {
 		buf = buf[:r*c]
@@ -534,16 +550,19 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	// the constructions hold only their samples.
 	for q := 0; q < a.tUses; q++ {
 		for slot, k := range a.liveLevels {
-			b, berr := sparsify.NewDeferredBuilder(a.n, a.levelCount[k], a.gammaChi, sparsify.Config{
+			b := a.batches[q][slot]
+			if b == nil {
+				b = new(sparsify.DeferredBuilder)
+				a.batches[q][slot] = b
+			}
+			if err := b.Reset(a.n, a.levelCount[k], a.gammaChi, sparsify.Config{
 				Xi:      a.prof.SparsifierXi,
 				K:       a.prof.SparsifierK,
 				Seed:    a.rng.Split(uint64(round*1000 + q*100 + k)).Uint64(),
 				Scratch: a.ufScratch,
-			})
-			if berr != nil {
-				return false, berr
+			}); err != nil {
+				return false, err
 			}
-			a.batches[q][slot] = b
 		}
 	}
 	dispatch := func(buf []chunkEdge) {
@@ -629,24 +648,23 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	// Offline solve on the union of sampled edges (Algorithm 2 step
 	// 5); raise β on improvement (step 6). The stored Items carry
 	// endpoints and original weights, so the union subgraph is built
-	// from the samples alone — no lookback into the source. The union
-	// map, index list and subgraph are retained scratch, rebuilt in
-	// place each round.
-	clear(a.union)
+	// from the samples alone — no lookback into the source. Every
+	// sample of one source edge carries the same edge, so sorting the
+	// samples by source index and dropping repeats yields the union in
+	// source order. The list, subgraph and solver buffers are retained
+	// scratch, rebuilt in place each round.
+	union := a.union[:0]
 	for q := range a.defs {
 		for _, d := range a.defs[q] {
 			for _, it := range d.Items() {
-				a.union[it.Orig] = graph.Edge{U: it.U, V: it.V, W: it.W}
+				union = append(union, unionEdge{orig: it.Orig, e: graph.Edge{U: it.U, V: it.V, W: it.W}})
 			}
 		}
 	}
-	a.unionIdx = a.unionIdx[:0]
-	//lint:ordered key collection, sort.Ints'd immediately below
-	for idx := range a.union {
-		a.unionIdx = append(a.unionIdx, idx)
-	}
-	sort.Ints(a.unionIdx)
-	a.res.Stats.UnionSizes = append(a.res.Stats.UnionSizes, len(a.unionIdx))
+	slices.SortFunc(union, func(x, y unionEdge) int { return cmp.Compare(x.orig, y.orig) })
+	union = slices.CompactFunc(union, func(x, y unionEdge) bool { return x.orig == y.orig })
+	a.union = union
+	a.res.Stats.UnionSizes = append(a.res.Stats.UnionSizes, len(union))
 	sub := a.sub
 	sub.Clear()
 	for v := 0; v < a.n; v++ {
@@ -654,11 +672,10 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 			sub.SetB(v, b)
 		}
 	}
-	for _, idx := range a.unionIdx {
-		e := a.union[idx]
-		sub.MustAddEdge(int(e.U), int(e.V), e.W)
+	for _, ue := range union {
+		sub.MustAddEdge(int(ue.e.U), int(ue.e.V), ue.e.W)
 	}
-	cand, _ := matching.OfflineB(sub, matching.OfflineConfig{ExactLimit: a.prof.OfflineExactLimit})
+	cand, _ := a.offline.OfflineB(sub, matching.OfflineConfig{ExactLimit: a.prof.OfflineExactLimit})
 	candHat := 0.0
 	for ci, si := range cand.EdgeIdx {
 		mult := 1
@@ -678,7 +695,7 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 		remap := &matching.Matching{Mult: []int{}}
 		w := 0.0
 		for ci, si := range cand.EdgeIdx {
-			remap.EdgeIdx = append(remap.EdgeIdx, a.unionIdx[si])
+			remap.EdgeIdx = append(remap.EdgeIdx, union[si].orig)
 			mult := 1
 			if cand.Mult != nil {
 				mult = cand.Mult[ci]

@@ -16,7 +16,6 @@ package matching
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -151,24 +150,18 @@ func (m *Matching) IsMaximal(g *graph.Graph) bool {
 // weight order, taking an edge whenever both endpoints are free. For
 // weighted graphs this is the classic 1/2-approximation.
 func Greedy(g *graph.Graph) *Matching {
-	order := make([]int, g.M())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := g.Edge(order[a]), g.Edge(order[b])
-		if ea.W != eb.W {
-			return ea.W > eb.W
-		}
-		return order[a] < order[b]
-	})
-	used := make([]bool, g.N())
+	return greedyInOrder(g, byWeightThenIndex(g, nil), make([]bool, g.N()))
+}
+
+// greedyInOrder is Greedy's scan over a precomputed (weight desc, index
+// asc) order; used is a zeroed per-vertex buffer.
+func greedyInOrder(g *graph.Graph, order []wIdx, used []bool) *Matching {
 	var out Matching
-	for _, idx := range order {
-		e := g.Edge(idx)
+	for _, p := range order {
+		e := g.Edge(p.idx)
 		if !used[e.U] && !used[e.V] {
 			used[e.U], used[e.V] = true, true
-			out.EdgeIdx = append(out.EdgeIdx, idx)
+			out.EdgeIdx = append(out.EdgeIdx, p.idx)
 		}
 	}
 	return &out
@@ -194,23 +187,19 @@ func GreedyArrival(g *graph.Graph) *Matching {
 // raised to saturate an endpoint (min of the two residual capacities),
 // exactly the device of Lemma 20.
 func GreedyB(g *graph.Graph) *Matching {
-	order := make([]int, g.M())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := g.Edge(order[a]), g.Edge(order[b])
-		if ea.W != eb.W {
-			return ea.W > eb.W
-		}
-		return order[a] < order[b]
-	})
+	return greedyBInOrder(g, byWeightThenIndex(g, nil))
+}
+
+// greedyBInOrder is GreedyB's scan over a precomputed (weight desc,
+// index asc) order.
+func greedyBInOrder(g *graph.Graph, order []wIdx) *Matching {
 	resid := make([]int, g.N())
 	for v := range resid {
 		resid[v] = g.B(v)
 	}
 	out := Matching{Mult: []int{}}
-	for _, idx := range order {
+	for _, p := range order {
+		idx := p.idx
 		e := g.Edge(idx)
 		c := resid[e.U]
 		if resid[e.V] < c {

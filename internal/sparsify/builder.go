@@ -26,16 +26,24 @@ type DeferredBuilder struct {
 	chi     float64
 	cfg     Config // defaults and chi² oversampling already applied
 	classes map[int]*construction
-	info    map[int]builderEdge // localIdx -> side data for stored edges
+	keys    []int // sorted class ids, rebuilt by Finish
+	// slots is the side data of the stored edges, append-only in
+	// storage order: the constructions' stored rows hold slot ids, so
+	// Finish reaches an edge's side data — and its local index, which
+	// levelOf hashes — by position rather than through a map.
+	slots []builderEdge
 }
 
 // builderEdge is the per-stored-edge side data the construction core does
-// not keep.
+// not keep. done is Finish's dedup mark (an edge is stored at up to one
+// forest per level but emitted once).
 type builderEdge struct {
-	u, v  int32
-	w     float64
-	orig  int
-	sigma float64
+	u, v     int32
+	done     bool
+	localIdx int
+	w        float64
+	orig     int
+	sigma    float64
 }
 
 // NewDeferredBuilder prepares a streaming deferred construction over a
@@ -43,27 +51,39 @@ type builderEdge struct {
 // fixes the subsampling depth, exactly as NewDeferred derives it from its
 // array length). chi >= 1 is the promised distortion bound.
 func NewDeferredBuilder(n, m int, chi float64, cfg Config) (*DeferredBuilder, error) {
-	if chi < 1 {
-		return nil, fmt.Errorf("sparsify: chi %v < 1", chi)
-	}
-	if m < 0 {
-		return nil, fmt.Errorf("sparsify: negative edge count %d", m)
-	}
-	b := &DeferredBuilder{
-		n:   n,
-		m:   m,
-		chi: chi,
-		cfg: deferredConfig(n, chi, cfg),
-	}
-	if s := b.cfg.Scratch; s != nil && s.n == n {
-		b.classes = s.getClassMap()
-		b.info = s.getInfoMap()
-	} else {
-		b.classes = make(map[int]*construction)
-		b.info = make(map[int]builderEdge)
+	b := &DeferredBuilder{}
+	if err := b.Reset(n, m, chi, cfg); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
+
+// Reset re-arms a builder for a new construction, exactly as
+// NewDeferredBuilder would build it, but keeping the slot buffer's and
+// class map's capacity: a caller that runs one construction per job per
+// round (the solver's sampling pass) holds one builder per job and
+// stops reallocating the side data every round. Call only after Finish
+// (or on a builder that was never fed).
+func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
+	if chi < 1 {
+		return fmt.Errorf("sparsify: chi %v < 1", chi)
+	}
+	if m < 0 {
+		return fmt.Errorf("sparsify: negative edge count %d", m)
+	}
+	b.n, b.m, b.chi = n, m, chi
+	b.cfg = deferredConfig(n, chi, cfg)
+	if b.classes == nil {
+		b.classes = make(map[int]*construction)
+	}
+	clear(b.classes)
+	b.slots = b.slots[:0]
+	return nil
+}
+
+// RetainedWords reports the builder's retained slot capacity in 64-bit
+// words (a slot is 6 words).
+func (b *DeferredBuilder) RetainedWords() int { return 6 * cap(b.slots) }
 
 // Add streams one edge into the construction. localIdx must be the edge's
 // position in the builder's own sequence (0..m-1, strictly increasing
@@ -81,8 +101,8 @@ func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sig
 		c = newConstruction(b.n, b.m, withClassSeed(b.cfg, cl))
 		b.classes[cl] = c
 	}
-	if c.process(localIdx, u, v) {
-		b.info[localIdx] = builderEdge{u: u, v: v, w: w, orig: orig, sigma: sigma}
+	if c.process(localIdx, len(b.slots), u, v) {
+		b.slots = append(b.slots, builderEdge{u: u, v: v, localIdx: localIdx, w: w, orig: orig, sigma: sigma})
 	}
 }
 
@@ -90,74 +110,59 @@ func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sig
 // increasing class order — the order NewDeferred's sorted bucketByClass
 // produces — so the structure is identical to the array-fed construction
 // on the same input. When the builder was configured with a Scratch,
-// Finish draws the emitted structure's containers from the pool and
-// retires every construction (forests and shells) back to it on the way
-// out: the Deferred carries only its Items and needs no forest state,
-// and the caller hands the containers back through Deferred.Release.
-// The builder must not be used after Finish.
+// Finish draws the emitted items from the pool and retires every
+// construction (forests and shells) back to it on the way out: the
+// Deferred carries only its Items and needs no forest state, and the
+// caller hands the items back through Deferred.Release. The builder
+// must not be fed again until Reset.
 func (b *DeferredBuilder) Finish() *Deferred {
 	var scr *Scratch
 	if s := b.cfg.Scratch; s != nil && s.n == b.n {
 		scr = s
 	}
-	keys := make([]int, 0, len(b.classes))
+	keys := b.keys[:0]
 	//lint:ordered key collection, sorted immediately below
 	for cl := range b.classes {
 		keys = append(keys, cl)
 	}
 	sort.Ints(keys)
+	b.keys = keys
 	d := &Deferred{n: b.n, chi: b.chi, scr: scr}
-	var seen map[int]bool
 	if scr != nil {
-		d.byEdge = scr.getIntMap()
 		d.items = scr.getItems(0)
-		seen = scr.getBoolMap()
-	} else {
-		d.byEdge = make(map[int]int)
 	}
 	for _, cl := range keys {
 		sub := b.classes[cl]
-		// Per-class dedup: edge indices never repeat across classes, so
-		// one cleared map behaves exactly like a fresh map per class.
-		if scr != nil {
-			clear(seen)
-		} else {
-			seen = make(map[int]bool)
-		}
+		// A slot belongs to one class, so one mark per slot dedups
+		// within each class exactly as a fresh per-class set would.
 		for i := 0; i < sub.numLv; i++ {
-			for _, idx := range sub.stored[i] {
-				if seen[idx] {
+			for _, id := range sub.stored[i] {
+				e := &b.slots[id]
+				if e.done {
 					continue
 				}
-				seen[idx] = true
-				info := b.info[idx]
-				ipLv, ok := sub.criticalLevel(info.u, info.v)
+				e.done = true
+				ipLv, ok := sub.criticalLevel(e.u, e.v)
 				if !ok {
 					continue
 				}
-				if sub.levelOf(idx) < ipLv {
+				if sub.levelOf(e.localIdx) < ipLv {
 					continue
 				}
-				prob := retentionProb(ipLv)
-				d.byEdge[idx] = len(d.items)
 				d.items = append(d.items, Item{
-					EdgeIdx: idx,
-					Orig:    info.orig,
-					U:       info.u,
-					V:       info.v,
-					W:       info.w,
-					Weight:  info.sigma, // provisional; replaced on Refine
-					Prob:    prob,
+					EdgeIdx: e.localIdx,
+					Orig:    e.orig,
+					U:       e.u,
+					V:       e.v,
+					W:       e.w,
+					Weight:  e.sigma, // provisional; replaced on Refine
+					Prob:    retentionProb(ipLv),
 				})
 			}
 		}
 		sub.retire()
 	}
-	if scr != nil {
-		scr.putBoolMap(seen)
-		scr.putClassMap(b.classes)
-		scr.putInfoMap(b.info)
-		b.classes, b.info = nil, nil
-	}
+	clear(b.classes)
+	b.slots = b.slots[:0]
 	return d
 }

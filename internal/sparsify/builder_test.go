@@ -62,9 +62,6 @@ func TestBuilderMatchesNewDeferred(t *testing.T) {
 					t.Fatalf("item %d differs: builder %+v vs NewDeferred %+v", i, got.items[i], w)
 				}
 			}
-			if !reflect.DeepEqual(got.byEdge, want.byEdge) {
-				t.Fatal("byEdge maps differ")
-			}
 			// Refinement must agree too (RefineWith vs RefineParallel).
 			u := make([]float64, g.M())
 			for i := range u {
@@ -113,5 +110,54 @@ func TestBuilderStaleRevealUsesPromise(t *testing.T) {
 		if got := it.Weight * it.Prob; got < 1.5-1e-12 || got > 1.5+1e-12 {
 			t.Fatalf("stale refine weight %v * prob %v != promise 1.5", it.Weight, it.Prob)
 		}
+	}
+}
+
+// TestBuilderResetMatchesFresh pins builder reuse: one builder Reset
+// across constructions of different sizes, class mixes and configs
+// (shrinking included, with and without a Scratch) must emit exactly
+// what a fresh NewDeferredBuilder emits for each.
+func TestBuilderResetMatchesFresh(t *testing.T) {
+	scr := NewScratch(40)
+	reused := new(DeferredBuilder)
+	for trial, tc := range []struct {
+		m       int
+		spread  float64
+		chi     float64
+		scratch *Scratch
+	}{
+		{400, 16, 2, scr}, {60, 1, 1, scr}, {300, 64, 3, nil}, {0, 2, 1, scr}, {250, 8, 1.5, scr},
+	} {
+		g := graph.GNM(40, max(tc.m, 1), graph.WeightConfig{Mode: graph.UniformWeights, WMax: 30}, uint64(trial)+1)
+		r := xrand.New(uint64(trial) + 200)
+		sigma := make([]float64, tc.m)
+		for i := range sigma {
+			sigma[i] = r.Float64() * tc.spread
+		}
+		cfg := Config{Xi: 0.5, K: 4, Seed: uint64(trial) + 9, Scratch: tc.scratch}
+		feed := func(b *DeferredBuilder) []Item {
+			for i := 0; i < tc.m; i++ {
+				e := g.Edge(i)
+				b.Add(i, e.U, e.V, e.W, 1000+i, sigma[i])
+			}
+			d := b.Finish()
+			items := append([]Item(nil), d.Items()...)
+			d.Release()
+			return items
+		}
+		fresh, err := NewDeferredBuilder(g.N(), tc.m, tc.chi, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := feed(fresh)
+		if err := reused.Reset(g.N(), tc.m, tc.chi, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := feed(reused); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reset builder emitted %d items, fresh builder %d (or contents differ)", trial, len(got), len(want))
+		}
+	}
+	if reused.RetainedWords() == 0 {
+		t.Fatal("reused builder retained no slot capacity")
 	}
 }

@@ -19,10 +19,9 @@ import (
 // by at most e^(±ε) per inner iteration — χ = γ = n^(1/(2p)) covers a full
 // batch of −ε⁻¹·log γ iterations (Theorem 3).
 type Deferred struct {
-	n      int
-	chi    float64
-	items  []Item // probabilities fixed at sampling time; Weight holds ς until refined
-	byEdge map[int]int
+	n     int
+	chi   float64
+	items []Item // probabilities fixed at sampling time; Weight holds ς until refined
 
 	// scr is the pool the structure's containers return to on Release
 	// (set when built through a Scratch-configured DeferredBuilder; nil
@@ -33,9 +32,8 @@ type Deferred struct {
 	refined []Item
 }
 
-// Release hands the structure's pooled containers (items, byEdge index,
-// and the last refinement's backing) back to the Scratch it was built
-// with. No-op without one. The Deferred — and any Sparsifier its
+// Release hands the structure's pooled containers (items and the last
+// refinement's backing) back to the Scratch it was built with. No-op without one. The Deferred — and any Sparsifier its
 // RefineWith produced — must not be used afterwards.
 func (d *Deferred) Release() {
 	if d.scr == nil {
@@ -44,10 +42,6 @@ func (d *Deferred) Release() {
 	if d.items != nil {
 		d.scr.putItems(d.items)
 		d.items = nil
-	}
-	if d.byEdge != nil {
-		d.scr.putIntMap(d.byEdge)
-		d.byEdge = nil
 	}
 	if d.refined != nil {
 		d.scr.putItems(d.refined)
@@ -88,7 +82,7 @@ func NewDeferred(n int, edgeEndpoints func(i int) (u, v int32), m int, sigma []f
 		grp := classes[ci]
 		sub := newConstruction(n, m, withClassSeed(cfg, grp.class))
 		for _, idx := range grp.idxs {
-			sub.process(idx, endpoints[idx].u, endpoints[idx].v)
+			sub.process(idx, idx, endpoints[idx].u, endpoints[idx].v)
 		}
 		// finish needs a graph.Edge slice; synthesize on the fly.
 		seen := make(map[int]bool)
@@ -120,12 +114,9 @@ func NewDeferred(n int, edgeEndpoints func(i int) (u, v int32), m int, sigma []f
 		}
 		return items
 	})
-	d := &Deferred{n: n, chi: chi, byEdge: make(map[int]int)}
+	d := &Deferred{n: n, chi: chi}
 	for _, its := range perClass {
-		for _, it := range its {
-			d.byEdge[it.EdgeIdx] = len(d.items)
-			d.items = append(d.items, it)
-		}
+		d.items = append(d.items, its...)
 	}
 	return d, nil
 }

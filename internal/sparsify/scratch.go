@@ -18,12 +18,13 @@ import (
 // construction's output.
 //
 // Beyond forests, the pool recycles the rest of the builder lifecycle's
-// containers: construction shells (level spines and stored-index rows),
-// the builder's class and side-data maps, the emitted Deferred's item
-// slices and byEdge index, and the refinement's reveal buffers. Every
-// getter hands back a logically empty structure (cleared map, length-0
-// or fully-overwritten slice), so pooled and cold constructions are
-// bit-identical.
+// containers: construction shells (level spines and stored-id rows),
+// the emitted Deferred's item slices, and the refinement's reveal
+// buffers. (The builder's own side-data slots stay with the builder,
+// which a caller keeps per job across rounds; see
+// DeferredBuilder.Reset.) Every getter hands back a logically empty
+// structure (length-0 or fully-overwritten slice), so pooled and cold
+// constructions are bit-identical.
 //
 // All getters and putters are safe for concurrent use: the per-class
 // and per-job constructions of one sampling round run on the worker
@@ -33,13 +34,9 @@ type Scratch struct {
 	mu   sync.Mutex
 	free []*unionfind.UF
 
-	shells   []*construction
-	infos    []map[int]builderEdge
-	classes  []map[int]*construction
-	intMaps  []map[int]int
-	boolMaps []map[int]bool
-	items    [][]Item
-	f64s     [][]float64
+	shells []*construction
+	items  [][]Item
+	f64s   [][]float64
 }
 
 // NewScratch returns an empty pool of forests over n elements.
@@ -55,12 +52,10 @@ func (s *Scratch) Retained() int {
 	return len(s.free)
 }
 
-// RetainedWords reports the pool's slice-backed capacity in 64-bit
-// words (forests, construction-shell rows, item and reveal buffers; an
-// Item is 6 words). The map pools are excluded — Go maps do not expose
-// their footprint — so this is a floor on what the pool keeps warm.
-// Like every arena-side count, retained capacity is never part of any
-// run's metered live space.
+// RetainedWords reports the pool's capacity in 64-bit words (forests,
+// construction-shell rows, item and reveal buffers; an Item is 6
+// words). Like every arena-side count, retained capacity is never part
+// of any run's metered live space.
 func (s *Scratch) RetainedWords() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,81 +124,8 @@ func (s *Scratch) putShell(c *construction) {
 	s.mu.Unlock()
 }
 
-// The map getters return empty maps (pooled ones are cleared on the
-// way back in), the slice getters length-0 slices with whatever
-// capacity a retired buffer carried.
-
-func (s *Scratch) getInfoMap() map[int]builderEdge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.infos) - 1; last >= 0 {
-		m := s.infos[last]
-		s.infos = s.infos[:last]
-		return m
-	}
-	return make(map[int]builderEdge)
-}
-
-func (s *Scratch) putInfoMap(m map[int]builderEdge) {
-	clear(m)
-	s.mu.Lock()
-	s.infos = append(s.infos, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getClassMap() map[int]*construction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.classes) - 1; last >= 0 {
-		m := s.classes[last]
-		s.classes = s.classes[:last]
-		return m
-	}
-	return make(map[int]*construction)
-}
-
-func (s *Scratch) putClassMap(m map[int]*construction) {
-	clear(m)
-	s.mu.Lock()
-	s.classes = append(s.classes, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getIntMap() map[int]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.intMaps) - 1; last >= 0 {
-		m := s.intMaps[last]
-		s.intMaps = s.intMaps[:last]
-		return m
-	}
-	return make(map[int]int)
-}
-
-func (s *Scratch) putIntMap(m map[int]int) {
-	clear(m)
-	s.mu.Lock()
-	s.intMaps = append(s.intMaps, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getBoolMap() map[int]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.boolMaps) - 1; last >= 0 {
-		m := s.boolMaps[last]
-		s.boolMaps = s.boolMaps[:last]
-		return m
-	}
-	return make(map[int]bool)
-}
-
-func (s *Scratch) putBoolMap(m map[int]bool) {
-	clear(m)
-	s.mu.Lock()
-	s.boolMaps = append(s.boolMaps, m)
-	s.mu.Unlock()
-}
+// The slice getters return length-0 slices with whatever capacity a
+// retired buffer carried.
 
 func (s *Scratch) getItems(capHint int) []Item {
 	s.mu.Lock()

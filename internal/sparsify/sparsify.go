@@ -114,7 +114,7 @@ type construction struct {
 	numLv   int
 	levelOf func(edgeIdx int) int // geometric subsampling level of an edge
 	ufs     [][]*unionfind.UF     // [level][j], j < K
-	stored  [][]int               // [level] -> edge indices stored in forests
+	stored  [][]int               // [level] -> ids of the edges stored in forests
 }
 
 func newConstruction(n, m int, cfg Config) *construction {
@@ -158,19 +158,22 @@ func respine[T any](rows [][]T, n int) [][]T {
 }
 
 // process streams one edge through every level it survives to, inserting
-// it into the first forest without a cycle (Algorithm 6 steps 5-8).
-// Reports whether the edge was stored at any level, so streaming callers
-// can retain side data for stored edges only.
-func (c *construction) process(edgeIdx int, u, v int32) bool {
+// it into the first forest without a cycle (Algorithm 6 steps 5-8), and
+// records id in the stored row of every level that keeps it: the array
+// constructions pass the edge index itself, the streaming builder a slot
+// id. Reports whether the edge was stored at any level, so streaming
+// callers can retain side data for stored edges only.
+func (c *construction) process(edgeIdx, id int, u, v int32) bool {
 	lv := c.levelOf(edgeIdx)
 	storedAny := false
 	for i := 0; i <= lv && i < c.numLv; i++ {
 		forests := c.ufs[i]
 		placed := false
 		for j := 0; j < len(forests); j++ {
-			if !forests[j].Same(int(u), int(v)) {
-				forests[j].Union(int(u), int(v))
-				c.stored[i] = append(c.stored[i], edgeIdx)
+			// Union merges exactly when the endpoints were apart, so its
+			// result is the Same test without a second pair of Finds.
+			if forests[j].Union(int(u), int(v)) {
+				c.stored[i] = append(c.stored[i], id)
 				placed = true
 				break
 			}
@@ -183,7 +186,7 @@ func (c *construction) process(edgeIdx int, u, v int32) bool {
 			nf := c.newForest()
 			nf.Union(int(u), int(v))
 			c.ufs[i] = append(forests, nf)
-			c.stored[i] = append(c.stored[i], edgeIdx)
+			c.stored[i] = append(c.stored[i], id)
 			storedAny = true
 		}
 	}
@@ -291,7 +294,7 @@ func Unweighted(g *graph.Graph, cfg Config) *Sparsifier {
 	cfg = cfg.withDefaults(g.N())
 	c := newConstruction(g.N(), g.M(), cfg)
 	for idx, e := range g.Edges() {
-		c.process(idx, e.U, e.V)
+		c.process(idx, idx, e.U, e.V)
 	}
 	items := c.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
 	return &Sparsifier{N: g.N(), Items: items}
@@ -311,7 +314,7 @@ func Weighted(g *graph.Graph, cfg Config) *Sparsifier {
 		sub := newConstruction(g.N(), g.M(), withClassSeed(cfg, grp.class))
 		for _, idx := range grp.idxs {
 			e := g.Edge(idx)
-			sub.process(idx, e.U, e.V)
+			sub.process(idx, idx, e.U, e.V)
 		}
 		return sub.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
 	})

@@ -281,3 +281,47 @@ func TestPoolStats(t *testing.T) {
 		return st.InFlight == 0 && st.Queued == 0
 	})
 }
+
+// TestPoolConcurrentGreedyOfflineRace runs two pool sessions at once
+// through the offline solve's greedy branch (n above the exact-blossom
+// limit of 600), where each solver keeps its own sort and mark buffers,
+// and with two workers per solve, so the sampling pass's per-job
+// builders run in parallel too. Under -race this pins that no buffer is
+// shared between sessions or jobs; every result must equal a
+// sequential solve of the same instance. A round cap keeps it short.
+func TestPoolConcurrentGreedyOfflineRace(t *testing.T) {
+	prof := match.Practical(0.3)
+	prof.SparsifierK = 6
+	prof.ChiOverride = 1
+	opts := []match.Option{match.WithEps(0.3), match.WithSeed(3), match.WithWorkers(2),
+		match.WithProfile(prof), match.WithMaxRounds(2)}
+	instances := []*graph.Graph{
+		graph.GNM(700, 6000, graph.WeightConfig{Mode: graph.PowersOf, Eps: 0.25, Levels: 4}, 31),
+		graph.GNM(720, 6000, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 32),
+	}
+	pool, err := match.NewPool(2, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const jobs = 4
+	chans := make([]<-chan match.JobResult, jobs)
+	for j := 0; j < jobs; j++ {
+		chans[j] = pool.Submit(context.Background(), stream.NewEdgeStream(instances[j%2]))
+	}
+	for j := 0; j < jobs; j++ {
+		got := <-chans[j]
+		if got.Err != nil {
+			t.Fatalf("job %d: %v", j, got.Err)
+		}
+		solver, err := match.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solver.Solve(context.Background(), stream.NewEdgeStream(instances[j%2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, "pool-greedy-job", want, got.Result)
+	}
+}
