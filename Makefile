@@ -91,10 +91,11 @@ bench-allocs:
 	$(GO) test -run='^$$' -bench='BenchmarkBankBuildArena|BenchmarkOneSparseUpdate|BenchmarkBankUpdateBlock' -benchmem -benchtime=1x ./internal/sketch/
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./match/
 
-# Profile the two dominant experiments (EA, E14) so the next perf PR
-# starts from data; see "Profile snapshot" in EXPERIMENTS.md.
+# Profile what the repository benchmark runs: five solves of
+# solve-ooc's instance and options (BenchmarkSolveOOC), so the next perf
+# PR starts from data; see "Profile snapshot" in EXPERIMENTS.md.
 bench-profile:
-	$(GO) test -run=^$$ -bench='BenchmarkEAblations|BenchmarkE14Workers' \
-		-benchtime=1x -cpuprofile=cpu.pprof -memprofile=mem.pprof .
+	$(GO) test -run=^$$ -bench='^BenchmarkSolveOOC$$' \
+		-benchtime=5x -cpuprofile=cpu.pprof -memprofile=mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 repro.test cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space repro.test mem.pprof

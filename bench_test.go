@@ -5,12 +5,21 @@ package repro
 // its table in quick mode and reports rows produced; `go test -bench=. -benchmem`
 // therefore re-derives every quantitative claim of the paper at CI
 // scale. Run cmd/matchbench for the full-scale tables.
+//
+// BenchmarkSolveOOC is the exception: one solve of the repository
+// benchmark's solve-ooc workload (perfbench/), for profiling what that
+// benchmark measures (`make bench-profile`).
 
 import (
+	"context"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/graph"
+	"repro/internal/stream"
+	"repro/match"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -48,3 +57,36 @@ func BenchmarkE17Throughput(b *testing.B)   { runExperiment(b, "e17") }
 
 func BenchmarkEAblations(b *testing.B)  { runExperiment(b, "ea") }
 func BenchmarkESemiStream(b *testing.B) { runExperiment(b, "es") }
+
+// BenchmarkSolveOOC solves solve-ooc's instance with its options: GNM
+// n=640, m=80 000, weights uniform in [1, 25], written as RBG2 and read
+// back through the mmap'd file source; ε=0.3, p=2, one worker, the
+// practical profile with 6 forests per sparsifier and χ=1. Each
+// iteration is a cold solver, as in the benchmark.
+func BenchmarkSolveOOC(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "solve-ooc.rbg")
+	g := graph.GNM(640, 80000, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 1)
+	if err := stream.WriteBinaryFile2(path, stream.NewEdgeStream(g)); err != nil {
+		b.Fatal(err)
+	}
+	src, err := stream.OpenBinary(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	prof := match.Practical(0.3)
+	prof.SparsifierK = 6
+	prof.ChiOverride = 1
+	opts := []match.Option{match.WithEps(0.3), match.WithSpaceExponent(2), match.WithWorkers(1), match.WithProfile(prof)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := match.New(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(context.Background(), src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -226,7 +227,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var verif *verification
 	if *verify {
 		g := stream.Materialize(src)
-		_, opt := matching.OfflineB(g, matching.OfflineConfig{ExactLimit: 1200})
+		// No size limit: above one, OfflineB would return a greedy
+		// weight, not the optimum.
+		_, opt := matching.OfflineB(g, matching.OfflineConfig{ExactLimit: math.MaxInt})
 		if opt > 0 {
 			verif = &verification{Optimum: opt, Ratio: res.Weight / opt}
 		}

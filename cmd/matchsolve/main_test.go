@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/matching"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -223,6 +226,28 @@ func TestGoldenAlgoSelection(t *testing.T) {
 	checkGolden(t, got, "algo_greedy_augment.golden")
 	if !strings.Contains(got, "algorithm       greedy-augment") {
 		t.Errorf("algorithm line missing:\n%s", got)
+	}
+}
+
+// TestVerifyIsExactOnLargeInstance pins -verify's optimum to exact
+// blossom's weight on 1 300 vertices, a size the offline solver's
+// default dispatch answers greedily.
+func TestVerifyIsExactOnLargeInstance(t *testing.T) {
+	var doc struct {
+		Verification *verification `json:"verification"`
+	}
+	got := runCLI(t, "-n", "1300", "-m", "4000", "-wmax", "20", "-seed", "5",
+		"-workers", "1", "-algo", "greedy", "-verify", "-json")
+	if err := json.Unmarshal([]byte(got), &doc); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GNM(1300, 4000, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 20}, 5)
+	_, want := matching.MaxWeightMatchingFloat(g, false)
+	if doc.Verification == nil || doc.Verification.Optimum != want {
+		t.Fatalf("-verify optimum = %+v, exact blossom weight %v", doc.Verification, want)
+	}
+	if greedy := matching.Greedy(g).Weight(g); greedy == want {
+		t.Fatalf("greedy weight %v equals the optimum: the instance does not tell them apart", greedy)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -187,14 +186,16 @@ type dualPrimal struct {
 	res  *Result
 	warm *WarmDuals // per-run warm-start request (nil = cold)
 
-	// Instance-derived state, set by Init. The dual state is retained
-	// across session runs (reuseOrNewState zeroes it in place when the
-	// instance shape repeats).
+	// Instance-derived state, set by Init. state is nil until Init builds
+	// this run's duals, so an abort before that point reports none;
+	// Reset moves the previous run's state to spare, whose backing table
+	// reuseOrNewState zeroes in place when the instance shape repeats.
 	src        stream.Source
 	eps        float64
 	n, nl      int
 	scheme     *levels.Scheme
 	state      *dualState
+	spare      *dualState
 	rng        *xrand.RNG
 	workers    int
 	maxNorm    int
@@ -248,13 +249,6 @@ type dualPrimal struct {
 
 type defJob struct{ q, slot, k int }
 
-// unionEdge is one sampled edge of a round's union, under its index in
-// the source stream.
-type unionEdge struct {
-	orig int
-	e    graph.Edge
-}
-
 // newDualPrimal validates the options and builds a fresh solver
 // instance for one run.
 func newDualPrimal(opt Options) (*dualPrimal, error) {
@@ -283,6 +277,9 @@ func (a *dualPrimal) Reset(engine.Params) {
 	a.warm = a.opt.Warm
 	a.src = nil
 	a.scheme = nil
+	if a.state != nil {
+		a.spare, a.state = a.state, nil
+	}
 	a.rng = nil
 	a.liveLevels = a.liveLevels[:0]
 	a.jobs = a.jobs[:0]
@@ -386,7 +383,7 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	}
 
 	// ---- Initial solution (Lemmas 12, 20, 21) or warm start ----
-	a.state = reuseOrNewState(a.state, scheme, a.n, a.prof.ZPruneRel)
+	a.state, a.spare = reuseOrNewState(a.spare, scheme, a.n, a.prof.ZPruneRel), nil
 	// The init-solution seed split is consumed on both paths so the
 	// per-round sampling seeds below stay aligned between warm and cold
 	// runs of the same configuration.
@@ -661,7 +658,7 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 			}
 		}
 	}
-	slices.SortFunc(union, func(x, y unionEdge) int { return cmp.Compare(x.orig, y.orig) })
+	sortUnion(union)
 	union = slices.CompactFunc(union, func(x, y unionEdge) bool { return x.orig == y.orig })
 	a.union = union
 	a.res.Stats.UnionSizes = append(a.res.Stats.UnionSizes, len(union))

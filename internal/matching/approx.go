@@ -1,7 +1,7 @@
 package matching
 
 import (
-	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -11,46 +11,38 @@ import (
 // approximation to Primal restricted to these constraints" — any offline
 // matching approximation run on the union of sampled edges. The paper
 // cites Duan–Pettie [13] and Ahn–Guha [2]; we substitute exact blossom
-// (a3 = 0) below a size threshold and greedy + local augmentation above
-// it (see DESIGN.md, substitution 2).
+// (a3 = 0) below a size threshold and greedy above it (see DESIGN.md,
+// substitution 2).
 
 // OfflineConfig tunes the offline solver dispatch.
 type OfflineConfig struct {
 	// ExactLimit: run exact blossom when n <= ExactLimit (default 600).
 	ExactLimit int
-	// AugmentPasses: local-improvement passes for the large regime
-	// (default 3).
-	AugmentPasses int
 }
 
 func (c OfflineConfig) withDefaults() OfflineConfig {
 	if c.ExactLimit == 0 {
 		c.ExactLimit = 600
 	}
-	if c.AugmentPasses == 0 {
-		c.AugmentPasses = 3
-	}
 	return c
 }
 
 // OfflineScratch holds the working buffers of the offline solve — the
-// packed sort orders, the greedy and augmentation marks — so a caller
-// that solves one union per round reuses them instead of allocating
-// per call. The zero value is ready to use. A scratch serves one solve
-// at a time: concurrent solvers each own one, and nothing here is
-// shared at package level.
+// packed greedy order, the radix sort's second buffer and the greedy
+// marks — so a caller that solves one union per round reuses them
+// instead of allocating per call. The zero value is ready to use. A
+// scratch serves one solve at a time: concurrent solvers each own one,
+// and nothing here is shared at package level.
 type OfflineScratch struct {
-	byW    []wIdx // edges by weight only: AugmentOnePass's scan order
 	greedy []wIdx // edges by (weight desc, index asc): Greedy's order
+	tmp    []wIdx // the radix passes' other buffer
 	used   []bool // per vertex
-	inM    []bool // per edge
-	match  []int  // per vertex
 }
 
 // RetainedWords reports the scratch's capacity in 64-bit words (a wIdx
-// is 2 words; bool buffers round up to whole words).
+// is 2 words; the bool buffer rounds up to whole words).
 func (s *OfflineScratch) RetainedWords() int {
-	return 2*(cap(s.byW)+cap(s.greedy)) + (cap(s.used)+cap(s.inM)+7)/8 + cap(s.match)
+	return 2*(cap(s.greedy)+cap(s.tmp)) + (cap(s.used)+7)/8
 }
 
 // Offline computes a high-quality matching of g (b == 1 assumed; use
@@ -76,24 +68,23 @@ func (s *OfflineScratch) OfflineB(g *graph.Graph, cfg OfflineConfig) (*Matching,
 	if g.TotalB() <= cfg.ExactLimit {
 		return exactBBySplitting(g)
 	}
-	s.greedy = byWeightThenIndex(g, s.greedy)
+	s.greedy, s.tmp = byWeightThenIndex(g, s.greedy, s.tmp)
 	m := greedyBInOrder(g, s.greedy)
 	return m, m.Weight(g)
 }
 
-// offline is Offline with resolved defaults. The greedy branch sorts
-// the edges once, by weight only — the order AugmentOnePass scans —
-// and derives Greedy's (weight desc, index asc) order from it by
-// sorting each run of equal weights by index.
+// offline is Offline with resolved defaults. The greedy branch is
+// Greedy's matching in index order: no single-edge swap can improve it
+// (DESIGN.md §17), so a local-augmentation pass after it would be a
+// no-op.
 func (s *OfflineScratch) offline(g *graph.Graph, cfg OfflineConfig) (*Matching, float64) {
 	if g.N() <= cfg.ExactLimit {
 		return MaxWeightMatchingFloat(g, false)
 	}
-	s.byW = byWeight(g, s.byW)
-	s.greedy = tiesByIndex(s.greedy, s.byW)
+	s.greedy, s.tmp = byWeightThenIndex(g, s.greedy, s.tmp)
 	s.used = resize(s.used, g.N())
 	m := greedyInOrder(g, s.greedy, s.used)
-	m = s.augment(g, m, cfg.AugmentPasses, s.byW)
+	slices.Sort(m.EdgeIdx)
 	return m, m.Weight(g)
 }
 
@@ -173,145 +164,61 @@ func exactBBySplitting(g *graph.Graph) (*Matching, float64) {
 	return &out, w
 }
 
-// AugmentOnePass improves a matching by repeated single-edge and
-// 2-augmentation moves: for each unmatched or improvable edge (u,v),
-// adding it and dropping the (at most two) conflicting matched edges when
-// that increases total weight. passes bounds the number of sweeps.
-func AugmentOnePass(g *graph.Graph, m *Matching, passes int) *Matching {
-	return new(OfflineScratch).augment(g, m, passes, byWeight(g, nil))
-}
-
-// augment is AugmentOnePass scanning a precomputed byWeight order.
-func (s *OfflineScratch) augment(g *graph.Graph, m *Matching, passes int, order []wIdx) *Matching {
-	s.match = resize(s.match, g.N()) // edge index matched at v, or -1
-	match := s.match
-	for i := range match {
-		match[i] = -1
-	}
-	s.inM = resize(s.inM, g.M())
-	inM := s.inM
-	for _, idx := range m.EdgeIdx {
-		e := g.Edge(idx)
-		match[e.U] = idx
-		match[e.V] = idx
-		inM[idx] = true
-	}
-	for pass := 0; pass < passes; pass++ {
-		improved := false
-		for _, p := range order {
-			idx := p.idx
-			if inM[idx] {
-				continue
-			}
-			e := g.Edge(idx)
-			mu, mv := match[e.U], match[e.V]
-			drop := 0.0
-			if mu >= 0 {
-				drop += g.Edge(mu).W
-			}
-			if mv >= 0 && mv != mu {
-				drop += g.Edge(mv).W
-			}
-			if e.W > drop {
-				// Perform the swap.
-				if mu >= 0 {
-					eu := g.Edge(mu)
-					match[eu.U], match[eu.V] = -1, -1
-					inM[mu] = false
-				}
-				if mv >= 0 && mv != mu {
-					ev := g.Edge(mv)
-					match[ev.U], match[ev.V] = -1, -1
-					inM[mv] = false
-				}
-				match[e.U], match[e.V] = idx, idx
-				inM[idx] = true
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	out := &Matching{}
-	for idx, in := range inM {
-		if in {
-			out.EdgeIdx = append(out.EdgeIdx, idx)
-		}
-	}
-	return out
-}
-
 // wIdx is one edge of a packed sort: its weight stored next to its
-// index, so the comparator reads neither the graph nor an indirection.
+// index, so the sort reads neither the graph nor an indirection.
 type wIdx struct {
 	w   float64
 	idx int
 }
 
-// weightDesc is AugmentOnePass's comparator: heavier first, weight
-// only. It reports "less" on exactly the pairs the historical
-// sort.Slice comparator did, and pdqsort's permutation depends only on
-// the comparison outcomes and the length, so byWeight reproduces that
-// permutation tie for tie.
-func weightDesc(a, b wIdx) int {
-	switch {
-	case a.w > b.w:
-		return -1
-	case a.w < b.w:
-		return 1
-	}
-	return 0
-}
-
-func indexAsc(a, b wIdx) int { return cmp.Compare(a.idx, b.idx) }
-
-// packEdges fills buf with g's (weight, index) pairs in edge order.
-func packEdges(g *graph.Graph, buf []wIdx) []wIdx {
-	buf = buf[:0]
+// byWeightThenIndex returns g's edges in (weight desc, index asc) order
+// in buf, with tmp as the radix passes' other buffer; it hands both
+// back for reuse. Graph weights are positive and finite, so their IEEE
+// bits order them, and the complemented bits order them heaviest
+// first. The pairs start in index order and every LSD pass is stable,
+// so equal weights keep ascending indices: the order is the total one,
+// which every correct sort yields. A byte position where all keys agree
+// is skipped.
+func byWeightThenIndex(g *graph.Graph, buf, tmp []wIdx) ([]wIdx, []wIdx) {
+	buf = slices.Grow(buf[:0], g.M())
 	for i, e := range g.Edges() {
 		buf = append(buf, wIdx{w: e.W, idx: i})
 	}
-	return buf
-}
-
-// byWeight returns g's edges sorted by weightDesc.
-func byWeight(g *graph.Graph, buf []wIdx) []wIdx {
-	buf = packEdges(g, buf)
-	slices.SortFunc(buf, weightDesc)
-	return buf
-}
-
-// byWeightThenIndex returns g's edges in (weight desc, index asc) order.
-// The order is total, so every correct sort yields the same slice.
-func byWeightThenIndex(g *graph.Graph, buf []wIdx) []wIdx {
-	buf = packEdges(g, buf)
-	slices.SortFunc(buf, func(a, b wIdx) int {
-		if c := weightDesc(a, b); c != 0 {
-			return c
-		}
-		return indexAsc(a, b)
-	})
-	return buf
-}
-
-// tiesByIndex copies a byWeight order into dst and sorts every run of
-// equal weights by index: the (weight desc, index asc) order of
-// byWeightThenIndex without a second full comparison sort.
-func tiesByIndex(dst, sorted []wIdx) []wIdx {
-	dst = append(dst[:0], sorted...)
-	for lo := 0; lo < len(dst); {
-		hi := lo + 1
-		for hi < len(dst) && dst[hi].w == dst[lo].w {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(dst[lo:hi], indexAsc)
-		}
-		lo = hi
+	if len(buf) < 2 {
+		return buf, tmp
 	}
-	return dst
+	tmp = slices.Grow(tmp[:0], len(buf))[:len(buf)]
+	var count [8][256]int
+	for _, p := range buf {
+		k := descKey(p.w)
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	first := descKey(buf[0].w)
+	for d := range count {
+		c := &count[d]
+		if c[byte(first>>(8*d))] == len(buf) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, p := range buf {
+			b := byte(descKey(p.w) >> (8 * d))
+			tmp[c[b]] = p
+			c[b]++
+		}
+		buf, tmp = tmp, buf
+	}
+	return buf, tmp
 }
+
+// descKey maps a positive finite weight to a key that ascends as the
+// weight descends.
+func descKey(w float64) uint64 { return ^math.Float64bits(w) }
 
 // resize returns a zeroed length-n buffer, reusing b's backing when it
 // is large enough.

@@ -157,13 +157,18 @@ func MaxWeightMatchingFloat(g *graph.Graph, maxCardinality bool) (*Matching, flo
 	}
 	mate, _ := MaxWeightMatching(g.N(), edges, maxCardinality)
 	// Recover the selected edge set: for each matched pair pick the
-	// heaviest edge between them (the solver works on the implicit simple
-	// graph).
-	bestIdx := make(map[uint64]int)
+	// heaviest edge between them, the first index among equal weights
+	// (the solver works on the implicit simple graph). best[v] is the
+	// pick for the pair whose smaller endpoint is v, stored as index+1 so
+	// that the zeroed slice means "none yet".
+	best := make([]int, g.N())
 	for i, e := range g.Edges() {
-		k := e.Key()
-		if j, ok := bestIdx[k]; !ok || g.Edge(j).W < e.W {
-			bestIdx[k] = i
+		if mate[e.U] != e.V {
+			continue
+		}
+		lo := min(e.U, e.V)
+		if j := best[lo] - 1; j < 0 || g.Edge(j).W < e.W {
+			best[lo] = i + 1
 		}
 	}
 	var out Matching
@@ -171,7 +176,7 @@ func MaxWeightMatchingFloat(g *graph.Graph, maxCardinality bool) (*Matching, flo
 	for v := 0; v < g.N(); v++ {
 		u := mate[v]
 		if u >= 0 && int32(v) < u {
-			idx := bestIdx[graph.KeyOf(int32(v), u)]
+			idx := best[v] - 1
 			out.EdgeIdx = append(out.EdgeIdx, idx)
 			totalW += g.Edge(idx).W
 		}

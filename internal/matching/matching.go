@@ -150,7 +150,8 @@ func (m *Matching) IsMaximal(g *graph.Graph) bool {
 // weight order, taking an edge whenever both endpoints are free. For
 // weighted graphs this is the classic 1/2-approximation.
 func Greedy(g *graph.Graph) *Matching {
-	return greedyInOrder(g, byWeightThenIndex(g, nil), make([]bool, g.N()))
+	order, _ := byWeightThenIndex(g, nil, nil)
+	return greedyInOrder(g, order, make([]bool, g.N()))
 }
 
 // greedyInOrder is Greedy's scan over a precomputed (weight desc, index
@@ -187,7 +188,8 @@ func GreedyArrival(g *graph.Graph) *Matching {
 // raised to saturate an endpoint (min of the two residual capacities),
 // exactly the device of Lemma 20.
 func GreedyB(g *graph.Graph) *Matching {
-	return greedyBInOrder(g, byWeightThenIndex(g, nil))
+	order, _ := byWeightThenIndex(g, nil, nil)
+	return greedyBInOrder(g, order)
 }
 
 // greedyBInOrder is GreedyB's scan over a precomputed (weight desc,

@@ -1,20 +1,24 @@
 package matching
 
 import (
+	"fmt"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// Differential pins for the packed-pair sorts: the reference below is
-// the reflective sort.Slice implementation of Greedy and AugmentOnePass
-// that the packed sorts replaced, kept verbatim. Offline's greedy
-// branch, Greedy and AugmentOnePass must reproduce it exactly — the same
-// matched indices in the same order — including on tie-heavy weights,
-// where AugmentOnePass's weight-only comparator leaves the order of
-// equal weights to the sort algorithm itself.
+// Differential pins for the radix order: the reference below is the
+// reflective sort.Slice implementation of Greedy and of the local
+// augmentation Offline used to run after it, kept verbatim. Offline's
+// greedy branch and Greedy must reproduce it exactly — the same matched
+// indices in the same order — including on tie-heavy and all-equal
+// weights and on edge counts either side of the radix sort's byte
+// boundaries.
 
 func refGreedy(g *graph.Graph) *Matching {
 	order := make([]int, g.M())
@@ -101,12 +105,26 @@ func refAugmentOnePass(g *graph.Graph, m *Matching, passes int) *Matching {
 	return out
 }
 
-// refOffline is the greedy branch of Offline over the reference pair.
+// refOffline is the greedy branch Offline had before the augmentation
+// was shown to be a no-op: Greedy, then three augmentation passes.
 func refOffline(g *graph.Graph) *Matching {
-	return refAugmentOnePass(g, refGreedy(g), OfflineConfig{}.withDefaults().AugmentPasses)
+	return refAugmentOnePass(g, refGreedy(g), 3)
 }
 
-func TestOfflineMatchesSortSliceReference(t *testing.T) {
+// withWeight copies g with every edge at weight w.
+func withWeight(g *graph.Graph, w float64) *graph.Graph {
+	out := graph.New(g.N())
+	for _, e := range g.Edges() {
+		out.MustAddEdge(int(e.U), int(e.V), w)
+	}
+	return out
+}
+
+// offlineShapes lists the instances Offline is checked on: three
+// weightings over seeded sizes above the exact limit, plus all-equal
+// weights and edge counts just either side of 256 and 65 536.
+func offlineShapes() map[string]*graph.Graph {
+	const n0 = 601
 	weightings := []struct {
 		name string
 		wc   graph.WeightConfig
@@ -115,80 +133,145 @@ func TestOfflineMatchesSortSliceReference(t *testing.T) {
 		{"powers", graph.WeightConfig{Mode: graph.PowersOf, Eps: 0.25, Levels: 4}},
 		{"uniform", graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}},
 	}
+	out := make(map[string]*graph.Graph)
+	for _, wt := range weightings {
+		for seed := uint64(1); seed <= 12; seed++ {
+			n := n0 + int(seed*37%200)
+			m := 3*n + int(seed*911%4000)
+			out[fmt.Sprintf("%s/seed%d", wt.name, seed)] = graph.GNM(n, m, wt.wc, seed)
+		}
+		for _, m := range []int{255, 257, 65535, 65537} {
+			out[fmt.Sprintf("%s/m%d", wt.name, m)] = graph.GNM(n0+60, m, wt.wc, uint64(m))
+		}
+	}
+	for _, m := range []int{255, 257, 65535, 65537} {
+		g := graph.GNM(n0+60, m, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, uint64(m)+1)
+		out[fmt.Sprintf("equal/m%d", m)] = withWeight(g, 7.25)
+	}
+	return out
+}
+
+func TestOfflineMatchesSortSliceReference(t *testing.T) {
+	shapes := offlineShapes()
+	names := slices.Sorted(maps.Keys(shapes))
 	// One scratch across every shape, so a stale buffer from a larger
 	// previous call would show up as a mismatch on a smaller one.
 	var sc OfflineScratch
-	for _, wt := range weightings {
-		for seed := uint64(1); seed <= 12; seed++ {
-			n := 601 + int(seed*37%200)
-			m := 3*n + int(seed*911%4000)
-			g := graph.GNM(n, m, wt.wc, seed)
-			want := refOffline(g)
+	for _, name := range names {
+		g := shapes[name]
+		want := refOffline(g)
 
-			got, w := sc.OfflineB(g, OfflineConfig{})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s seed %d: OfflineScratch.OfflineB differs from the sort.Slice reference", wt.name, seed)
-			}
-			if w != want.Weight(g) {
-				t.Fatalf("%s seed %d: weight %v, reference %v", wt.name, seed, w, want.Weight(g))
-			}
-			if cold, _ := Offline(g, OfflineConfig{}); !reflect.DeepEqual(cold, want) {
-				t.Fatalf("%s seed %d: Offline differs from the sort.Slice reference", wt.name, seed)
-			}
-			if gr, ref := Greedy(g), refGreedy(g); !reflect.DeepEqual(gr, ref) {
-				t.Fatalf("%s seed %d: Greedy differs from the sort.Slice reference", wt.name, seed)
-			}
-			// AugmentOnePass from a matching Greedy did not produce:
-			// arrival order, so the swaps start from a different point.
-			start := GreedyArrival(g)
-			for _, passes := range []int{1, 3} {
-				got, ref := AugmentOnePass(g, start, passes), refAugmentOnePass(g, start, passes)
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s seed %d passes %d: AugmentOnePass differs from the sort.Slice reference", wt.name, seed, passes)
-				}
-			}
+		got, w := sc.OfflineB(g, OfflineConfig{})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: OfflineScratch.OfflineB differs from the sort.Slice reference", name)
+		}
+		if w != want.Weight(g) {
+			t.Fatalf("%s: weight %v, reference %v", name, w, want.Weight(g))
+		}
+		if cold, _ := Offline(g, OfflineConfig{}); !reflect.DeepEqual(cold, want) {
+			t.Fatalf("%s: Offline differs from the sort.Slice reference", name)
+		}
+		if gr, ref := Greedy(g), refGreedy(g); !reflect.DeepEqual(gr, ref) {
+			t.Fatalf("%s: Greedy differs from the sort.Slice reference", name)
 		}
 	}
 }
 
-// TestGreedyBMatchesTotalOrder pins GreedyB's packed sort against the
+// refGreedyB is GreedyB over the reference (weight desc, index asc)
+// order.
+func refGreedyB(g *graph.Graph) *Matching {
+	order := make([]int, g.M())
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ea, eb := g.Edge(order[a]), g.Edge(order[b])
+		if ea.W != eb.W {
+			return ea.W > eb.W
+		}
+		return order[a] < order[b]
+	})
+	resid := make([]int, g.N())
+	for v := range resid {
+		resid[v] = g.B(v)
+	}
+	want := Matching{Mult: []int{}}
+	for _, idx := range order {
+		e := g.Edge(idx)
+		c := min(resid[e.U], resid[e.V])
+		if c > 0 {
+			resid[e.U] -= c
+			resid[e.V] -= c
+			want.EdgeIdx = append(want.EdgeIdx, idx)
+			want.Mult = append(want.Mult, c)
+		}
+	}
+	return &want
+}
+
+// TestGreedyBMatchesTotalOrder pins GreedyB's radix order against the
 // reference (weight desc, index asc) order on capacitated instances
 // above the exact-splitting threshold.
 func TestGreedyBMatchesTotalOrder(t *testing.T) {
+	shapes := map[string]*graph.Graph{}
 	for seed := uint64(1); seed <= 6; seed++ {
-		g := graph.WithRandomB(graph.GNM(400, 3000, graph.WeightConfig{Mode: graph.PowersOf, Eps: 0.25, Levels: 3}, seed), 3, false, seed+50)
-		order := make([]int, g.M())
-		for i := range order {
-			order[i] = i
+		g := graph.GNM(400, 3000, graph.WeightConfig{Mode: graph.PowersOf, Eps: 0.25, Levels: 3}, seed)
+		shapes[fmt.Sprintf("powers/seed%d", seed)] = graph.WithRandomB(g, 3, false, seed+50)
+	}
+	for _, m := range []int{255, 257, 65535, 65537} {
+		g := graph.GNM(400, m, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, uint64(m))
+		shapes[fmt.Sprintf("uniform/m%d", m)] = graph.WithRandomB(g, 3, false, uint64(m)+50)
+		shapes[fmt.Sprintf("equal/m%d", m)] = graph.WithRandomB(withWeight(g, 7.25), 3, false, uint64(m)+50)
+	}
+	var sc OfflineScratch
+	for _, name := range slices.Sorted(maps.Keys(shapes)) {
+		g := shapes[name]
+		want := refGreedyB(g)
+		if got := GreedyB(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: GreedyB differs from the sort.Slice reference", name)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ea, eb := g.Edge(order[a]), g.Edge(order[b])
-			if ea.W != eb.W {
-				return ea.W > eb.W
+		if got, _ := sc.OfflineB(g, OfflineConfig{ExactLimit: 100}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: OfflineScratch.OfflineB differs from the sort.Slice reference", name)
+		}
+	}
+}
+
+// TestMaxWeightMatchingFloatPicksFirstHeaviest pins the matched-pair
+// recovery against the pair map it replaced: on multigraphs with
+// parallel edges, some of equal weight, each matched pair reports its
+// heaviest edge and, among equal weights, the first index.
+func TestMaxWeightMatchingFloatPicksFirstHeaviest(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		base := graph.GNM(40, 120, graph.WeightConfig{Mode: graph.PowersOf, Eps: 0.5, Levels: 3}, seed)
+		g := graph.New(base.N())
+		for i, e := range base.Edges() {
+			g.MustAddEdge(int(e.U), int(e.V), e.W)
+			if i%3 == 0 { // a parallel copy, reversed, at equal weight
+				g.MustAddEdge(int(e.V), int(e.U), e.W)
 			}
-			return order[a] < order[b]
-		})
-		resid := make([]int, g.N())
-		for v := range resid {
-			resid[v] = g.B(v)
+			if i%5 == 0 { // a lighter parallel copy
+				g.MustAddEdge(int(e.U), int(e.V), e.W/2)
+			}
 		}
-		want := Matching{Mult: []int{}}
-		for _, idx := range order {
+		got, w := MaxWeightMatchingFloat(g, false)
+
+		bestIdx := make(map[uint64]int)
+		for i, e := range g.Edges() {
+			k := e.Key()
+			if j, ok := bestIdx[k]; !ok || g.Edge(j).W < e.W {
+				bestIdx[k] = i
+			}
+		}
+		var want Matching
+		wantW := 0.0
+		for _, idx := range got.EdgeIdx {
 			e := g.Edge(idx)
-			c := min(resid[e.U], resid[e.V])
-			if c > 0 {
-				resid[e.U] -= c
-				resid[e.V] -= c
-				want.EdgeIdx = append(want.EdgeIdx, idx)
-				want.Mult = append(want.Mult, c)
-			}
+			ref := bestIdx[graph.KeyOf(e.U, e.V)]
+			want.EdgeIdx = append(want.EdgeIdx, ref)
+			wantW += g.Edge(ref).W
 		}
-		if got := GreedyB(g); !reflect.DeepEqual(got, &want) {
-			t.Fatalf("seed %d: GreedyB differs from the sort.Slice reference", seed)
-		}
-		var sc OfflineScratch
-		if got, _ := sc.OfflineB(g, OfflineConfig{ExactLimit: 100}); !reflect.DeepEqual(got, &want) {
-			t.Fatalf("seed %d: OfflineScratch.OfflineB differs from the sort.Slice reference", seed)
+		if !reflect.DeepEqual(got, &want) || math.Float64bits(w) != math.Float64bits(wantW) {
+			t.Fatalf("seed %d: picks %v (weight %v), pair map picks %v (weight %v)", seed, got.EdgeIdx, w, want.EdgeIdx, wantW)
 		}
 	}
 }

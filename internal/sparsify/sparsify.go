@@ -168,6 +168,12 @@ func (c *construction) process(edgeIdx, id int, u, v int32) bool {
 	storedAny := false
 	for i := 0; i <= lv && i < c.numLv; i++ {
 		forests := c.ufs[i]
+		// Forest j's partition refines forest j-1's (DESIGN.md §17), so
+		// endpoints joined in the K-th forest are joined in all K: the
+		// edge is rejected here with one test instead of K unions.
+		if len(forests) == c.cfg.K && forests[c.cfg.K-1].Same(int(u), int(v)) {
+			continue
+		}
 		placed := false
 		for j := 0; j < len(forests); j++ {
 			// Union merges exactly when the endpoints were apart, so its

@@ -69,8 +69,8 @@ func (u *UF) Words() int { return (5*len(u.parent) + 7) / 8 }
 func (u *UF) Reset() {
 	for i := range u.parent {
 		u.parent[i] = int32(i)
-		u.rank[i] = 0
 	}
+	clear(u.rank)
 	u.comps = len(u.parent)
 }
 

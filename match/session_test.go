@@ -9,6 +9,8 @@ package match_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -98,6 +100,58 @@ func TestSolverRetainedWords(t *testing.T) {
 	}
 	if w := solver.RetainedWords(); w <= 0 {
 		t.Fatalf("RetainedWords after reused solves = %d, want > 0", w)
+	}
+}
+
+// cancelAtPass cancels its context as metered pass `at` (1-based)
+// starts, so the engine ends that pass at its first block.
+type cancelAtPass struct {
+	stream.Source
+	at, passes int
+	cancel     context.CancelFunc
+}
+
+func (c *cancelAtPass) ForEach(f func(idx int, e graph.Edge) bool) {
+	c.passes++
+	if c.passes == c.at {
+		c.cancel()
+	}
+	c.Source.ForEach(f)
+}
+
+// TestSolverReuseCancelledMatchesCold pins the abort path of a reused
+// session: a Solver that already finished one solve, cancelled during
+// its W* scan (pass 1) or its level census (pass 2), must report
+// exactly what a cold Solver cancelled at the same pass reports — no
+// panic on the discretization the abort never built, and no dual
+// objective left over from the previous run.
+func TestSolverReuseCancelledMatchesCold(t *testing.T) {
+	g := graph.GNM(48, 320, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 41)
+	opts := []match.Option{match.WithSeed(7), match.WithWorkers(1)}
+	cancelled := func(s *match.Solver, at int) *match.Result {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		res, err := s.Solve(ctx, &cancelAtPass{Source: stream.NewEdgeStream(g), at: at, cancel: cancel})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pass %d: err = %v, want context.Canceled", at, err)
+		}
+		return res
+	}
+	for _, at := range []int{1, 2} {
+		cold, err := match.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cancelled(cold, at)
+		reused, err := match.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reused.Solve(context.Background(), stream.NewEdgeStream(g)); err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, fmt.Sprintf("cancelled at pass %d", at), want, cancelled(reused, at))
 	}
 }
 
