@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 .PHONY: check fmt vet build test race fuzz lint bench experiments bench-json bench-gate bench-profile bench-allocs perfbench-smoke
 
-check: fmt vet build race lint fuzz
+check: fmt vet build race lint fuzz perfbench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -59,6 +59,8 @@ fuzz:
 # The repository benchmark (perfbench/, see BENCHMARK.json) is a module
 # of its own, so the root `go test ./...` never builds it: vet it and run
 # its toy-size smoke tests, which build every workload (about 12 s).
+# `check` runs it too, so a facade change that breaks perfbench's build
+# fails locally as it does in CI.
 perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

@@ -17,8 +17,9 @@
 // computation. See the package documentation of repro/match for
 // runnable examples.
 //
-// The machinery lives under internal/: the shared round-loop driver and
-// registry (engine), the dual-primal solver (core) and the ported
+// The machinery lives under internal/: the shared round-loop driver,
+// the session every solve runs through and the registry (engine), the
+// dual-primal solver (core) and the ported
 // substrates behind the registry (algos), the components they depend on
 // (sketch, sparsify, matching, lp, oddset, cover, pack, levels, stream,
 // graph, parallel — the sharded worker pool), the distributed-model

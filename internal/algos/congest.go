@@ -81,7 +81,7 @@ func (a *cliqueAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 	}
 	// EarlyStopped means genuine quiescence (every node halted before
 	// the cap) — a run cut off by its own round cap is not "converged".
-	return m, engine.Extras{Weight: weight, EarlyStopped: a.proto.Quiesced()}
+	return m, engine.Extras{Weight: weight, Stats: engine.Stats{EarlyStopped: a.proto.Quiesced()}}
 }
 
 func init() {

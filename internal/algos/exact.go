@@ -75,7 +75,7 @@ func (a *hkAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 		return nil, engine.Extras{}
 	}
 	m := a.h.Matching()
-	return m, engine.Extras{Weight: m.Weight(a.g), EarlyStopped: a.done}
+	return m, engine.Extras{Weight: m.Weight(a.g), Stats: engine.Stats{EarlyStopped: a.done}}
 }
 
 func init() {

@@ -121,7 +121,7 @@ func (a *greedyAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 	case a.st != nil:
 		m = a.st.Matching()
 	}
-	return m, engine.Extras{Weight: a.weight, EarlyStopped: a.earlyStopped}
+	return m, engine.Extras{Weight: a.weight, Stats: engine.Stats{EarlyStopped: a.earlyStopped}}
 }
 
 func init() {

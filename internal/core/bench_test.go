@@ -11,7 +11,7 @@ func BenchmarkSolveSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: uint64(i)}); err != nil {
+		if _, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,7 +23,7 @@ func BenchmarkSolveRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: uint64(i), MaxRounds: 1}); err != nil {
+		if _, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: uint64(i), MaxRounds: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

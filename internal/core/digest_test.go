@@ -14,7 +14,7 @@ import (
 )
 
 // Absolute result pins. The corpus suites compare solve paths with one
-// another (facade vs core, 1 vs k workers, backend vs backend), so a
+// another (1 vs k workers, backend vs backend, reused vs fresh), so a
 // change that moves every path the same way passes them. These digests
 // were recorded once and pin each run's outcome outright: the Weight,
 // DualObjective and Lambda bits, the matching's indices and
@@ -61,10 +61,10 @@ func digestRuns() []digestRun {
 	return runs
 }
 
-// resultDigest hashes everything a Result reports except the warm
-// snapshot (which is a copy of the dual state DualObjective already
-// summarizes).
-func resultDigest(res *Result) string {
+// resultDigest hashes everything a solve reports except the dual
+// snapshot (a copy of the dual state DualObjective already summarizes),
+// plus the observer's λ/β trajectory.
+func resultDigest(res *result) string {
 	h := sha256.New()
 	putF := func(f float64) { putU64(h, math.Float64bits(f)) }
 	putF(res.Weight)
@@ -79,10 +79,17 @@ func resultDigest(res *Result) string {
 		putU64(h, uint64(c))
 	}
 	// Every Stats field, in declaration order: a field added later
-	// enters the digest automatically (and forces a re-record).
+	// enters the digest automatically (and forces a re-record). The λ/β
+	// trajectory sits where the digests were recorded with it, right
+	// after UnionSizes.
 	sv := reflect.ValueOf(res.Stats)
 	for i := 0; i < sv.NumField(); i++ {
-		putValue(h, sv.Type().Field(i).Name, sv.Field(i))
+		name := sv.Type().Field(i).Name
+		putValue(h, name, sv.Field(i))
+		if name == "UnionSizes" {
+			putValue(h, "lambdas", reflect.ValueOf(res.lambdas))
+			putValue(h, "betas", reflect.ValueOf(res.betas))
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
@@ -147,7 +154,7 @@ func TestResultDigestsPinned(t *testing.T) {
 		t.Skipf("digests are pinned for amd64 float rounding; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	for _, run := range digestRuns() {
-		res, err := SolveGraph(run.g, run.opt)
+		res, err := solveGraph(run.g, run.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}

@@ -10,9 +10,9 @@ import (
 
 // Edge-case and stress tests for the end-to-end solver.
 
-func quickSolve(t *testing.T, g *graph.Graph, eps float64) *Result {
+func quickSolve(t *testing.T, g *graph.Graph, eps float64) *result {
 	t.Helper()
-	res, err := SolveGraph(g, Options{Eps: eps, P: 2, Seed: 5})
+	res, err := solveGraph(g, Options{Eps: eps, P: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSolveSmallEps(t *testing.T) {
 	// Small eps means many levels and tight discretization; just verify
 	// it completes with good quality on a small instance.
 	g := graph.GNM(16, 50, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 10}, 37)
-	res, err := SolveGraph(g, Options{Eps: 1.0 / 16, P: 2, Seed: 5, MaxRounds: 10})
+	res, err := solveGraph(g, Options{Eps: 1.0 / 16, P: 2, Seed: 5, MaxRounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,12 @@ func solverCorpus() map[string]*graph.Graph {
 
 func TestSolveWorkersBitIdentical(t *testing.T) {
 	for name, g := range solverCorpus() {
-		base, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 7, Workers: 1})
+		base, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 7, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, workers := range []int{2, 4, 0} {
-			res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 7, Workers: workers})
+			res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 7, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -49,11 +49,11 @@ func TestSolveWorkersBitIdenticalSmallEps(t *testing.T) {
 		t.Skip("short mode")
 	}
 	g := graph.GNM(64, 512, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 201)
-	base, err := SolveGraph(g, Options{Eps: 0.125, P: 3, Seed: 11, Workers: 1})
+	base, err := solveGraph(g, Options{Eps: 0.125, P: 3, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveGraph(g, Options{Eps: 0.125, P: 3, Seed: 11, Workers: 4})
+	res, err := solveGraph(g, Options{Eps: 0.125, P: 3, Seed: 11, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSolveWorkersBitIdenticalSmallEps(t *testing.T) {
 
 func TestSolveWorkersValidMatching(t *testing.T) {
 	g := graph.GNM(80, 640, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 50}, 301)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 13, Workers: 0})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 13, Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

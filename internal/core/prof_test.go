@@ -8,7 +8,7 @@ import (
 
 func TestProfileEps8(t *testing.T) {
 	g := graph.GNM(128, 1024, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 50}, 128)
-	res, err := SolveGraph(g, Options{Eps: 0.125, P: 2, Seed: 8})
+	res, err := solveGraph(g, Options{Eps: 0.125, P: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

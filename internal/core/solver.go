@@ -16,7 +16,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// Options configures a Solve run.
+// Options configures the dual-primal solver.
 type Options struct {
 	// Eps is the accuracy target ε (result aims at (1-O(ε))·OPT).
 	Eps float64
@@ -33,78 +33,13 @@ type Options struct {
 	// round (promise-multiplier evaluation, deferred-sparsifier
 	// construction, refinement reveals, the per-level initial solutions)
 	// across a worker pool: 0 = GOMAXPROCS, 1 = exact sequential
-	// execution. The Result is bit-identical for every worker count —
+	// execution. The outcome is bit-identical for every worker count —
 	// randomness is pre-split per shard and shard outputs merge in
 	// deterministic order (see internal/parallel); only wall-clock time
 	// changes. The sequential oracle-use loop is untouched: that
 	// adaptivity is the quantity the paper bounds, not an implementation
 	// artifact.
 	Workers int
-	// Warm, when non-nil, requests a warm start from a prior solution's
-	// dual snapshot: when the snapshot addresses the same discretization
-	// (same n, ε, W*, B — see WarmDuals), the solve installs it in place
-	// of the Lemma 20/21 initial solution and typically converges in
-	// fewer rounds and passes; otherwise it falls back to the certified
-	// cold start. Stats.WarmStarted reports which path ran.
-	Warm *WarmDuals
-}
-
-// Stats reports the resource usage the paper's theorems bound.
-type Stats struct {
-	SamplingRounds  int   // adaptive access rounds (Theorem 15: O(p/ε))
-	InitRounds      int   // rounds consumed by the initial solution (Lemma 20)
-	OracleUses      int   // sequential deferred-sparsifier uses ("adaptivity at use")
-	MicroCalls      int   // MicroOracle invocations
-	PackIters       int   // inner packing iterations
-	Passes          int   // metered passes over the input Source (W* scan, level census, λ evaluations, one fused sampling pass per round)
-	PeakSampleEdges int   // peak sampled edges held centrally
-	PeakWords       int   // peak words of central storage ever metered (samples, staging chunks, init transients) — the SpaceAccountant's high-water mark
-	DualStateWords  int   // final size of the dual state
-	UnionSizes      []int // per round: offline-solve union size
-	LambdaTrace     []float64
-	BetaTrace       []float64
-	WitnessEvents   int // MicroOracle part (i) firings
-	EarlyStopped    bool
-	// WarmStarted reports that the run installed a prior solution's dual
-	// snapshot instead of building the Lemma 20/21 initial solution (a
-	// requested-but-invalid snapshot falls back cold and reports false).
-	WarmStarted bool
-	// RoundOfBestMatching is the (1-based) sampling round in which the
-	// reported matching was found — the primal convergence point, usually
-	// far earlier than the dual early-stop.
-	RoundOfBestMatching int
-}
-
-// Result is the outcome of a Solve run.
-type Result struct {
-	// Matching is the best integral b-matching found (indices into the
-	// input stream's edge sequence, with multiplicities).
-	Matching *matching.Matching
-	// Weight is the matching's weight in original units.
-	Weight float64
-	// DualObjective is the final dual objective scaled back to original
-	// units; DualObjective/Lambda upper-bounds the optimum over the kept
-	// (non-discretization-dropped) edges when Lambda > 0.
-	DualObjective float64
-	// Lambda is the final minimum normalized coverage over kept edges.
-	Lambda float64
-	Stats  Stats
-	// Warm is a detached snapshot of the final dual state, installable
-	// into a later solve via Options.Warm (nil when the run aborted
-	// before the duals existed).
-	Warm *WarmDuals
-}
-
-// CertifiedUpperBound returns the dual certificate's upper bound on the
-// optimum matching weight: (dual objective)/λ with the (1+ε)
-// discretization slack folded in. Valid (up to the weight mass dropped
-// by discretization, < m·W*/B) whenever Lambda > 0, by weak duality of
-// the layered relaxation LP10 against LP6. Returns +Inf when Lambda <= 0.
-func (r *Result) CertifiedUpperBound(eps float64) float64 {
-	if r.Lambda <= 0 {
-		return math.Inf(1)
-	}
-	return r.DualObjective / r.Lambda * (1 + eps)
 }
 
 // solveChunkEdges is the staging-buffer granule of the fused sampling
@@ -127,64 +62,19 @@ type chunkEdge struct {
 	sigma float64 // promise multiplier, filled per chunk
 }
 
-// SolveGraph runs the dual-primal algorithm on a materialized in-memory
-// graph — the historical entry point, now a thin wrapper that serves the
-// graph to Solve through the in-memory Source backend.
-func SolveGraph(g *graph.Graph, opt Options) (*Result, error) {
-	return Solve(stream.NewEdgeStream(g), opt)
-}
-
-// Solve runs the dual-primal algorithm against any stream.Source: an
-// in-memory edge list, an on-disk binary file, a replayed generator, or
-// a sharded composition. The solver holds O(n) dual state plus the
-// O(n^(1+1/p))-word samples and a constant-size staging chunk; it never
-// materializes the edge set, so instances larger than memory run through
-// the file- or generator-backed Sources unchanged. The Result is a pure
-// function of (source edge sequence, Options) — every backend serving
-// the same sequence yields a bit-identical Result for any worker count.
-func Solve(src stream.Source, opt Options) (*Result, error) {
-	return SolveWith(context.Background(), src, opt, Extensions{})
-}
-
-// SolveWith is the engine entry point behind the public repro/match
-// facade: Solve plus the optional resource extensions. The dual-primal
-// solver is an engine.Algorithm — the first one — and SolveWith is a
-// thin adapter that runs it under engine.Drive, the shared round-loop
-// driver that owns cancellation, budgets and observer events. The
-// context is honored at pass and round boundaries — sequential sweeps
-// abort within a constant number of edges of cancellation on every
-// backend, and the engine returns ctx.Err() at the next checkpoint.
-// Budget axes are enforced at the same checkpoints; a trip returns the
-// best-so-far primal result together with a *BudgetError
-// (errors.Is-matchable against ErrBudgetExceeded) naming the axis. The
-// returned *Result is non-nil whenever the options validate: on
-// cancellation or a budget trip its Matching is the best found so far
-// (feasibility is invariant — the matching only ever grows by whole
-// offline solutions) and its Stats meter what was actually consumed.
-// With an ample budget, a nil observer, and an uncancelled context,
-// SolveWith is bit-identical to Solve: enforcement only reads meters the
-// engine already keeps.
-func SolveWith(ctx context.Context, src stream.Source, opt Options, ext Extensions) (*Result, error) {
-	s, err := NewSession(opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(ctx, src, ext, opt.Warm)
-}
-
 // dualPrimal is the paper's dual-primal solver (Algorithms 2/4) as an
 // engine.Algorithm: Init runs the pre-loop passes (W* scan, level
 // census, Lemma 20/21 initial solution, first λ evaluation) and Round is
 // one sampling round — t deferred sparsifiers in a fused chunked pass,
 // the offline solve on the sampled union, the sequential refine-and-use
 // oracle loop, the λ re-evaluation. The engine.Run owns the accountant,
-// pass meter, round counter, budgets and observer; this struct owns the
-// dual state and everything derived from the instance.
+// pass meter, round counter, budgets, observer and warm-start request;
+// this struct owns the dual state and everything derived from the
+// instance.
 type dualPrimal struct {
-	opt  Options
-	prof Profile
-	res  *Result
-	warm *WarmDuals // per-run warm-start request (nil = cold)
+	opt   Options
+	prof  Profile
+	stats engine.Stats // this run's counters; the driver adds its meters
 
 	// Instance-derived state, set by Init. state is nil until Init builds
 	// this run's duals, so an abort before that point reports none;
@@ -239,19 +129,20 @@ type dualPrimal struct {
 	scratch   *oracleScratch // refine + oracle-loop working buffers
 
 	// Trajectory and best-so-far primal state.
-	lambda       float64
-	beta         float64
-	bestHat      float64
-	bestWeight   float64
-	best         *matching.Matching
-	earlyStopped bool
+	lambda     float64
+	beta       float64
+	bestHat    float64
+	bestWeight float64
+	best       *matching.Matching
 }
 
 type defJob struct{ q, slot, k int }
 
-// newDualPrimal validates the options and builds a fresh solver
-// instance for one run.
-func newDualPrimal(opt Options) (*dualPrimal, error) {
+// New validates the options and builds a fresh dual-primal solver
+// instance, ready for engine.NewSession. Unlike the registry factory it
+// takes the full Options, so a constant-regime Profile reaches the
+// solver.
+func New(opt Options) (engine.Algorithm, error) {
 	if !(opt.Eps > 0) || opt.Eps >= 0.5 {
 		return nil, errors.New("core: Eps must be in (0, 0.5)")
 	}
@@ -262,7 +153,7 @@ func newDualPrimal(opt Options) (*dualPrimal, error) {
 	if opt.Profile != nil {
 		prof = *opt.Profile
 	}
-	return &dualPrimal{opt: opt, prof: prof, res: &Result{}, warm: opt.Warm}, nil
+	return &dualPrimal{opt: opt, prof: prof}, nil
 }
 
 // Reset prepares the solver for another run (the engine.Algorithm
@@ -273,8 +164,7 @@ func newDualPrimal(opt Options) (*dualPrimal, error) {
 // matching is released, not truncated: the previous run's Outcome owns
 // those slices.
 func (a *dualPrimal) Reset(engine.Params) {
-	a.res = &Result{}
-	a.warm = a.opt.Warm
+	a.stats = engine.Stats{}
 	a.src = nil
 	a.scheme = nil
 	if a.state != nil {
@@ -294,18 +184,16 @@ func (a *dualPrimal) Reset(engine.Params) {
 	a.lambda, a.beta = 0, 0
 	a.bestHat, a.bestWeight = 0, 0
 	a.best = nil
-	a.earlyStopped = false
 }
 
-// SetWarm installs the warm-start request for the next run (nil =
-// cold). Sessions call it after Reset, before the drive.
-func (a *dualPrimal) SetWarm(w *WarmDuals) { a.warm = w }
-
-// retainedWords sums the solver-owned pooled scratch the session arena
+// RetainedWords sums the solver-owned pooled scratch the session arena
 // cannot see: the sparsifier scratch (forests, shells, item and reveal
 // buffers), the builders' side-data slots, the union buffers and the
-// oracle-loop scratch. Zero before the first Init.
-func (a *dualPrimal) retainedWords() int {
+// oracle-loop scratch. All of it is slices, counted at capacity; the one
+// map left, each builder's few-entry class index, is not counted. Zero
+// before the first Init. engine.Session.RetainedWords adds it to the
+// arena's pools.
+func (a *dualPrimal) RetainedWords() int {
 	const unionEdgeW = 3 // {int, {int32, int32, float64}}
 	w := unionEdgeW*cap(a.union) + a.offline.RetainedWords()
 	for _, b := range a.batchBuf {
@@ -344,7 +232,7 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	if err != nil {
 		// A degenerate instance (e.g. a custom backend serving only
 		// zero-weight edges), not bad options: the documented non-nil
-		// Result contract still holds, with the meters filled in.
+		// Outcome contract still holds, with the meters filled in.
 		return err
 	}
 	a.scheme = scheme
@@ -388,17 +276,16 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	// per-round sampling seeds below stay aligned between warm and cold
 	// runs of the same configuration.
 	initRNG := a.rng.Split(1)
-	if a.warm.installable(a.n, a.eps, scheme) {
+	if warm := run.Warm(); installable(warm, a.n, a.eps, scheme) {
 		// Warm start: install the prior solution's duals in place of the
 		// initial solution. The certificate is unaffected — λ and the
 		// objective are re-evaluated against this instance below and
 		// every round — only the trajectory's starting point moves.
-		a.warm.install(a.state)
-		a.res.Stats.WarmStarted = true
+		install(warm, a.state)
+		a.stats.WarmStarted = true
 	} else {
-		initRounds := buildInitialSolution(src, a.liveLevels, scheme, a.prof, a.eps, a.opt.P,
+		a.stats.InitRounds = buildInitialSolution(src, a.liveLevels, scheme, a.prof, a.eps, a.opt.P,
 			initRNG, run.Acct, a.state, a.workers)
-		a.res.Stats.InitRounds = initRounds
 	}
 	if err := run.Check(); err != nil {
 		return err
@@ -503,7 +390,7 @@ func grid[T any](rows [][]T, buf []T, r, c int) ([][]T, []T) {
 func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	round := run.Rounds() // 0-based index of the round about to run
 	if round >= a.maxRounds || (round > 0 && a.lambda >= a.target) {
-		a.earlyStopped = a.lambda >= a.target
+		a.stats.EarlyStopped = a.lambda >= a.target
 		return true, nil
 	}
 	run.Lambda, run.Beta = a.lambda, a.beta
@@ -517,8 +404,6 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	src := a.src
 	scheme, state := a.scheme, a.state
 	eps, wHat := a.eps, scheme.WHat
-	a.res.Stats.LambdaTrace = append(a.res.Stats.LambdaTrace, a.lambda)
-	a.res.Stats.BetaTrace = append(a.res.Stats.BetaTrace, a.beta)
 
 	// Outer covering parameters for this phase (Theorem 5 via
 	// Corollary 6): α from the current λ, σ = ε/(4αρo).
@@ -635,8 +520,8 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 		sampledTotal += d.Size()
 	}
 	acct.Alloc(sampledTotal)
-	if cur := acct.Current(); cur > a.res.Stats.PeakSampleEdges {
-		a.res.Stats.PeakSampleEdges = cur
+	if cur := acct.Current(); cur > a.stats.PeakSampleEdges {
+		a.stats.PeakSampleEdges = cur
 	}
 	if err := run.Check(); err != nil {
 		return false, err
@@ -661,7 +546,7 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	sortUnion(union)
 	union = slices.CompactFunc(union, func(x, y unionEdge) bool { return x.orig == y.orig })
 	a.union = union
-	a.res.Stats.UnionSizes = append(a.res.Stats.UnionSizes, len(union))
+	a.stats.UnionSizes = append(a.stats.UnionSizes, len(union))
 	sub := a.sub
 	sub.Clear()
 	for v := 0; v < a.n; v++ {
@@ -684,7 +569,7 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 		}
 	}
 	if candHat > a.bestHat*(1+eps/8) || (a.best == nil || a.best.Size() == 0) && candHat > 0 {
-		a.res.Stats.RoundOfBestMatching = round + 1
+		a.stats.RoundOfBestMatching = round + 1
 	}
 	if candHat > a.bestHat {
 		a.bestHat = candHat
@@ -711,12 +596,12 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	// half of Figure 1: no further input access).
 	for q := 0; q < a.tUses; q++ {
 		support := refineBatch(a.defs[q], a.liveLevels, scheme, state, alpha, a.lambda, a.prof.StaleRefinement, a.workers, a.scratch)
-		a.res.Stats.OracleUses++
+		a.stats.OracleUses++
 		mini := runMiniOracle(support, a.beta, eps, a.prof, a.bOf, wHat, a.nl, a.maxNorm, a.scratch)
-		a.res.Stats.MicroCalls += mini.microCalls
-		a.res.Stats.PackIters += mini.packIters
+		a.stats.MicroCalls += mini.microCalls
+		a.stats.PackIters += mini.packIters
 		if mini.matchingWitness {
-			a.res.Stats.WitnessEvents++
+			a.stats.WitnessEvents++
 			a.beta *= 1 + eps
 			continue
 		}
@@ -749,15 +634,13 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 // non-budget aborts (a cancellation can interrupt a λ pass mid-flight,
 // leaving an unsound prefix-minimum).
 func (a *dualPrimal) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
-	ex := engine.Extras{
-		Weight:       a.bestWeight,
-		Lambda:       a.lambda,
-		EarlyStopped: a.earlyStopped,
-	}
+	ex := engine.Extras{Weight: a.bestWeight, Lambda: a.lambda}
 	if a.state != nil {
-		a.res.Stats.DualStateWords = a.n*a.nl + 4*len(a.state.zsets)
+		a.stats.DualStateWords = a.n*a.nl + 4*len(a.state.zsets)
 		ex.DualObjective = a.scheme.Unscale(a.state.Objective(a.bOf))
 	}
+	ex.Stats = a.stats
+	ex.Duals = a.snapshotDuals()
 	return a.best, ex
 }
 
@@ -768,7 +651,7 @@ func init() {
 		Guarantee: "(1-O(ε))·OPT weighted b-matching + dual certificate",
 		Resources: "O(n^(1+1/p)) words, O(p/ε) rounds, 3+2·rounds passes",
 	}, func(p engine.Params) (engine.Algorithm, error) {
-		return newDualPrimal(Options{Eps: p.Eps, P: p.P, Seed: p.Seed,
+		return New(Options{Eps: p.Eps, P: p.P, Seed: p.Seed,
 			Workers: p.Workers, MaxRounds: p.MaxRounds})
 	})
 }

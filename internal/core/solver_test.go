@@ -1,17 +1,48 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/stream"
 )
 
-func solveRatio(t *testing.T, g *graph.Graph, eps float64, seed uint64) (float64, *Result) {
+// result is what a core test reads off one solve: the engine Outcome
+// plus the per-round λ/β trajectory its observer streamed.
+type result struct {
+	*engine.Outcome
+	lambdas, betas []float64
+}
+
+// solve drives a fresh dual-primal instance over src through a fresh
+// engine session, the path the match facade takes.
+func solve(src stream.Source, opt Options) (*result, error) {
+	alg, err := New(opt)
+	if err != nil {
+		return nil, err
+	}
+	res := &result{}
+	res.Outcome, err = engine.NewSession(alg, engine.Params{}).Solve(context.Background(), src,
+		engine.Extensions{Observer: func(ev engine.RoundEvent) {
+			res.lambdas = append(res.lambdas, ev.Lambda)
+			res.betas = append(res.betas, ev.Beta)
+		}})
+	return res, err
+}
+
+// solveGraph solves an in-memory graph.
+func solveGraph(g *graph.Graph, opt Options) (*result, error) {
+	return solve(stream.NewEdgeStream(g), opt)
+}
+
+func solveRatio(t *testing.T, g *graph.Graph, eps float64, seed uint64) (float64, *result) {
 	t.Helper()
-	res, err := SolveGraph(g, Options{Eps: eps, P: 2, Seed: seed})
+	res, err := solveGraph(g, Options{Eps: eps, P: 2, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +58,7 @@ func solveRatio(t *testing.T, g *graph.Graph, eps float64, seed uint64) (float64
 
 func TestSolveEmptyGraph(t *testing.T) {
 	g := graph.New(5)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2})
 	if err != nil || res.Weight != 0 {
 		t.Fatalf("empty graph: %v %v", res, err)
 	}
@@ -36,10 +67,10 @@ func TestSolveEmptyGraph(t *testing.T) {
 func TestSolveValidatesOptions(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
-	if _, err := SolveGraph(g, Options{Eps: 0, P: 2}); err == nil {
+	if _, err := solveGraph(g, Options{Eps: 0, P: 2}); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := SolveGraph(g, Options{Eps: 0.25, P: 1}); err == nil {
+	if _, err := solveGraph(g, Options{Eps: 0.25, P: 1}); err == nil {
 		t.Fatal("p=1 accepted")
 	}
 }
@@ -90,7 +121,7 @@ func TestSolveTriangleChain(t *testing.T) {
 func TestSolveBMatching(t *testing.T) {
 	g := graph.GNM(30, 150, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 9}, 19)
 	graph.WithRandomB(g, 3, false, 23)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 29})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +151,7 @@ func TestSolveImprovesWithSmallerEps(t *testing.T) {
 
 func TestSolveStatsAccounting(t *testing.T) {
 	g := graph.GNM(50, 400, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 30}, 41)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 43})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +171,8 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if st.PeakSampleEdges <= 0 || st.PeakSampleEdges > g.M()*len(st.UnionSizes)*8 {
 		t.Fatalf("peak sample edges implausible: %d", st.PeakSampleEdges)
 	}
-	if len(st.LambdaTrace) != st.SamplingRounds {
-		t.Fatalf("lambda trace %d vs rounds %d", len(st.LambdaTrace), st.SamplingRounds)
+	if len(res.lambdas) != st.SamplingRounds {
+		t.Fatalf("lambda trace %d vs rounds %d", len(res.lambdas), st.SamplingRounds)
 	}
 }
 
@@ -150,7 +181,7 @@ func TestSolveDualBoundsPrimal(t *testing.T) {
 	// must upper-bound the kept-edge optimum when λ > 0. We check
 	// against the overall optimum with discretization slack.
 	g := graph.GNM(40, 250, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 47)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 53})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +200,11 @@ func TestSolveRoundsScaleWithP(t *testing.T) {
 		t.Skip("short mode")
 	}
 	g := graph.GNM(60, 800, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 12}, 59)
-	res2, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 61})
+	res2, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, err := SolveGraph(g, Options{Eps: 0.25, P: 4, Seed: 61})
+	res4, err := solveGraph(g, Options{Eps: 0.25, P: 4, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +221,11 @@ func TestSolveRoundsScaleWithP(t *testing.T) {
 
 func TestSolveDeterministicForSeed(t *testing.T) {
 	g := graph.GNM(40, 220, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 9}, 67)
-	a, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 71})
+	a, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 71})
+	b, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +241,7 @@ func TestSolveFaithfulProfileSmall(t *testing.T) {
 	g := graph.GNM(12, 30, graph.WeightConfig{Mode: graph.UnitWeights}, 73)
 	prof := Faithful(0.25)
 	prof.InnerIterCap = 50 // keep the smoke test fast
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 79, Profile: &prof, MaxRounds: 4})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 79, Profile: &prof, MaxRounds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +260,7 @@ func TestSolvePlantedLargeGraph(t *testing.T) {
 	// Larger instance with a planted optimum: exact solver is skipped and
 	// the planted weight gives the reference.
 	g, planted := graph.PlantedMatching(200, 2000, 100, 3, 83)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 89})
+	res, err := solveGraph(g, Options{Eps: 0.25, P: 2, Seed: 89})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +282,7 @@ func TestSolveLargerEps8Performance(t *testing.T) {
 	}
 	g := graph.GNM(128, 1024, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 50}, 128)
 	start := time.Now()
-	res, err := SolveGraph(g, Options{Eps: 0.125, P: 2, Seed: 8})
+	res, err := solveGraph(g, Options{Eps: 0.125, P: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

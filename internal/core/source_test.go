@@ -80,7 +80,7 @@ func TestSolveBackendsBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			backends := backendSet(t, tc.spec)
 			opt := Options{Eps: 0.25, P: 2, Seed: 9, Workers: 1}
-			base, err := Solve(backends["memory"], opt)
+			base, err := solve(backends["memory"], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestSolveBackendsBitIdentical(t *testing.T) {
 				if name == "memory" {
 					continue
 				}
-				res, err := Solve(src, opt)
+				res, err := solve(src, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -102,7 +102,7 @@ func TestSolveBackendsBitIdentical(t *testing.T) {
 			}
 			// Workers must stay orthogonal to the backend choice.
 			opt.Workers = 4
-			par, err := Solve(backends["generator"], Options{Eps: 0.25, P: 2, Seed: 9, Workers: 4})
+			par, err := solve(backends["generator"], Options{Eps: 0.25, P: 2, Seed: 9, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestSolveFileBackedOutOfCore(t *testing.T) {
 	prof := Practical(0.3)
 	prof.SparsifierK = 6
 	prof.ChiOverride = 1
-	res, err := Solve(src, Options{Eps: 0.3, P: 2, Seed: 11, MaxRounds: 2, Profile: &prof})
+	res, err := solve(src, Options{Eps: 0.3, P: 2, Seed: 11, MaxRounds: 2, Profile: &prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSolvePassAccounting(t *testing.T) {
 	// across backends.
 	g := graph.GNM(40, 300, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 10}, 77)
 	src := stream.NewEdgeStream(g)
-	res, err := Solve(src, Options{Eps: 0.25, P: 2, Seed: 3})
+	res, err := solve(src, Options{Eps: 0.25, P: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,45 +22,19 @@ package core
 // guarantees certify the run exactly as if no warm start had been
 // requested. Stats.WarmStarted reports which path ran.
 
-import "repro/internal/levels"
-
-// WarmDuals is a portable snapshot of a solve's final dual state,
-// detached from the solver that produced it: installing it cannot alias
-// live session state, and the producing session reusing its buffers
-// cannot corrupt it.
-type WarmDuals struct {
-	// N, Eps, WStar, TotalB fingerprint the discretization the snapshot
-	// was taken under; all four must match for the snapshot to be
-	// installable (they fully determine the level scheme).
-	N      int
-	Eps    float64
-	WStar  float64
-	TotalB int
-	// NumLevels is the level count of the scheme (derived, kept for the
-	// flat X layout).
-	NumLevels int
-	// X is the flat [vertex*NumLevels + level] table of x_i(k) values in
-	// actual (unscaled) units.
-	X []float64
-	// Z holds the odd-set duals in actual units.
-	Z []WarmZSet
-}
-
-// WarmZSet is one odd-set dual z_{U,ℓ} of a snapshot.
-type WarmZSet struct {
-	Members []int32
-	Level   int
-	Val     float64
-}
+import (
+	"repro/internal/engine"
+	"repro/internal/levels"
+)
 
 // snapshotDuals copies the run's final dual state into a detached
-// WarmDuals. Nil when the run aborted before the state existed.
-func (a *dualPrimal) snapshotDuals() *WarmDuals {
+// engine.Duals. Nil when the run aborted before the state existed.
+func (a *dualPrimal) snapshotDuals() *engine.Duals {
 	st := a.state
 	if st == nil || a.scheme == nil {
 		return nil
 	}
-	w := &WarmDuals{
+	w := &engine.Duals{
 		N:         a.n,
 		Eps:       a.eps,
 		WStar:     a.scheme.WStar,
@@ -75,7 +49,7 @@ func (a *dualPrimal) snapshotDuals() *WarmDuals {
 		}
 	}
 	// All member lists share one backing array: the snapshot runs on
-	// every dual-primal solve (the Result contract is that Warm is
+	// every dual-primal solve (the outcome contract is that Duals is
 	// always installable later), so its own allocation count must stay
 	// O(1) in the number of odd sets.
 	total := 0
@@ -88,14 +62,14 @@ func (a *dualPrimal) snapshotDuals() *WarmDuals {
 	}
 	if live > 0 {
 		backing := make([]int32, 0, total)
-		w.Z = make([]WarmZSet, 0, live)
+		w.Z = make([]engine.ZSet, 0, live)
 		for _, zs := range st.zsets {
 			if zs.val == 0 {
 				continue
 			}
 			lo := len(backing)
 			backing = append(backing, zs.members...)
-			w.Z = append(w.Z, WarmZSet{
+			w.Z = append(w.Z, engine.ZSet{
 				Members: backing[lo:len(backing):len(backing)],
 				Level:   zs.level,
 				Val:     zs.val * st.scale,
@@ -106,8 +80,8 @@ func (a *dualPrimal) snapshotDuals() *WarmDuals {
 }
 
 // installable reports whether the snapshot addresses the same
-// discretization as the current instance.
-func (w *WarmDuals) installable(n int, eps float64, scheme *levels.Scheme) bool {
+// discretization as the current instance (false for a nil snapshot).
+func installable(w *engine.Duals, n int, eps float64, scheme *levels.Scheme) bool {
 	return w != nil &&
 		w.N == n &&
 		w.Eps == eps &&
@@ -119,7 +93,7 @@ func (w *WarmDuals) installable(n int, eps float64, scheme *levels.Scheme) bool 
 
 // install seeds a fresh dual state from the snapshot. Must be called on
 // a state with scale 1 and no z-sets (the state Init just built).
-func (w *WarmDuals) install(st *dualState) {
+func install(w *engine.Duals, st *dualState) {
 	for v := 0; v < st.n; v++ {
 		copy(st.xik[v], w.X[v*st.nl:(v+1)*st.nl])
 	}

@@ -1,7 +1,5 @@
 package engine
 
-import "repro/internal/sketch"
-
 // The scratch arena of a solve session. A cold solve allocates every
 // working buffer from the Go heap and drops it on the floor at Finish;
 // a *session* (see Session) keeps the same Algorithm alive across
@@ -16,142 +14,68 @@ import "repro/internal/sketch"
 // cold solve charges, which is what keeps reused Stats.PeakWords
 // bit-identical to cold ones.
 //
-// The contract of every getter is "logically fresh": a returned buffer
-// has the requested length and is zeroed, whether it came from the free
+// The getter's contract is "logically fresh": a returned buffer has
+// the requested length and is zeroed, whether it came from the free
 // pool or from make, so an algorithm written against the arena cannot
 // observe whether it is the first run of a session or the hundredth.
 // Buffers are handed back wholesale: the session calls Reclaim between
 // runs, which returns every buffer lent since the last Reclaim to the
-// free pools. Arenas are not safe for concurrent use; a session runs
+// free pool. Arenas are not safe for concurrent use; a session runs
 // one solve at a time, which is the only discipline the engine needs.
 
-// bufPool is one typed free-list of the arena. get pops the smallest
-// retained buffer whose capacity fits (best fit keeps a pool serving
-// mixed sizes from oversupplying small requests with huge buffers),
-// zeroes it to the requested length, and records it as lent; reclaim
-// moves everything lent back to the free list.
-type bufPool[T any] struct {
-	free [][]T
-	lent [][]T
+// Arena is the per-session scratch allocator: a free list of []int
+// buffers plus the list of those lent since the last Reclaim. The zero
+// value is an empty arena.
+type Arena struct {
+	free [][]int
+	lent [][]int
 }
 
-func (p *bufPool[T]) get(n int) []T {
+// Ints returns a zeroed []int of length n. It pops the smallest retained
+// buffer whose capacity fits (best fit keeps the pool serving mixed
+// sizes from oversupplying small requests with huge buffers), or makes
+// one when none fits, and records it as lent.
+func (a *Arena) Ints(n int) []int {
 	best := -1
-	for i, b := range p.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
+	for i, b := range a.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(a.free[best])) {
 			best = i
 		}
 	}
-	var buf []T
+	var buf []int
 	if best >= 0 {
-		last := len(p.free) - 1
-		buf = p.free[best][:n]
-		p.free[best] = p.free[last]
-		p.free = p.free[:last]
+		last := len(a.free) - 1
+		buf = a.free[best][:n]
+		a.free[best] = a.free[last]
+		a.free = a.free[:last]
 		clear(buf)
 	} else {
-		buf = make([]T, n)
+		buf = make([]int, n)
 	}
-	p.lent = append(p.lent, buf)
+	a.lent = append(a.lent, buf)
 	return buf
 }
 
-func (p *bufPool[T]) reclaim() {
-	p.free = append(p.free, p.lent...)
-	p.lent = p.lent[:0]
-}
-
-// words sums the retained capacity of both lists in elements.
-func (p *bufPool[T]) caps() int {
-	t := 0
-	for _, b := range p.free {
-		t += cap(b)
-	}
-	for _, b := range p.lent {
-		t += cap(b)
-	}
-	return t
-}
-
-// Arena is the per-session scratch allocator. The zero value is not
-// usable; construct with NewArena. See the package comment above for
-// the live-words vs retained-capacity semantics.
-type Arena struct {
-	ints    bufPool[int]
-	int32s  bufPool[int32]
-	f64s    bufPool[float64]
-	bools   bufPool[bool]
-	f64rows bufPool[[]float64]
-	i32rows bufPool[[]int32]
-
-	// sketches pools whole sketch structures (spec-keyed free lists; see
-	// sketch.Arena), created on first use. Unlike the typed buffer pools
-	// it has no lent tracking: sketches are Put back explicitly by their
-	// owner (e.g. Bank.ReleaseTo) and a sketch dropped mid-run is plain
-	// garbage, so Reclaim has nothing to do for it.
-	sketches *sketch.Arena
-}
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
-
-// Ints returns a zeroed []int of length n, reusing retained capacity
-// when some fits.
-func (a *Arena) Ints(n int) []int { return a.ints.get(n) }
-
-// Int32s returns a zeroed []int32 of length n.
-func (a *Arena) Int32s(n int) []int32 { return a.int32s.get(n) }
-
-// Float64s returns a zeroed []float64 of length n.
-func (a *Arena) Float64s(n int) []float64 { return a.f64s.get(n) }
-
-// Bools returns a zeroed []bool of length n.
-func (a *Arena) Bools(n int) []bool { return a.bools.get(n) }
-
-// Float64Rows returns a length-n slice of nil []float64 row headers —
-// the outer spine of a [vertex][level] table whose rows the caller
-// carves out of one flat Float64s backing.
-func (a *Arena) Float64Rows(n int) [][]float64 { return a.f64rows.get(n) }
-
-// Int32Rows returns a length-n slice of nil []int32 row headers.
-func (a *Arena) Int32Rows(n int) [][]int32 { return a.i32rows.get(n) }
-
-// Sketches returns the session's sketch pool, creating it on first use.
-// Sketch memory retained here survives Reclaim (explicit Put/ReleaseTo
-// is the return path), so a session's bank builds stay allocation-flat
-// across rounds and runs.
-func (a *Arena) Sketches() *sketch.Arena {
-	if a.sketches == nil {
-		a.sketches = sketch.NewArena()
-	}
-	return a.sketches
-}
-
 // Reclaim returns every buffer lent since the last Reclaim to the free
-// pools. The session calls it between runs; calling it while a lent
+// pool. The session calls it between runs; calling it while a lent
 // buffer is still in use hands that memory to the next run, so only the
 // session — which knows no run is in flight — may call it.
 func (a *Arena) Reclaim() {
-	a.ints.reclaim()
-	a.int32s.reclaim()
-	a.f64s.reclaim()
-	a.bools.reclaim()
-	a.f64rows.reclaim()
-	a.i32rows.reclaim()
+	a.free = append(a.free, a.lent...)
+	a.lent = a.lent[:0]
 }
 
-// RetainedWords reports the arena's retained capacity in 64-bit words
-// (int32s count half a word, bools an eighth, row headers three words
-// each). This is the observability side of the arena/accountant split:
-// it is what the process keeps warm between runs, NOT part of any run's
+// RetainedWords reports the arena's retained capacity in 64-bit words.
+// This is the observability side of the arena/accountant split: it is
+// what the process keeps warm between runs, NOT part of any run's
 // metered live space.
 func (a *Arena) RetainedWords() int {
-	w := a.ints.caps() + a.f64s.caps()
-	w += (a.int32s.caps() + 1) / 2
-	w += (a.bools.caps() + 7) / 8
-	w += 3 * (a.f64rows.caps() + a.i32rows.caps())
-	if a.sketches != nil {
-		w += a.sketches.RetainedWords()
+	w := 0
+	for _, b := range a.free {
+		w += cap(b)
+	}
+	for _, b := range a.lent {
+		w += cap(b)
 	}
 	return w
 }

@@ -43,8 +43,9 @@ func conformanceGraph() *graph.Graph {
 	return graph.Bipartite(20, 20, 150, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 10}, 5)
 }
 
-// drive builds a fresh instance of the named algorithm and runs it.
-func drive(t *testing.T, name string, ctx context.Context, src stream.Source, ext engine.Extensions) (*engine.Outcome, error) {
+// newSession builds a session around a fresh instance of the named
+// algorithm.
+func newSession(t *testing.T, name string) *engine.Session {
 	t.Helper()
 	_, factory, ok := engine.Lookup(name)
 	if !ok {
@@ -54,7 +55,13 @@ func drive(t *testing.T, name string, ctx context.Context, src stream.Source, ex
 	if err != nil {
 		t.Fatalf("%s: factory: %v", name, err)
 	}
-	return engine.Drive(ctx, alg, src, ext)
+	return engine.NewSession(alg, conformanceParams)
+}
+
+// drive runs one cold solve: a fresh instance in a fresh session.
+func drive(t *testing.T, name string, ctx context.Context, src stream.Source, ext engine.Extensions) (*engine.Outcome, error) {
+	t.Helper()
+	return newSession(t, name).Solve(ctx, src, ext)
 }
 
 func TestConformanceEveryRegisteredAlgorithm(t *testing.T) {
@@ -76,8 +83,8 @@ func TestConformanceEveryRegisteredAlgorithm(t *testing.T) {
 			assertOutcome(t, g, base)
 			assertEvents(t, base, events)
 			t.Run("ample-budget-noop", func(t *testing.T) {
-				ample := engine.Budget{Passes: base.Passes*10 + 10,
-					Rounds: base.Rounds*10 + 10, SpaceWords: base.PeakWords*10 + 10}
+				ample := engine.Budget{Passes: base.Stats.Passes*10 + 10,
+					Rounds: base.Stats.SamplingRounds*10 + 10, SpaceWords: base.Stats.PeakWords*10 + 10}
 				out, err := drive(t, info.Name, context.Background(), stream.NewEdgeStream(g),
 					engine.Extensions{Budget: ample})
 				if err != nil {
@@ -105,14 +112,14 @@ func TestConformanceEveryRegisteredAlgorithm(t *testing.T) {
 // a feasible matching whose recomputed weight agrees with the report.
 func assertOutcome(t *testing.T, g *graph.Graph, out *engine.Outcome) {
 	t.Helper()
-	if out.Passes <= 0 {
-		t.Errorf("Passes = %d, want > 0 (data access must be metered)", out.Passes)
+	if out.Stats.Passes <= 0 {
+		t.Errorf("Passes = %d, want > 0 (data access must be metered)", out.Stats.Passes)
 	}
-	if out.PeakWords <= 0 {
-		t.Errorf("PeakWords = %d, want > 0 (central state must be metered)", out.PeakWords)
+	if out.Stats.PeakWords <= 0 {
+		t.Errorf("PeakWords = %d, want > 0 (central state must be metered)", out.Stats.PeakWords)
 	}
-	if out.Rounds <= 0 {
-		t.Errorf("Rounds = %d, want > 0", out.Rounds)
+	if out.Stats.SamplingRounds <= 0 {
+		t.Errorf("Rounds = %d, want > 0", out.Stats.SamplingRounds)
 	}
 	if out.Matching == nil {
 		t.Fatal("Matching is nil")
@@ -129,8 +136,8 @@ func assertOutcome(t *testing.T, g *graph.Graph, out *engine.Outcome) {
 // increasing 1-based rounds, monotone resource meters.
 func assertEvents(t *testing.T, out *engine.Outcome, events []engine.RoundEvent) {
 	t.Helper()
-	if len(events) != out.Rounds {
-		t.Fatalf("observer saw %d events, run had %d rounds", len(events), out.Rounds)
+	if len(events) != out.Stats.SamplingRounds {
+		t.Fatalf("observer saw %d events, run had %d rounds", len(events), out.Stats.SamplingRounds)
 	}
 	for i, ev := range events {
 		if ev.Round != i+1 {
@@ -146,9 +153,9 @@ func assertEvents(t *testing.T, out *engine.Outcome, events []engine.RoundEvent)
 		}
 	}
 	last := events[len(events)-1]
-	if last.Passes > out.Passes || last.PeakWords > out.PeakWords {
+	if last.Passes > out.Stats.Passes || last.PeakWords > out.Stats.PeakWords {
 		t.Errorf("final event meters (%d passes, %d words) exceed outcome (%d, %d)",
-			last.Passes, last.PeakWords, out.Passes, out.PeakWords)
+			last.Passes, last.PeakWords, out.Stats.Passes, out.Stats.PeakWords)
 	}
 }
 
@@ -159,9 +166,9 @@ func assertSameOutcome(t *testing.T, want, got *engine.Outcome) {
 	if math.Float64bits(want.Weight) != math.Float64bits(got.Weight) {
 		t.Errorf("Weight %v != %v", got.Weight, want.Weight)
 	}
-	if want.Rounds != got.Rounds || want.Passes != got.Passes || want.PeakWords != got.PeakWords {
+	if want.Stats.SamplingRounds != got.Stats.SamplingRounds || want.Stats.Passes != got.Stats.Passes || want.Stats.PeakWords != got.Stats.PeakWords {
 		t.Errorf("meters (%d, %d, %d) != (%d, %d, %d)",
-			got.Rounds, got.Passes, got.PeakWords, want.Rounds, want.Passes, want.PeakWords)
+			got.Stats.SamplingRounds, got.Stats.Passes, got.Stats.PeakWords, want.Stats.SamplingRounds, want.Stats.Passes, want.Stats.PeakWords)
 	}
 	if len(want.Matching.EdgeIdx) != len(got.Matching.EdgeIdx) {
 		t.Fatalf("matching sizes differ: %d != %d", len(got.Matching.EdgeIdx), len(want.Matching.EdgeIdx))
@@ -184,9 +191,9 @@ func testBudgetTrips(t *testing.T, g *graph.Graph, name string, base *engine.Out
 		usage  int
 		budget engine.Budget
 	}{
-		{engine.AxisPasses, base.Passes, engine.Budget{Passes: base.Passes - 1}},
-		{engine.AxisRounds, base.Rounds, engine.Budget{Rounds: base.Rounds - 1}},
-		{engine.AxisSpaceWords, base.PeakWords, engine.Budget{SpaceWords: base.PeakWords - 1}},
+		{engine.AxisPasses, base.Stats.Passes, engine.Budget{Passes: base.Stats.Passes - 1}},
+		{engine.AxisRounds, base.Stats.SamplingRounds, engine.Budget{Rounds: base.Stats.SamplingRounds - 1}},
+		{engine.AxisSpaceWords, base.Stats.PeakWords, engine.Budget{SpaceWords: base.Stats.PeakWords - 1}},
 	}
 	tripped := 0
 	for _, tc := range cases {
@@ -234,10 +241,7 @@ func testBudgetTrips(t *testing.T, g *graph.Graph, name string, base *engine.Out
 // A third solve on a different-shape instance checks that reuse does
 // not pin a session to one instance shape.
 func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Outcome) {
-	sess, err := engine.NewSession(name, conformanceParams)
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
+	sess := newSession(t, name)
 	first, err := sess.Solve(context.Background(), stream.NewEdgeStream(g), engine.Extensions{})
 	if err != nil {
 		t.Fatalf("first session solve: %v", err)
@@ -281,13 +285,10 @@ func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Ou
 // by the SpaceAccountant regardless of where the bytes came from, so
 // warming the pools can never smuggle a run under a space budget.
 func testWarmSessionBudget(t *testing.T, g *graph.Graph, name string, base *engine.Outcome) {
-	if base.PeakWords <= 1 {
+	if base.Stats.PeakWords <= 1 {
 		t.Skip("peak too small for a positive sub-peak budget")
 	}
-	sess, err := engine.NewSession(name, conformanceParams)
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
+	sess := newSession(t, name)
 	// First solve, unbudgeted: warms every pool the algorithm retains.
 	if _, err := sess.Solve(context.Background(), stream.NewEdgeStream(g), engine.Extensions{}); err != nil {
 		t.Fatalf("warming solve failed: %v", err)
@@ -295,7 +296,7 @@ func testWarmSessionBudget(t *testing.T, g *graph.Graph, name string, base *engi
 	// Second solve under a just-too-small space budget: pooled memory
 	// must still be counted, so the trip must fire exactly as cold.
 	out, err := sess.Solve(context.Background(), stream.NewEdgeStream(g),
-		engine.Extensions{Budget: engine.Budget{SpaceWords: base.PeakWords - 1}})
+		engine.Extensions{Budget: engine.Budget{SpaceWords: base.Stats.PeakWords - 1}})
 	if !errors.Is(err, engine.ErrBudgetExceeded) {
 		t.Fatalf("warm run under sub-peak space budget: err = %v, want ErrBudgetExceeded", err)
 	}

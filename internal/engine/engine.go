@@ -9,7 +9,7 @@
 // baselines, the simulated clique protocol, the exact Hopcroft–Karp
 // reference) plugs its own Init/Round/Finish into the same loop. Cross-
 // model comparison then falls out of the registry: every registered
-// algorithm answers with the same Result shape, metered the same way,
+// algorithm answers with the same Outcome shape, metered the same way,
 // budgeted and cancellable the same way.
 package engine
 
@@ -18,38 +18,8 @@ import (
 	"errors"
 
 	"repro/internal/matching"
-	"repro/internal/parallel"
 	"repro/internal/stream"
 )
-
-// catchStreamPanics runs f, converting the typed *stream.ReadError
-// panic a FileSource sweep raises on I/O failure or frame corruption
-// into an ordinary error return — a bad or truncated file fails one
-// solve through the normal abort path (best-so-far Outcome, Finish
-// called) instead of taking down the process or a serving pool. The
-// error may arrive wrapped in a *parallel.JobPanic when the failing
-// sweep ran on a worker goroutine. Every other panic value is a
-// programmer error and is re-raised untouched.
-func catchStreamPanics(f func() error) (err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if jp, ok := r.(*parallel.JobPanic); ok {
-			if re, ok := jp.Value.(*stream.ReadError); ok {
-				err = re
-				return
-			}
-		}
-		if re, ok := r.(*stream.ReadError); ok {
-			err = re
-			return
-		}
-		panic(r)
-	}()
-	return f()
-}
 
 // Algorithm is one matching substrate plugged into the driver's round
 // loop. The contract:
@@ -93,9 +63,9 @@ type Algorithm interface {
 }
 
 // Run owns the resource machinery of one driven solve: the space
-// accountant, the pass meter baseline, the round counter, the budget and
-// the observer. Algorithms read and charge it; the driver settles it
-// into the Outcome.
+// accountant, the pass meter baseline, the round counter, the budget,
+// the observer and the warm-start request. Algorithms read and charge
+// it; the driver settles it into the Outcome.
 type Run struct {
 	// Acct meters words of central storage; its high-water mark is the
 	// space axis the paper bounds. Algorithms Alloc/Free on it directly.
@@ -111,6 +81,7 @@ type Run struct {
 	arena    *Arena
 	budget   Budget
 	observer func(RoundEvent)
+	warm     *Duals
 	passes0  int
 	rounds   int
 }
@@ -119,13 +90,17 @@ type Run struct {
 // cancellation when the context is cancellable).
 func (r *Run) Source() stream.Source { return r.src }
 
-// Arena returns the run's scratch arena: session-retained capacity when
-// the run was started through a Session, a throwaway arena otherwise.
-// Algorithms draw working buffers from it instead of make so a reused
-// session converges to near-zero allocation; the buffers come back
-// logically fresh either way, so taking scratch from the arena never
-// changes results.
+// Arena returns the run's scratch arena: the capacity its Session
+// retains across runs, empty on a session's first run. Algorithms draw
+// working buffers from it instead of make so a reused session converges
+// to near-zero allocation; the buffers come back logically fresh either
+// way, so taking scratch from the arena never changes results.
 func (r *Run) Arena() *Arena { return r.arena }
+
+// Warm returns the run's warm-start request (Extensions.Warm; nil for
+// a cold run). An algorithm that keeps a dual installs it at Init when
+// it addresses the instance; others ignore it.
+func (r *Run) Warm() *Duals { return r.warm }
 
 // Rounds returns how many rounds have begun (1-based inside a round's
 // body, equal to the completed count between rounds).
@@ -190,45 +165,110 @@ type Extras struct {
 	// Lambda is the final minimum normalized coverage over kept edges (0
 	// when the algorithm computes no dual).
 	Lambda float64
-	// EarlyStopped reports whether the algorithm converged before its
-	// round cap.
-	EarlyStopped bool
+	// Stats holds the algorithm's own counters; those it has no
+	// machinery for stay zero. The driver fills in the meters it keeps
+	// itself: SamplingRounds, Passes and PeakWords.
+	Stats Stats
+	// Duals is a detached snapshot of the final dual state, installable
+	// into a later run through Extensions.Warm (nil for algorithms
+	// without duals and for runs that aborted before the duals existed).
+	Duals *Duals
 }
 
-// Outcome is what the driver settles a run into: the best matching, the
-// algorithm extras, and the resource meters the Run accumulated.
+// Stats reports the resources a solve actually consumed — the
+// quantities the paper's theorems bound. All fields marshal to JSON. The
+// per-round λ/β trajectory is not stored here; register an Observer to
+// stream it.
+type Stats struct {
+	// SamplingRounds is the number of adaptive access rounds (Theorem 15
+	// bounds it by O(p/ε)).
+	SamplingRounds int `json:"samplingRounds"`
+	// InitRounds is the rounds consumed by the per-level initial
+	// solution (Lemma 20).
+	InitRounds int `json:"initRounds"`
+	// OracleUses counts sequential deferred-sparsifier uses — the
+	// "adaptivity at use" the paper separates from data access.
+	OracleUses int `json:"oracleUses"`
+	// MicroCalls counts MicroOracle invocations.
+	MicroCalls int `json:"microCalls"`
+	// PackIters counts inner packing iterations.
+	PackIters int `json:"packIters"`
+	// Passes is the metered passes over the input Source.
+	Passes int `json:"passes"`
+	// PeakSampleEdges is the peak count of sampled edges held centrally.
+	PeakSampleEdges int `json:"peakSampleEdges"`
+	// PeakWords is the high-water mark of metered central storage.
+	PeakWords int `json:"peakWords"`
+	// DualStateWords is the final size of the dual state.
+	DualStateWords int `json:"dualStateWords"`
+	// UnionSizes lists, per sampling round, the offline-solve union size.
+	UnionSizes []int `json:"unionSizes,omitempty"`
+	// WitnessEvents counts MicroOracle part (i) firings.
+	WitnessEvents int `json:"witnessEvents"`
+	// EarlyStopped reports whether the dual certificate reached its
+	// target before the round budget ran out.
+	EarlyStopped bool `json:"earlyStopped"`
+	// WarmStarted reports that the solve installed a prior solution's
+	// dual snapshot (WithInitialDuals) instead of building the initial
+	// solution; a requested-but-invalid snapshot falls back to the cold
+	// start and reports false.
+	WarmStarted bool `json:"warmStarted"`
+	// RoundOfBestMatching is the 1-based sampling round in which the
+	// reported matching was found.
+	RoundOfBestMatching int `json:"roundOfBestMatching"`
+}
+
+// Duals is a portable snapshot of a solve's final dual state, detached
+// from the solver that produced it: installing it cannot alias live
+// session state, and the producing session reusing its buffers cannot
+// corrupt it. The dual-primal solver produces it, and installs it as a
+// warm start when it addresses the same discretization.
+type Duals struct {
+	// N, Eps, WStar, TotalB fingerprint the discretization the snapshot
+	// was taken under; all four must match for the snapshot to be
+	// installable (they fully determine the level scheme).
+	N      int
+	Eps    float64
+	WStar  float64
+	TotalB int
+	// NumLevels is the level count of the scheme (derived, kept for the
+	// flat X layout).
+	NumLevels int
+	// X is the flat [vertex*NumLevels + level] table of x_i(k) values in
+	// actual (unscaled) units.
+	X []float64
+	// Z holds the odd-set duals in actual units.
+	Z []ZSet
+}
+
+// ZSet is one odd-set dual z_{U,ℓ} of a Duals snapshot.
+type ZSet struct {
+	Members []int32
+	Level   int
+	Val     float64
+}
+
+// Outcome is what the driver settles a run into: the best matching and
+// the algorithm extras, with the driver's resource meters in Stats.
 type Outcome struct {
 	// Matching is the best matching found (never nil; possibly empty).
 	Matching *matching.Matching
 	Extras
-	// Rounds is how many rounds the loop ran.
-	Rounds int
-	// Passes is the metered passes consumed over the input Source.
-	Passes int
-	// PeakWords is the high-water mark of metered central storage.
-	PeakWords int
 }
 
-// Drive runs alg under the shared round loop: cancellation is honored at
-// pass and round boundaries (in-flight sequential sweeps abort within a
-// constant number of edges), budgets trip at the same checkpoints, and a
-// trip or cancellation returns the best-so-far Outcome together with the
-// error. A budget trip fires only at checkpoints, so the dual fields an
-// algorithm reports are the last completely evaluated ones and a
-// positive certificate stands; a non-budget abort can interrupt a dual
-// evaluation mid-flight, leaving an unsound prefix-minimum, so those
-// runs surrender the certificate: Lambda is zeroed and only the primal
-// matching is the contract. The Outcome is non-nil on every path.
-func Drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions) (*Outcome, error) {
-	return DriveArena(ctx, alg, src, ext, NewArena())
-}
-
-// DriveArena is Drive with the scratch arena supplied by the caller —
-// the session entry point (engine.Session for registry algorithms,
-// core's dual-primal session for the rich-result path). The arena
-// changes where working buffers' backing memory comes from and nothing
-// else.
-func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions, arena *Arena) (*Outcome, error) {
+// drive runs alg under the shared round loop, drawing scratch from
+// arena: cancellation is honored at pass and round boundaries (in-flight
+// sequential sweeps abort within a constant number of edges), budgets
+// trip at the same checkpoints, and a trip or cancellation returns the
+// best-so-far Outcome together with the error. A *stream.ReadError a
+// sweep raises fails the run through the same abort path. A budget trip
+// fires only at checkpoints, so the dual fields an algorithm reports are
+// the last completely evaluated ones and a positive certificate stands;
+// a non-budget abort can interrupt a dual evaluation mid-flight, leaving
+// an unsound prefix-minimum, so those runs surrender the certificate:
+// Lambda is zeroed and only the primal matching is the contract. The
+// Outcome is non-nil on every path.
+func drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions, arena *Arena) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -249,6 +289,7 @@ func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Exten
 		arena:    arena,
 		budget:   ext.Budget,
 		observer: ext.Observer,
+		warm:     ext.Warm,
 		passes0:  src.Passes(),
 	}
 	// finish settles the Outcome — the one block shared by the normal
@@ -260,9 +301,9 @@ func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Exten
 			out.Matching = m
 		}
 		out.Extras = ex
-		out.Rounds = run.rounds
-		out.Passes = run.Passes()
-		out.PeakWords = run.Acct.Peak()
+		out.Stats.SamplingRounds = run.rounds
+		out.Stats.Passes = run.Passes()
+		out.Stats.PeakWords = run.Acct.Peak()
 		if err != nil {
 			var be *BudgetError
 			if !errors.As(err, &be) {
@@ -271,7 +312,7 @@ func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Exten
 		}
 		return out, err
 	}
-	if err := catchStreamPanics(func() error { return alg.Init(ctx, run, src) }); err != nil {
+	if err := stream.CatchReadError(func() error { return alg.Init(ctx, run, src) }); err != nil {
 		return finish(err)
 	}
 	if err := run.Check(); err != nil {
@@ -279,7 +320,7 @@ func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Exten
 	}
 	for {
 		var done bool
-		err := catchStreamPanics(func() (err error) {
+		err := stream.CatchReadError(func() (err error) {
 			done, err = alg.Round(ctx, run)
 			return err
 		})

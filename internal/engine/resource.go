@@ -103,15 +103,20 @@ type RoundEvent struct {
 	PeakWords int `json:"peakWords"`
 }
 
-// Extensions carries the optional engine hooks of a driven run: nothing
-// in it changes the computed result — budgets only cut a run short and
-// the observer only watches.
+// Extensions carries the per-run inputs of a driven run beyond the
+// source: budgets only cut a run short and the observer only watches,
+// while a warm start moves the dual trajectory's starting point.
 type Extensions struct {
 	// Budget bounds the run's resources; zero axes are unlimited.
 	Budget Budget
 	// Observer, when non-nil, receives one RoundEvent per round. It is
 	// called synchronously from the solve goroutine and must not block.
 	Observer func(RoundEvent)
+	// Warm, when non-nil, requests a warm start from a prior run's
+	// Extras.Duals. An algorithm installs it only when it addresses the
+	// same discretization and otherwise runs cold; Stats.WarmStarted
+	// reports which path ran.
+	Warm *Duals
 }
 
 // ctxCheckEvery is how many edges a guarded sweep delivers between

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/stream"
 	"repro/match"
 )
 
@@ -53,25 +54,33 @@ func fnvMix(h, x uint64) uint64 {
 // fingerprintSource computes the fingerprint in one un-metered sweep
 // (Sweep, not ForEach: fingerprinting is serving-layer bookkeeping, not
 // one of the algorithm's data accesses, so it must not disturb the
-// job's pass meters). W* falls out of the same sweep.
-func fingerprintSource(src match.Source, algo string, eps float64) fpKey {
+// job's pass meters). W* falls out of the same sweep. The sweep is the
+// first full read of an uploaded file, so a corrupt record surfaces
+// here, as the returned *stream.ReadError.
+func fingerprintSource(src match.Source, algo string, eps float64) (fpKey, error) {
 	h := uint64(fnvOffset)
 	n := src.N()
 	for v := 0; v < n; v++ {
 		h = fnvMix(h, uint64(src.B(v)))
 	}
 	wstar := 0.0
-	//lint:unmetered admission-time fingerprint of the full file, not an algorithm pass
-	src.Sweep(func(_ int, e graph.Edge) bool {
-		h = fnvMix(h, uint64(e.U))
-		h = fnvMix(h, uint64(e.V))
-		h = fnvMix(h, math.Float64bits(e.W))
-		if e.W > wstar {
-			wstar = e.W
-		}
-		return true
+	err := stream.CatchReadError(func() error {
+		//lint:unmetered admission-time fingerprint of the full file, not an algorithm pass
+		src.Sweep(func(_ int, e graph.Edge) bool {
+			h = fnvMix(h, uint64(e.U))
+			h = fnvMix(h, uint64(e.V))
+			h = fnvMix(h, math.Float64bits(e.W))
+			if e.W > wstar {
+				wstar = e.W
+			}
+			return true
+		})
+		return nil
 	})
-	return fpKey{algo: algo, n: n, totalB: src.TotalB(), m: src.Len(), eps: eps, wstar: wstar, hash: h}
+	if err != nil {
+		return fpKey{}, err
+	}
+	return fpKey{algo: algo, n: n, totalB: src.TotalB(), m: src.Len(), eps: eps, wstar: wstar, hash: h}, nil
 }
 
 // warmCache is the bounded fingerprint → completed-result map the

@@ -216,8 +216,12 @@ func (s *Server) buildJob(ctx context.Context, spec *JobSpec) (*job, *ErrorDoc) 
 	}
 	warmWanted := spec.WarmStart == nil || *spec.WarmStart
 	if warmWanted && s.warm != nil && j.algo == match.DefaultAlgorithm {
-		j.fp = fingerprintSource(src, j.algo, eps)
-		j.warmEligible = true
+		fp, err := fingerprintSource(src, j.algo, eps)
+		if err != nil {
+			j.discard()
+			return nil, &ErrorDoc{Code: "invalid_job", Message: fmt.Sprintf("source cannot be read: %v", err)}
+		}
+		j.fp, j.warmEligible = fp, true
 	}
 	return j, nil
 }

@@ -9,11 +9,13 @@ package serve
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +360,43 @@ func TestMalformedJobs(t *testing.T) {
 				t.Errorf("error code = %q, want invalid_job", got)
 			}
 		})
+	}
+}
+
+// TestCorruptUploadRejected pins admission of an RBG1 upload whose
+// header is valid but whose first record names vertex n: the
+// fingerprint sweep hits the corrupt record, and the job must be
+// refused with a structured 400 and its spool file removed, not kill
+// the request.
+func TestCorruptUploadRejected(t *testing.T) {
+	spool := t.TempDir()
+	t.Setenv("TMPDIR", spool)
+	_, ts := startServer(t, Config{})
+	g := testGraph(3)
+	var buf bytes.Buffer
+	if err := stream.WriteBinary(&buf, stream.NewEdgeStream(g)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const firstRecord = 24 // unit capacities: no capacity table
+	binary.LittleEndian.PutUint32(raw[firstRecord:], uint32(g.N()))
+	spec := JobSpec{Source: SourceSpec{Kind: "rbg1", DataBase64: base64.StdEncoding.EncodeToString(raw)}}
+	code, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+	var doc struct {
+		Error ErrorDoc `json:"error"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("body is not an error document: %v\n%s", err, body)
+	}
+	if code != http.StatusBadRequest || doc.Error.Code != "invalid_job" {
+		t.Fatalf("HTTP %d code %q, want 400 invalid_job; body %s", code, doc.Error.Code, body)
+	}
+	left, err := filepath.Glob(filepath.Join(spool, "matchd-*.rbg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("rejected upload left its spool file behind: %v", left)
 	}
 }
 

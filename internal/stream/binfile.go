@@ -110,10 +110,10 @@ const (
 
 // ReadError is the typed failure of a FileSource access: an I/O error
 // or a corrupt frame discovered mid-sweep. The Source sweep contract
-// has no error return, so sweeps surface it as a panic payload; the
-// engine driver recovers exactly this type and converts it into a
-// normal error through its abort path, which is how a bad file fails
-// one solve instead of taking down a serving pool.
+// has no error return, so sweeps surface it as a panic payload;
+// CatchReadError recovers exactly this type and converts it into a
+// normal error, which is how a bad file fails one solve (or one
+// admission) instead of taking down a serving pool.
 type ReadError struct {
 	// Path is the file the access hit.
 	Path string
@@ -130,6 +130,31 @@ func (e *ReadError) Error() string {
 
 // Unwrap returns the underlying error.
 func (e *ReadError) Unwrap() error { return e.Err }
+
+// CatchReadError runs f, converting the typed *ReadError panic a
+// FileSource sweep raises on I/O failure or frame corruption into an
+// ordinary error return. The panic may arrive wrapped in a
+// *parallel.JobPanic when the failing sweep ran on a worker goroutine.
+// Every other panic value is a programmer error and is re-raised
+// untouched.
+func CatchReadError(f func() error) (err error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		v := r
+		if jp, ok := r.(*parallel.JobPanic); ok {
+			v = jp.Value
+		}
+		if re, ok := v.(*ReadError); ok {
+			err = re
+			return
+		}
+		panic(r)
+	}()
+	return f()
+}
 
 // WriteBinary encodes src in the RBG1 format (one metered pass over src).
 func WriteBinary(w io.Writer, src Source) error {

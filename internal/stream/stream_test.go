@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func TestPassCounting(t *testing.T) {
@@ -110,4 +112,30 @@ func TestAccountantConcurrency(t *testing.T) {
 	if a.Peak() < 3 || a.Peak() > 24 {
 		t.Fatalf("peak %d outside [3,24]", a.Peak())
 	}
+}
+
+// TestCatchReadError pins the converter the engine and the serving
+// layer share: a *ReadError panic, bare or raised on a worker and
+// wrapped in a *parallel.JobPanic, becomes the returned error; every
+// other panic value is re-raised untouched.
+func TestCatchReadError(t *testing.T) {
+	re := &ReadError{Path: "x.rbg", Off: 24, Err: errors.New("corrupt")}
+	if err := CatchReadError(func() error { panic(re) }); err != re {
+		t.Errorf("bare panic: err = %v, want the ReadError", err)
+	}
+	if err := CatchReadError(func() error { panic(&parallel.JobPanic{Value: re}) }); err != re {
+		t.Errorf("worker panic: err = %v, want the ReadError", err)
+	}
+	want := errors.New("plain")
+	if err := CatchReadError(func() error { return want }); err != want {
+		t.Errorf("returned error: err = %v, want %v", err, want)
+	}
+	other := &parallel.JobPanic{Value: "bug"}
+	defer func() {
+		if r := recover(); r != other {
+			t.Errorf("recovered %v, want the original panic value re-raised", r)
+		}
+	}()
+	CatchReadError(func() error { panic(other) })
+	t.Error("a non-ReadError panic was swallowed")
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // DefaultAlgorithm is the algorithm a Solver runs when WithAlgorithm is
-// not given: the paper's dual-primal solver. The default path is
-// bit-identical to the historical engine behavior.
+// not given: the paper's dual-primal solver.
 const DefaultAlgorithm = "dual-primal"
 
 // AlgorithmInfo describes one registered algorithm: its registry name,

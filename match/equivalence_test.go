@@ -1,20 +1,25 @@
 package match_test
 
-// The acceptance gate of the facade: match.Solver.Solve with default
-// plumbing must be bit-identical to the engine's historical core.Solve —
-// on the pinned 14-run corpus (7 instance families × 2 worker counts)
-// for the in-memory backend, and across all four stream backends. The
-// public Result is compared to the engine Result field by field (exact
-// float bits, exact matching indices, exact stats).
+// The acceptance gate of the facade: match.Solver.Solve pins its
+// public Result outright. Each digest is a hash of the Result's JSON
+// (exact float bits via the shortest round-tripping encoding, exact
+// matching indices, every Stats field), recorded before the dual-primal
+// solver moved onto the shared engine.Session path, which had to leave
+// all of them unchanged. The corpus is the 7 instance families × 2
+// worker counts of the historical 14-run corpus; each run also pins a
+// warm-started repeat (WithInitialDuals) and a Budget{Rounds: 2} trip.
+// The backend suite pins the same edge sequence behind all four stream
+// backends.
 
 import (
 	"context"
-	"math"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/stream"
 	"repro/match"
@@ -34,74 +39,69 @@ func corpus() map[string]*graph.Graph {
 	}
 }
 
-// assertMatchesCore compares the public result against the engine result
-// bit for bit. The public Stats drops the λ/β trace slices (the Observer
-// subsumes them); everything else must agree exactly.
-func assertMatchesCore(t *testing.T, label string, pub *match.Result, ref *core.Result) {
+// jsonDigest hashes a public Result's JSON form.
+func jsonDigest(t *testing.T, res *match.Result) string {
 	t.Helper()
-	exact := func(name string, got, want float64) {
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: %s = %v, engine has %v (not bit-identical)", label, name, got, want)
-		}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("result not JSON-marshalable: %v", err)
 	}
-	exact("Weight", pub.Weight, ref.Weight)
-	exact("DualObjective", pub.DualObjective, ref.DualObjective)
-	exact("Lambda", pub.Lambda, ref.Lambda)
-	if !reflect.DeepEqual(pub.Matching.EdgeIdx, ref.Matching.EdgeIdx) {
-		t.Errorf("%s: matching edge indices differ\npub: %v\nref: %v", label, pub.Matching.EdgeIdx, ref.Matching.EdgeIdx)
-	}
-	if !reflect.DeepEqual(pub.Matching.Mult, ref.Matching.Mult) {
-		t.Errorf("%s: matching multiplicities differ", label)
-	}
-	refStats := []int{ref.Stats.SamplingRounds, ref.Stats.InitRounds, ref.Stats.OracleUses,
-		ref.Stats.MicroCalls, ref.Stats.PackIters, ref.Stats.Passes, ref.Stats.PeakSampleEdges,
-		ref.Stats.PeakWords, ref.Stats.DualStateWords, ref.Stats.WitnessEvents, ref.Stats.RoundOfBestMatching}
-	pubStats := []int{pub.Stats.SamplingRounds, pub.Stats.InitRounds, pub.Stats.OracleUses,
-		pub.Stats.MicroCalls, pub.Stats.PackIters, pub.Stats.Passes, pub.Stats.PeakSampleEdges,
-		pub.Stats.PeakWords, pub.Stats.DualStateWords, pub.Stats.WitnessEvents, pub.Stats.RoundOfBestMatching}
-	if !reflect.DeepEqual(pubStats, refStats) {
-		t.Errorf("%s: stats differ\npub: %v\nref: %v", label, pubStats, refStats)
-	}
-	if !reflect.DeepEqual(pub.Stats.UnionSizes, ref.Stats.UnionSizes) {
-		t.Errorf("%s: union sizes differ", label)
-	}
-	if pub.Stats.EarlyStopped != ref.Stats.EarlyStopped {
-		t.Errorf("%s: early-stop flag differs", label)
-	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])[:16]
 }
 
-func TestSolveEquivalentToCoreOnCorpus(t *testing.T) {
-	// 7 families × workers {1, 4} = the pinned 14-run corpus.
+// corpusDigests pins, per family, the cold solve, a warm repeat seeded
+// from it, and a two-round budget trip (eps 0.25, p 2, seed 7; every
+// digest holds for workers 1 and 4).
+var corpusDigests = map[string][3]string{
+	"gnm-uniform": {"aa72cbedbcdb5644", "6eaf41d491c404dd", "faea1cdcdd172406"},
+	"gnm-powers":  {"dfaf3e26baf2bb2c", "7510acb632c9e1e4", "0e7a54759b053cc5"},
+	"gnm-exp":     {"45ddb18945cb84d9", "12a2a71392a290fe", "13507a991b84e56b"},
+	"powerlaw":    {"d372847a799f714d", "1602508d4cad030e", "84d58bd44d913d6a"},
+	"triangles":   {"f678260349d96109", "c9ef463f89ebd273", "ce154b0e0ea63522"},
+	"bipartite":   {"6be506329ad78a6c", "a18226e8ea929270", "9fdf06389e30820f"},
+	"bmatching":   {"18a5026588084fd7", "4ceabfc2165f5b09", "b1cf2389599daebc"},
+}
+
+func TestSolvePinnedOnCorpus(t *testing.T) {
+	ctx := context.Background()
 	for name, g := range corpus() {
 		for _, workers := range []int{1, 4} {
-			ref, err := core.Solve(stream.NewEdgeStream(g), core.Options{Eps: 0.25, P: 2, Seed: 7, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: engine: %v", name, err)
-			}
 			solver, err := match.New(match.WithEps(0.25), match.WithSpaceExponent(2),
 				match.WithSeed(7), match.WithWorkers(workers))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			pub, err := solver.Solve(context.Background(), stream.NewEdgeStream(g))
+			cold, err := solver.Solve(ctx, stream.NewEdgeStream(g))
 			if err != nil {
-				t.Fatalf("%s: facade: %v", name, err)
+				t.Fatalf("%s: cold: %v", name, err)
 			}
-			assertMatchesCore(t, name, pub, ref)
-			if pub.Eps != 0.25 {
-				t.Errorf("%s: solve-time eps not baked into the result: %v", name, pub.Eps)
+			if cold.Eps != 0.25 {
+				t.Errorf("%s: solve-time eps not baked into the result: %v", name, cold.Eps)
 			}
-			if got, want := pub.CertifiedUpperBound(), ref.CertifiedUpperBound(0.25); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: certified bound %v, engine (with matching eps) has %v", name, got, want)
+			warm, err := solver.Solve(ctx, stream.NewEdgeStream(g), match.WithInitialDuals(cold))
+			if err != nil {
+				t.Fatalf("%s: warm: %v", name, err)
+			}
+			trip, err := solver.Solve(ctx, stream.NewEdgeStream(g), match.WithBudget(match.Budget{Rounds: 2}))
+			if !errors.Is(err, match.ErrBudgetExceeded) {
+				t.Fatalf("%s: rounds budget: err = %v, want ErrBudgetExceeded", name, err)
+			}
+			got := [3]string{jsonDigest(t, cold), jsonDigest(t, warm), jsonDigest(t, trip)}
+			if want := corpusDigests[name]; got != want {
+				t.Errorf("%s workers=%d: digests %q, pinned %q", name, workers, got, want)
 			}
 		}
 	}
 }
 
-func TestSolveEquivalentToCoreAcrossBackends(t *testing.T) {
-	// The same edge sequence behind all four backends must match the
-	// engine's in-memory reference exactly, for sequential and sharded
-	// pipelines.
+// backendDigest pins the seed-9 default solve of the backend suite's
+// instance, for every backend and worker count.
+const backendDigest = "2c3d513f9849ad20"
+
+func TestSolvePinnedAcrossBackends(t *testing.T) {
+	// The same edge sequence behind all four backends, for sequential
+	// and sharded pipelines.
 	spec := stream.GenSpec{N: 72, M: 700,
 		Weights: graph.WeightConfig{Mode: graph.UniformWeights, WMax: 30}, Seed: 21}
 	gen, err := stream.NewGen(spec)
@@ -142,10 +142,6 @@ func TestSolveEquivalentToCoreAcrossBackends(t *testing.T) {
 		"sharded":   concat,
 	}
 	for _, workers := range []int{1, 0} {
-		ref, err := core.Solve(stream.NewEdgeStream(g), core.Options{Eps: 0.25, P: 2, Seed: 9, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
 		solver, err := match.New(match.WithSeed(9), match.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +151,9 @@ func TestSolveEquivalentToCoreAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			assertMatchesCore(t, name, pub, ref)
+			if got := jsonDigest(t, pub); got != backendDigest {
+				t.Errorf("%s workers=%d: digest %s, pinned %s", name, workers, got, backendDigest)
+			}
 		}
 	}
 }

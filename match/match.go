@@ -32,11 +32,9 @@
 //	}
 //
 // An Observer streams the per-round dual trajectory (λ, β) and resource
-// meters while the solve runs. The default-options in-memory path is
-// bit-identical to the internal engine's historical behavior, pinned by
-// an equivalence test over a 14-run corpus; the Result is a pure
-// function of (edge sequence, options) for every backend and worker
-// count.
+// meters while the solve runs. The Result is a pure function of (edge
+// sequence, options) for every backend and worker count, pinned by
+// result digests over a 14-run corpus.
 //
 // The dual-primal solver is one algorithm in a registry: WithAlgorithm
 // selects others (the semi-streaming greedy baselines, the simulated
@@ -99,7 +97,7 @@ var ErrInvalidOption = errors.New("match: invalid option")
 // Solver reuses working memory instead of rebuilding every structure —
 // near-zero allocation on same-shape instances, with results
 // bit-identical to a fresh Solver's (pinned by the engine conformance
-// suite and the equivalence corpus).
+// suite and the facade's reuse tests).
 //
 // A Solver remains safe for concurrent Solve calls: the cached session
 // serves one solve at a time and concurrent callers transparently fall
@@ -112,18 +110,17 @@ type Solver struct {
 	budget Budget
 	obs    Observer
 	algo   string
-	warm   *core.WarmDuals
+	warm   *engine.Duals
 	cache  *sessionCache
 }
 
-// sessionCache holds the Solver's reusable sessions behind a mutex.
+// sessionCache holds the Solver's reusable session behind a mutex.
 // Acquisition uses TryLock: the point of the cache is saved allocation,
 // never serialization, so a busy cache yields a fresh session instead
 // of a wait.
 type sessionCache struct {
 	mu   sync.Mutex
-	core *core.Session
-	eng  *engine.Session
+	sess *engine.Session
 }
 
 // New builds a Solver from functional options; unspecified knobs take
@@ -186,14 +183,10 @@ func (s *Solver) Algorithm() string { return s.algo }
 func (s *Solver) RetainedWords() int {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
-	w := 0
-	if s.cache.core != nil {
-		w += s.cache.core.RetainedWords()
+	if s.cache.sess == nil {
+		return 0
 	}
-	if s.cache.eng != nil {
-		w += s.cache.eng.RetainedWords()
-	}
-	return w
+	return s.cache.sess.RetainedWords()
 }
 
 // Solve runs the configured algorithm over src — the dual-primal solver
@@ -238,92 +231,68 @@ func (s *Solver) Solve(ctx context.Context, src Source, extra ...Option) (*Resul
 		}
 		run = &c
 	}
-	var hook func(core.RoundEvent)
+	var hook func(RoundEvent)
 	if run.obs != nil {
 		obs := run.obs
-		hook = func(ev core.RoundEvent) { obs.OnRound(ev) }
+		hook = func(ev RoundEvent) { obs.OnRound(ev) }
 	}
-	ext := engine.Extensions{Budget: run.budget, Observer: hook}
 	// The cached session is usable when the session-defining
 	// configuration is the base Solver's (budget, observer and warm
 	// duals are per-run inputs, not session state).
-	cacheable := run.algo == s.algo && run.opt == s.opt
-	if run.algo == DefaultAlgorithm {
-		// The dual-primal path keeps its dedicated session type so the
-		// full Options (including the constant-regime Profile) reach the
-		// solver and the rich per-substrate Stats survive; it runs under
-		// the same engine driver as every registry algorithm.
-		sess, release, err := s.acquireCore(run.opt, cacheable)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		res, err := sess.Solve(ctx, src, ext, run.warm)
-		if res == nil {
-			return nil, err
-		}
-		return fromCore(res, run.opt.Eps), err
-	}
-	sess, release, err := s.acquireEngine(run.algo, run.params(), cacheable)
+	sess, release, err := s.acquire(run, run.algo == s.algo && run.opt == s.opt)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	out, err := sess.Solve(ctx, src, ext)
+	out, err := sess.Solve(ctx, src, engine.Extensions{Budget: run.budget, Observer: hook, Warm: run.warm})
 	if out == nil {
 		return nil, err
 	}
 	return fromOutcome(out, run.opt.Eps), err
 }
 
-// params maps the Solver configuration onto the registry's
-// model-agnostic parameter set.
-func (s *Solver) params() engine.Params {
-	return engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
+// acquire hands out the cached session (creating it on first use) when
+// the configuration allows and no other solve holds it; otherwise a
+// fresh throwaway session for run's configuration. The release func
+// must be called once the solve is done.
+func (s *Solver) acquire(run *Solver, cacheable bool) (*engine.Session, func(), error) {
+	if cacheable && s.cache.mu.TryLock() {
+		if s.cache.sess == nil {
+			sess, err := run.newSession()
+			if err != nil {
+				s.cache.mu.Unlock()
+				return nil, nil, err
+			}
+			s.cache.sess = sess
+		}
+		return s.cache.sess, s.cache.mu.Unlock, nil
+	}
+	sess, err := run.newSession()
+	if err != nil {
+		return nil, nil, err
+	}
+	return sess, func() {}, nil
+}
+
+// newSession builds a session around a fresh instance of the configured
+// algorithm: the dual-primal solver from the full Options, so the
+// constant-regime Profile reaches it, and any other algorithm from its
+// registry factory over the model-agnostic Params.
+func (s *Solver) newSession() (*engine.Session, error) {
+	p := engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
 		Workers: s.opt.Workers, MaxRounds: s.opt.MaxRounds}
-}
-
-// acquireCore hands out the cached dual-primal session (creating it on
-// first use) when the configuration allows and no other solve holds it;
-// otherwise a fresh throwaway session. The release func must be called
-// once the solve is done.
-func (s *Solver) acquireCore(opt core.Options, cacheable bool) (*core.Session, func(), error) {
-	if cacheable && s.cache != nil && s.cache.mu.TryLock() {
-		if s.cache.core == nil {
-			sess, err := core.NewSession(opt)
-			if err != nil {
-				s.cache.mu.Unlock()
-				return nil, nil, err
-			}
-			s.cache.core = sess
-		}
-		return s.cache.core, s.cache.mu.Unlock, nil
+	var alg engine.Algorithm
+	var err error
+	if s.algo == DefaultAlgorithm {
+		alg, err = core.New(s.opt)
+	} else {
+		_, factory, _ := engine.Lookup(s.algo) // validate has checked the name
+		alg, err = factory(p)
 	}
-	sess, err := core.NewSession(opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("%s: %w", s.algo, err)
 	}
-	return sess, func() {}, nil
-}
-
-// acquireEngine is acquireCore for registry algorithms.
-func (s *Solver) acquireEngine(algo string, p engine.Params, cacheable bool) (*engine.Session, func(), error) {
-	if cacheable && s.cache != nil && s.cache.mu.TryLock() {
-		if s.cache.eng == nil {
-			sess, err := engine.NewSession(algo, p)
-			if err != nil {
-				s.cache.mu.Unlock()
-				return nil, nil, err
-			}
-			s.cache.eng = sess
-		}
-		return s.cache.eng, s.cache.mu.Unlock, nil
-	}
-	sess, err := engine.NewSession(algo, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess, func() {}, nil
+	return engine.NewSession(alg, p), nil
 }
 
 // Solve is the one-shot convenience path — match.New plus Solver.Solve

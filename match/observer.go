@@ -1,18 +1,17 @@
 package match
 
-import "repro/internal/core"
+import "repro/internal/engine"
 
 // RoundEvent is the per-round snapshot an Observer receives: the dual
 // trajectory (λ entering the round, the primal target β) and the
 // resource meters (passes consumed, peak central words) at that point.
-type RoundEvent = core.RoundEvent
+type RoundEvent = engine.RoundEvent
 
 // Observer receives one RoundEvent per adaptive sampling round, at the
 // start of the round, in strictly increasing Round order (Round is
 // 1-based). Events are delivered synchronously from the solving
-// goroutine — OnRound must not block — and subsume the historical
-// LambdaTrace/BetaTrace slices: collecting ev.Lambda and ev.Beta per
-// event reconstructs them exactly.
+// goroutine — OnRound must not block. They are the one record of the
+// per-round λ/β trajectory, which Stats does not carry.
 type Observer interface {
 	OnRound(RoundEvent)
 }

@@ -3,7 +3,6 @@ package match
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matching"
 )
@@ -35,45 +34,10 @@ func (m *Matching) asInternal() *matching.Matching {
 // Stats reports the resources a solve actually consumed — the
 // quantities the paper's theorems bound. All fields marshal to JSON. The
 // per-round λ/β trajectory is not stored here; register an Observer to
-// stream it.
-type Stats struct {
-	// SamplingRounds is the number of adaptive access rounds (Theorem 15
-	// bounds it by O(p/ε)).
-	SamplingRounds int `json:"samplingRounds"`
-	// InitRounds is the rounds consumed by the per-level initial
-	// solution (Lemma 20).
-	InitRounds int `json:"initRounds"`
-	// OracleUses counts sequential deferred-sparsifier uses — the
-	// "adaptivity at use" the paper separates from data access.
-	OracleUses int `json:"oracleUses"`
-	// MicroCalls counts MicroOracle invocations.
-	MicroCalls int `json:"microCalls"`
-	// PackIters counts inner packing iterations.
-	PackIters int `json:"packIters"`
-	// Passes is the metered passes over the input Source.
-	Passes int `json:"passes"`
-	// PeakSampleEdges is the peak count of sampled edges held centrally.
-	PeakSampleEdges int `json:"peakSampleEdges"`
-	// PeakWords is the high-water mark of metered central storage.
-	PeakWords int `json:"peakWords"`
-	// DualStateWords is the final size of the dual state.
-	DualStateWords int `json:"dualStateWords"`
-	// UnionSizes lists, per sampling round, the offline-solve union size.
-	UnionSizes []int `json:"unionSizes,omitempty"`
-	// WitnessEvents counts MicroOracle part (i) firings.
-	WitnessEvents int `json:"witnessEvents"`
-	// EarlyStopped reports whether the dual certificate reached its
-	// target before the round budget ran out.
-	EarlyStopped bool `json:"earlyStopped"`
-	// WarmStarted reports that the solve installed a prior solution's
-	// dual snapshot (WithInitialDuals) instead of building the initial
-	// solution; a requested-but-invalid snapshot falls back to the cold
-	// start and reports false.
-	WarmStarted bool `json:"warmStarted"`
-	// RoundOfBestMatching is the 1-based sampling round in which the
-	// reported matching was found.
-	RoundOfBestMatching int `json:"roundOfBestMatching"`
-}
+// stream it. Algorithms other than the dual-primal solver fill the
+// engine's meters (rounds, passes, peak words) and EarlyStopped, and
+// leave the solver-specific counters zero.
+type Stats = engine.Stats
 
 // Result is the outcome of a Solve: the primal matching, the dual
 // certificate, and the resource stats. It marshals to JSON as-is
@@ -100,7 +64,7 @@ type Result struct {
 	// WithInitialDuals (nil for algorithms without duals and for runs
 	// that aborted before the duals existed). Deliberately unexported:
 	// it is an opaque handle, not part of the JSON surface.
-	warm *core.WarmDuals
+	warm *engine.Duals
 }
 
 // CertifiedUpperBound returns the dual certificate's upper bound on the
@@ -126,59 +90,16 @@ func (r *Result) Validate(src Source) error {
 	return r.Matching.asInternal().ValidateStream(src)
 }
 
-// fromCore converts the engine's result to the public shape, baking in
+// fromOutcome converts a driver Outcome to the public shape, baking in
 // the solve-time ε.
-func fromCore(res *core.Result, eps float64) *Result {
-	out := &Result{
-		Weight:        res.Weight,
-		DualObjective: res.DualObjective,
-		Lambda:        res.Lambda,
-		Eps:           eps,
-		Stats: Stats{
-			SamplingRounds:      res.Stats.SamplingRounds,
-			InitRounds:          res.Stats.InitRounds,
-			OracleUses:          res.Stats.OracleUses,
-			MicroCalls:          res.Stats.MicroCalls,
-			PackIters:           res.Stats.PackIters,
-			Passes:              res.Stats.Passes,
-			PeakSampleEdges:     res.Stats.PeakSampleEdges,
-			PeakWords:           res.Stats.PeakWords,
-			DualStateWords:      res.Stats.DualStateWords,
-			UnionSizes:          res.Stats.UnionSizes,
-			WitnessEvents:       res.Stats.WitnessEvents,
-			EarlyStopped:        res.Stats.EarlyStopped,
-			WarmStarted:         res.Stats.WarmStarted,
-			RoundOfBestMatching: res.Stats.RoundOfBestMatching,
-		},
-		warm: res.Warm,
-	}
-	if res.Matching != nil {
-		out.Matching = Matching{EdgeIdx: res.Matching.EdgeIdx, Mult: res.Matching.Mult}
-	}
-	return out
-}
-
-// fromOutcome converts a driver Outcome (any registry algorithm) to the
-// public shape. The driver's generic meters land on the same Stats
-// fields the dual-primal solver fills — rounds, passes, peak words — so
-// cross-algorithm rows compare like for like; substrate-specific
-// counters (oracle uses, micro calls) stay zero for algorithms that
-// have no such machinery.
 func fromOutcome(out *engine.Outcome, eps float64) *Result {
-	res := &Result{
+	return &Result{
+		Matching:      Matching{EdgeIdx: out.Matching.EdgeIdx, Mult: out.Matching.Mult},
 		Weight:        out.Weight,
 		DualObjective: out.DualObjective,
 		Lambda:        out.Lambda,
 		Eps:           eps,
-		Stats: Stats{
-			SamplingRounds: out.Rounds,
-			Passes:         out.Passes,
-			PeakWords:      out.PeakWords,
-			EarlyStopped:   out.EarlyStopped,
-		},
+		Stats:         out.Stats,
+		warm:          out.Duals,
 	}
-	if out.Matching != nil {
-		res.Matching = Matching{EdgeIdx: out.Matching.EdgeIdx, Mult: out.Matching.Mult}
-	}
-	return res
 }

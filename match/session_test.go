@@ -78,10 +78,16 @@ func TestSolverReuseBitIdenticalOnCorpus(t *testing.T) {
 	}
 }
 
+// pinnedRetainedWords is what the cached session retains after two
+// solves of TestSolverRetainedWords' instance: the engine arena plus the
+// solver-owned scratch (forests, builder slots, union buffers, oracle
+// scratch). Pinned exactly, so a session that forgot either part fails.
+const pinnedRetainedWords = 123007
+
 // TestSolverRetainedWords pins the accessor the E17 table reports: zero
-// before any solve, positive once the cached session has pooled its
-// scratch, and stable in the sense that retained capacity never makes a
-// repeat solve differ (covered by the corpus gate above).
+// before any solve, the pinned capacity once the cached session has
+// pooled its scratch, and stable in the sense that retained capacity
+// never makes a repeat solve differ (covered by the corpus gate above).
 func TestSolverRetainedWords(t *testing.T) {
 	ctx := context.Background()
 	g := graph.GNM(48, 320, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 17)
@@ -98,8 +104,8 @@ func TestSolverRetainedWords(t *testing.T) {
 	if _, err := solver.Solve(ctx, stream.NewEdgeStream(g)); err != nil {
 		t.Fatal(err)
 	}
-	if w := solver.RetainedWords(); w <= 0 {
-		t.Fatalf("RetainedWords after reused solves = %d, want > 0", w)
+	if w := solver.RetainedWords(); w != pinnedRetainedWords {
+		t.Fatalf("RetainedWords after reused solves = %d, pinned %d", w, pinnedRetainedWords)
 	}
 }
 
