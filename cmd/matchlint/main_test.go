@@ -8,8 +8,11 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestDirtyModule runs the CLI against the fixture module, whose one
-// source file violates maprange, noclock, and errwrapbudget.
+// TestDirtyModule runs the CLI against the fixture module: dirty.go
+// violates maprange, noclock and errwrapbudget; dead.go exports a
+// test-only Helper and carries a bare //lint:deadexport, while its
+// justified directive and its methods reached only through a named
+// interface and an interface literal draw no finding.
 func TestDirtyModule(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-C", "testdata/dirtymod", "./..."}, &stdout, &stderr)
@@ -17,13 +20,14 @@ func TestDirtyModule(t *testing.T) {
 		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"[maprange]", "[noclock]", "[errwrapbudget]"} {
+	for _, want := range []string{"[maprange]", "[noclock]", "[errwrapbudget]",
+		"[deadexport] exported Helper ", "exported BareFixture is referenced by no non-test code: delete it, move it into the test that uses it, or justify keeping it with //lint:deadexport (bare //lint:deadexport needs a justification)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing a %s finding:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "\n"); n != 3 {
-		t.Errorf("got %d findings, want 3:\n%s", n, out)
+	if n := strings.Count(out, "\n"); n != 5 {
+		t.Errorf("got %d findings, want 5:\n%s", n, out)
 	}
 }
 

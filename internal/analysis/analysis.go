@@ -42,6 +42,11 @@ type Analyzer struct {
 	// IncludeTests makes findings in _test.go files reportable. Most
 	// analyzers guard production determinism and skip test files.
 	IncludeTests bool
+	// Facts, when set, runs once over every unit of a load before the
+	// per-unit passes; its result reaches each pass as Pass.Facts. A
+	// whole-program analyzer (deadexport) collects its cross-package
+	// facts here.
+	Facts func(units []*Unit) any
 	// Run inspects one package unit and reports findings via pass.Reportf.
 	Run func(*Pass) error
 }
@@ -56,6 +61,8 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// Facts is the analyzer's Facts result over the whole load.
+	Facts any
 	diags []Diagnostic
 }
 
@@ -142,6 +149,10 @@ type Unit struct {
 // directive are suppressed (a bare directive keeps the finding and says
 // so, keeping the justification policy honest).
 func (u *Unit) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
+	return u.run(analyzers, collectFacts([]*Unit{u}, analyzers))
+}
+
+func (u *Unit) run(analyzers []*Analyzer, facts map[*Analyzer]any) ([]Diagnostic, error) {
 	supp := map[string]map[int][]suppression{}
 	for _, f := range u.Files {
 		pos := u.Fset.Position(f.Pos())
@@ -156,6 +167,7 @@ func (u *Unit) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    u.Files,
 			Pkg:      u.Pkg,
 			Info:     u.Info,
+			Facts:    facts[a],
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, u.Path, err)
@@ -188,9 +200,10 @@ func (u *Unit) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 // RunAll applies the analyzers to every unit and returns all surviving
 // diagnostics in file/line order.
 func RunAll(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
+	facts := collectFacts(units, analyzers)
 	var out []Diagnostic
 	for _, u := range units {
-		ds, err := u.Run(analyzers)
+		ds, err := u.run(analyzers, facts)
 		if err != nil {
 			return nil, err
 		}
@@ -198,6 +211,17 @@ func RunAll(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	sortDiagnostics(out)
 	return out, nil
+}
+
+// collectFacts runs each analyzer's Facts over the units once.
+func collectFacts(units []*Unit, analyzers []*Analyzer) map[*Analyzer]any {
+	facts := map[*Analyzer]any{}
+	for _, a := range analyzers {
+		if a.Facts != nil {
+			facts[a] = a.Facts(units)
+		}
+	}
+	return facts
 }
 
 func sortDiagnostics(ds []Diagnostic) {

@@ -41,6 +41,8 @@ import (
 // Run loads testdata/src/<path>, applies the analyzer, and reports any
 // mismatch between diagnostics and // want expectations as test errors.
 // It returns the surviving diagnostics for optional further assertions.
+//
+//lint:deadexport test harness: the analyzer tests in internal/analysis call it, nothing else may
 func Run(t *testing.T, testdata, path string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
 	ld := &fixtureLoader{root: filepath.Join(testdata, "src")}

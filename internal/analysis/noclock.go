@@ -22,7 +22,6 @@ var clockScope = append([]string{
 	"repro/internal/unionfind",
 	"repro/internal/parallel",
 	"repro/internal/xrand",
-	"repro/internal/cover",
 }, DeterministicPkgs...)
 
 // NoClock reports wall-clock reads (time.Now, time.Since, time.Until)

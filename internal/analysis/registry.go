@@ -10,6 +10,7 @@ func All() []*Analyzer {
 		PowHot,
 		FieldHot,
 		ErrWrapBudget,
+		DeadExport,
 	}
 }
 

@@ -114,16 +114,6 @@ func IDs() []string {
 		"e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "ea", "es"}
 }
 
-// All runs every experiment and returns the tables in order.
-func All(cfg Config) []Table {
-	out := make([]Table, 0, len(IDs()))
-	for _, id := range IDs() {
-		fn, _ := ByID(id)
-		out = append(out, fn(cfg))
-	}
-	return out
-}
-
 // ByID returns the experiment runner for an id like "e7".
 func ByID(id string) (func(Config) Table, bool) {
 	m := map[string]func(Config) Table{

@@ -99,13 +99,3 @@ func (c *Clique) Step(handler Handler) bool {
 	c.inboxes = next
 	return anyAlive
 }
-
-// Run executes the protocol for at most maxRounds rounds, stopping early
-// once every node has halted.
-func (c *Clique) Run(maxRounds int, handler Handler) {
-	for round := 0; round < maxRounds; round++ {
-		if !c.Step(handler) {
-			return
-		}
-	}
-}

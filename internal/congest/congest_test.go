@@ -10,10 +10,20 @@ import (
 	"repro/internal/stream"
 )
 
+// run executes the protocol for at most maxRounds rounds, stopping early
+// once every node has halted.
+func run(c *Clique, maxRounds int, handler Handler) {
+	for round := 0; round < maxRounds; round++ {
+		if !c.Step(handler) {
+			return
+		}
+	}
+}
+
 func TestCliquePingPong(t *testing.T) {
 	c := NewClique(2)
 	var got []uint64
-	c.Run(4, func(node, round int, inbox []Message, send func(int, []uint64)) bool {
+	run(c, 4, func(node, round int, inbox []Message, send func(int, []uint64)) bool {
 		if node == 0 && round == 0 {
 			send(1, []uint64{42, 43})
 			return true
@@ -38,7 +48,7 @@ func TestCliquePingPong(t *testing.T) {
 
 func TestCliqueHaltsWhenAllDone(t *testing.T) {
 	c := NewClique(3)
-	c.Run(100, func(node, round int, _ []Message, _ func(int, []uint64)) bool {
+	run(c, 100, func(node, round int, _ []Message, _ func(int, []uint64)) bool {
 		return round < 2
 	})
 	if c.Stats().Rounds > 4 {
@@ -49,7 +59,7 @@ func TestCliqueHaltsWhenAllDone(t *testing.T) {
 func TestCliqueNoSelfOrOutOfRangeSend(t *testing.T) {
 	c := NewClique(2)
 	var delivered int64 // nodes run concurrently: count atomically
-	c.Run(2, func(node, round int, inbox []Message, send func(int, []uint64)) bool {
+	run(c, 2, func(node, round int, inbox []Message, send func(int, []uint64)) bool {
 		if round == 0 {
 			send(node, []uint64{1})   // self: dropped
 			send(99, []uint64{1})     // out of range: dropped

@@ -788,18 +788,12 @@ func buildInitialSolution(src stream.Source, liveLevels []int, scheme *levels.Sc
 			maxRounds = lr.rounds
 		}
 		entries = append(entries, lr.entries...)
-		// Replay: a sequential run meters each level's rounds and holds
-		// its peak transiently before freeing it all (filters free every
-		// allocation before returning).
-		for i := 0; i < lr.rounds; i++ {
-			acct.BeginRound()
-		}
+		// Replay: a sequential run holds each level's peak transiently
+		// before freeing it all (filters free every allocation before
+		// returning).
 		acct.Alloc(lr.peakSample)
 		acct.Free(lr.peakSample)
 	}
 	state.SetInit(entries)
-	for i := 0; i < maxRounds; i++ {
-		acct.BeginRound()
-	}
 	return maxRounds
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/levels"
 )
 
@@ -110,18 +108,6 @@ func (st *dualState) ZAt(i, j int32, k int) float64 {
 			continue
 		}
 		if containsSorted(zs.members, j) {
-			t += zs.val
-		}
-	}
-	return t * st.scale
-}
-
-// ZVertexAt returns Σ_{ℓ<=k} Σ_{U∋i} z_{U,ℓ}.
-func (st *dualState) ZVertexAt(i int32, k int) float64 {
-	t := 0.0
-	for _, si := range st.vertexSets[i] {
-		zs := &st.zsets[si]
-		if zs.level <= k {
 			t += zs.val
 		}
 	}
@@ -352,24 +338,6 @@ func (st *dualState) SetInit(entries []xEntry) {
 			st.xik[xe.v][xe.k] = xe.val / st.scale
 		}
 	}
-}
-
-// Lambda computes λ = min over the graph's kept edges of the normalized
-// coverage (one full pass; in the paper's models this is one round of
-// sketch evaluation, and the driver accounts it against the round that
-// already reads the input).
-func (st *dualState) Lambda(g *graph.Graph) float64 {
-	lam := math.Inf(1)
-	for _, e := range g.Edges() {
-		k, ok := st.scheme.Level(e.W)
-		if !ok {
-			continue
-		}
-		if r := st.CoverageRatio(e.U, e.V, k); r < lam {
-			lam = r
-		}
-	}
-	return lam
 }
 
 // sortedMembers normalizes a member list.

@@ -52,10 +52,6 @@ func TestDualStateZLookup(t *testing.T) {
 	if got := st.ZAt(1, 3, 0); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("ZAt(1,3,0) = %f", got)
 	}
-	// Vertex 1 at level 2 sees both.
-	if got := st.ZVertexAt(1, 2); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("ZVertexAt = %f", got)
-	}
 	// Non-member pair sees nothing.
 	if got := st.ZAt(0, 5, 3); got != 0 {
 		t.Fatalf("ZAt(0,5) = %f", got)
@@ -126,7 +122,7 @@ func TestDualStateLambda(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 8)
 	g.MustAddEdge(1, 2, 16)
-	sc, err := levels.ForGraph(g, 0.25)
+	sc, err := levels.NewScheme(0.25, g.MaxWeight(), g.TotalB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +134,12 @@ func TestDualStateLambda(t *testing.T) {
 		{v: 0, k: k1, val: 0.3 * sc.WHat(k1)},
 		{v: 2, k: k2, val: 0.8 * sc.WHat(k2)},
 	})
-	lam := st.Lambda(g)
+	// λ is the least normalized coverage over the kept edges.
+	lam := math.Inf(1)
+	for _, e := range g.Edges() {
+		k, _ := sc.Level(e.W)
+		lam = math.Min(lam, st.CoverageRatio(e.U, e.V, k))
+	}
 	if math.Abs(lam-0.3) > 1e-9 {
 		t.Fatalf("lambda %f, want 0.3", lam)
 	}

@@ -257,9 +257,6 @@ func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Ou
 		t.Fatalf("second session solve: %v", err)
 	}
 	assertSameOutcome(t, cold, second)
-	if sess.Runs() != 2 {
-		t.Errorf("session reports %d runs, want 2", sess.Runs())
-	}
 	if !equalInts(first.Matching.EdgeIdx, firstIdx) || !equalInts(first.Matching.Mult, firstMult) {
 		t.Error("second solve mutated the first solve's returned matching")
 	}

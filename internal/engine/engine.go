@@ -86,10 +86,6 @@ type Run struct {
 	rounds   int
 }
 
-// Source returns the stream the run reads (already wrapped for prompt
-// cancellation when the context is cancellable).
-func (r *Run) Source() stream.Source { return r.src }
-
 // Arena returns the run's scratch arena: the capacity its Session
 // retains across runs, empty on a session's first run. Algorithms draw
 // working buffers from it instead of make so a reused session converges
@@ -109,20 +105,16 @@ func (r *Run) Rounds() int { return r.rounds }
 // Passes returns the metered passes consumed by this run so far.
 func (r *Run) Passes() int { return r.src.Passes() - r.passes0 }
 
-// PeakWords returns the accountant's high-water mark so far.
-func (r *Run) PeakWords() int { return r.Acct.Peak() }
-
 // BeginRound opens the next round: it trips the rounds budget exactly
 // when the algorithm wants a round it is not allowed (a run that
-// converges within budget never trips), advances the accountant's round
-// counter, and emits the per-round observer event. Algorithms call it
+// converges within budget never trips), counts the round, and emits the
+// per-round observer event. Algorithms call it
 // once per round, after deciding the round is needed and before doing
 // any of its work.
 func (r *Run) BeginRound() error {
 	if r.budget.Rounds > 0 && r.rounds >= r.budget.Rounds {
 		return &BudgetError{Axis: AxisRounds, Limit: r.budget.Rounds, Used: r.rounds + 1}
 	}
-	r.Acct.BeginRound()
 	r.rounds++
 	if r.observer != nil {
 		r.observer(RoundEvent{Round: r.rounds, Lambda: r.Lambda, Beta: r.Beta,

@@ -45,9 +45,6 @@ func (s *Session) Solve(ctx context.Context, src stream.Source, ext Extensions) 
 	return drive(ctx, s.alg, src, ext, s.arena)
 }
 
-// Runs returns how many solves the session has started.
-func (s *Session) Runs() int { return s.runs }
-
 // RetainedWords reports the session's retained scratch capacity in
 // 64-bit words — memory kept warm between runs, deliberately NOT part of
 // any run's metered live space (see Arena). It sums the arena's pools

@@ -5,8 +5,8 @@ package graph
 //
 // The paper decomposes the odd-set constraint
 //   sum_{(i,j): i,j in U} y_ij <= floor(||U||_b / 2)
-// into "sum and difference of cuts" (Section 1); InternalWeight and
-// CutWeight are exactly those two primitives.
+// into "sum and difference of cuts" (Section 1); CutWeight is the cut
+// primitive.
 
 // CutWeight returns the total weight of edges with exactly one endpoint in
 // the set (the cut weight of U). inSet must have length N.
@@ -17,38 +17,6 @@ func (g *Graph) CutWeight(inSet []bool) float64 {
 			s += e.W
 		}
 	}
-	return s
-}
-
-// InternalWeight returns the total weight of edges with both endpoints in
-// the set.
-func (g *Graph) InternalWeight(inSet []bool) float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		if inSet[e.U] && inSet[e.V] {
-			s += e.W
-		}
-	}
-	return s
-}
-
-// IncidentWeight returns the total weight of edges with at least one
-// endpoint in the set. Identity: Incident = Internal + Cut.
-func (g *Graph) IncidentWeight(inSet []bool) float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		if inSet[e.U] || inSet[e.V] {
-			s += e.W
-		}
-	}
-	return s
-}
-
-// VertexCut returns the weighted degree of a single vertex (the cut of the
-// singleton set {v}).
-func (g *Graph) VertexCut(v int) float64 {
-	s := 0.0
-	g.Neighbors(v, func(idx int, _ int32) { s += g.edges[idx].W })
 	return s
 }
 

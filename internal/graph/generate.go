@@ -218,33 +218,12 @@ func PowerLaw(n int, avgDeg float64, exponent float64, wc WeightConfig, seed uin
 	return g
 }
 
-// Geometric returns a random geometric graph: n points uniform in the unit
-// square, edges between pairs within the given radius, weight scaled by
-// inverse distance when wc.Mode == UniformWeights semantics do not apply.
-func Geometric(n int, radius float64, wc WeightConfig, seed uint64) *Graph {
-	r := xrand.New(seed)
-	type pt struct{ x, y float64 }
-	pts := make([]pt, n)
-	for i := range pts {
-		pts[i] = pt{r.Float64(), r.Float64()}
-	}
-	g := New(n)
-	r2 := radius * radius
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx, dy := pts[i].x-pts[j].x, pts[i].y-pts[j].y
-			if dx*dx+dy*dy <= r2 {
-				g.MustAddEdge(i, j, wc.Draw(r))
-			}
-		}
-	}
-	return g
-}
-
 // PlantedMatching returns a graph containing a planted perfect matching of
 // high weight plus m random low-weight noise edges. The planted matching
 // weight is known exactly, giving a certified lower bound on the optimum
 // for large instances where exact solvers are too slow.
+//
+//lint:deadexport cross-package fixture: the core and matching tests solve planted instances against the known weight
 func PlantedMatching(n, m int, plantW, noiseWMax float64, seed uint64) (*Graph, float64) {
 	if n%2 == 1 {
 		n++

@@ -105,6 +105,8 @@ func GNMParallel(n, m int, wc WeightConfig, seed uint64, workers int) *Graph {
 // BipartiteParallel returns a random bipartite graph with sides of size
 // nl and nr (vertices 0..nl-1 on the left) and m distinct edges, built
 // with the same sharded scheme as GNMParallel.
+//
+//lint:deadexport cross-package fixture: the pinned match and core corpora generate their bipartite instance with it
 func BipartiteParallel(nl, nr, m int, wc WeightConfig, seed uint64, workers int) *Graph {
 	if maxM := nl * nr; m > maxM {
 		m = maxM
@@ -115,35 +117,4 @@ func BipartiteParallel(nl, nr, m int, wc WeightConfig, seed uint64, workers int)
 	return sampledSimpleParallel(nl+nr, m, wc, seed, workers, func(r *xrand.RNG) (int32, int32, bool) {
 		return int32(r.Intn(nl)), int32(nl + r.Intn(nr)), true
 	})
-}
-
-// GeometricParallel returns a random geometric graph like Geometric, with
-// the O(n²) pair scan sharded by row across workers. The points come from
-// the seed sequentially; each row's edges and weights draw from a
-// row-keyed RNG, so the output is a pure function of (n, radius, wc,
-// seed) regardless of sharding.
-func GeometricParallel(n int, radius float64, wc WeightConfig, seed uint64, workers int) *Graph {
-	r := xrand.New(seed)
-	type pt struct{ x, y float64 }
-	pts := make([]pt, n)
-	for i := range pts {
-		pts[i] = pt{r.Float64(), r.Float64()}
-	}
-	g := New(n)
-	r2 := radius * radius
-	rows := parallel.Map(workers, n, func(i int) []Edge {
-		rowRNG := xrand.New(xrand.Mix64(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15))
-		var es []Edge
-		for j := i + 1; j < n; j++ {
-			dx, dy := pts[i].x-pts[j].x, pts[i].y-pts[j].y
-			if dx*dx+dy*dy <= r2 {
-				es = append(es, Edge{U: int32(i), V: int32(j), W: wc.Draw(rowRNG)})
-			}
-		}
-		return es
-	})
-	for _, es := range rows {
-		g.edges = append(g.edges, es...)
-	}
-	return g
 }

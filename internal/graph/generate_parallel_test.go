@@ -88,29 +88,3 @@ func TestBipartiteParallelWorkerInvariant(t *testing.T) {
 		}
 	}
 }
-
-func TestGeometricParallelWorkerInvariant(t *testing.T) {
-	wc := WeightConfig{Mode: UniformWeights, WMax: 5}
-	base := GeometricParallel(300, 0.08, wc, 21, 1)
-	for _, workers := range []int{4, 0} {
-		g := GeometricParallel(300, 0.08, wc, 21, workers)
-		if !graphsEqual(base, g) {
-			t.Fatalf("workers=%d produced a different graph", workers)
-		}
-	}
-	if base.M() == 0 {
-		t.Fatal("no edges at this radius/size")
-	}
-	assertSimple(t, base)
-	// Same point set as the sequential generator: edge *topology* matches
-	// Geometric with the same seed (weights draw from different streams).
-	seq := Geometric(300, 0.08, wc, 21)
-	if seq.M() != base.M() {
-		t.Fatalf("topology differs from sequential: %d vs %d edges", base.M(), seq.M())
-	}
-	for i := range seq.Edges() {
-		if seq.Edge(i).U != base.Edge(i).U || seq.Edge(i).V != base.Edge(i).V {
-			t.Fatalf("edge %d endpoints differ", i)
-		}
-	}
-}

@@ -12,7 +12,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Edge is an undirected weighted edge between vertices U and V.
@@ -180,15 +179,6 @@ func (g *Graph) MaxWeight() float64 {
 	return w
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		s += e.W
-	}
-	return s
-}
-
 // buildAdj constructs the adjacency structure lazily.
 func (g *Graph) buildAdj() {
 	if g.adjOnce {
@@ -230,72 +220,6 @@ func (g *Graph) Neighbors(v int, f func(edgeIdx int, other int32)) {
 			f(idx, e.U)
 		}
 	}
-}
-
-// Degree returns the number of incident edges (with multiplicity).
-func (g *Graph) Degree(v int) int {
-	d := 0
-	g.Neighbors(v, func(int, int32) { d++ })
-	return d
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	ng := New(g.n)
-	ng.edges = append([]Edge(nil), g.edges...)
-	if g.b != nil {
-		ng.b = append([]int(nil), g.b...)
-	}
-	return ng
-}
-
-// Subgraph returns a new graph on the same vertex set restricted to the
-// given edge indices (capacities preserved).
-func (g *Graph) Subgraph(edgeIdx []int) *Graph {
-	ng := New(g.n)
-	if g.b != nil {
-		ng.b = append([]int(nil), g.b...)
-	}
-	ng.edges = make([]Edge, 0, len(edgeIdx))
-	for _, i := range edgeIdx {
-		ng.edges = append(ng.edges, g.edges[i])
-	}
-	return ng
-}
-
-// FromEdges builds a graph on n vertices from an explicit edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	g := New(n)
-	for _, e := range edges {
-		g.MustAddEdge(int(e.U), int(e.V), e.W)
-	}
-	return g
-}
-
-// DedupMax collapses parallel edges, keeping the maximum weight per pair.
-// Useful before exact solvers that assume simple graphs.
-func (g *Graph) DedupMax() *Graph {
-	best := make(map[uint64]float64, len(g.edges))
-	for _, e := range g.edges {
-		k := e.Key()
-		if w, ok := best[k]; !ok || e.W > w {
-			best[k] = e.W
-		}
-	}
-	keys := make([]uint64, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	ng := New(g.n)
-	if g.b != nil {
-		ng.b = append([]int(nil), g.b...)
-	}
-	for _, k := range keys {
-		u, v := UnKey(k)
-		ng.edges = append(ng.edges, Edge{U: u, V: v, W: best[k]})
-	}
-	return ng
 }
 
 // ConnectedComponents returns a label per vertex (labels in [0, k)).

@@ -174,18 +174,3 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// WriteEdgeList writes g in the format ReadEdgeList accepts.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# n=%d m=%d\n", g.N(), g.M())
-	for v := 0; v < g.N(); v++ {
-		if g.B(v) != 1 {
-			fmt.Fprintf(bw, "b %d %d\n", v, g.B(v))
-		}
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%d %d %g\n", e.U, e.V, e.W)
-	}
-	return bw.Flush()
-}

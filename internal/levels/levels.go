@@ -1,17 +1,12 @@
 // Package levels implements the weight discretization of Definitions 2, 3
 // and 6 of the paper: edge weights are rescaled by B/W* and rounded down
 // to integral powers ŵ_k = (1+ε)^k, partitioning the edge set into level
-// classes Ê_k, k = 0..L with L = O(ε⁻¹ ln B). Levels are further bucketed
-// into groups of ⌈log_{1+ε} 2⌉ consecutive levels so that weights across
-// alternate groups fall by a factor of at least 2 (used by the initial
-// solution of Lemma 12/21).
+// classes Ê_k, k = 0..L with L = O(ε⁻¹ ln B).
 package levels
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/graph"
 )
 
 // Scheme captures a discretization: the reference weight W*, the total
@@ -52,11 +47,6 @@ func NewScheme(eps, wstar float64, b int) (*Scheme, error) {
 	return s, nil
 }
 
-// ForGraph builds a scheme from a graph's max weight and total capacity.
-func ForGraph(g *graph.Graph, eps float64) (*Scheme, error) {
-	return NewScheme(eps, g.MaxWeight(), g.TotalB())
-}
-
 // WHat returns ŵ_k = (1+ε)^k. Levels in use are 0..L, served from the
 // precomputed table; out-of-range k (never produced by Level, but legal
 // for callers probing hypothetical levels) falls back to the closed form
@@ -84,17 +74,6 @@ func (s *Scheme) Level(w float64) (k int, ok bool) {
 	return k, true
 }
 
-// Rescale returns the rescaled, discretized weight ŵ for an original
-// weight w (the value the solver optimizes), with ok=false for dropped
-// edges. Original values are recovered by w ≈ ŵ · W*/B.
-func (s *Scheme) Rescale(w float64) (float64, bool) {
-	k, ok := s.Level(w)
-	if !ok {
-		return 0, false
-	}
-	return s.WHat(k), true
-}
-
 // Unscale maps a discretized objective value back to original units.
 func (s *Scheme) Unscale(objective float64) float64 {
 	return objective * s.WStar / s.B
@@ -102,47 +81,3 @@ func (s *Scheme) Unscale(objective float64) float64 {
 
 // NumLevels returns L+1, the number of levels in use.
 func (s *Scheme) NumLevels() int { return s.L + 1 }
-
-// GroupSize returns ⌈log_{1+ε} 2⌉, the number of levels per group
-// (Definition 6).
-func (s *Scheme) GroupSize() int {
-	return int(math.Ceil(math.Log(2)/s.log1pEps - 1e-12))
-}
-
-// Group returns the group index of level k. Group 0 holds the *highest*
-// levels (Definition 6 numbers groups from the top).
-func (s *Scheme) Group(k int) int {
-	gs := s.GroupSize()
-	return (s.L - k) / gs
-}
-
-// NumGroups returns the number of groups.
-func (s *Scheme) NumGroups() int {
-	gs := s.GroupSize()
-	return s.L/gs + 1
-}
-
-// Partition splits a graph's edge indices by level, dropping edges below
-// level 0. The returned slice has length NumLevels(); entry k lists the
-// indices of edges in Ê_k.
-func (s *Scheme) Partition(g *graph.Graph) [][]int {
-	parts := make([][]int, s.NumLevels())
-	for i, e := range g.Edges() {
-		if k, ok := s.Level(e.W); ok {
-			parts[k] = append(parts[k], i)
-		}
-	}
-	return parts
-}
-
-// DroppedWeight returns the total original weight of edges dropped by the
-// discretization (those with w < W*/B).
-func (s *Scheme) DroppedWeight(g *graph.Graph) float64 {
-	t := 0.0
-	for _, e := range g.Edges() {
-		if _, ok := s.Level(e.W); !ok {
-			t += e.W
-		}
-	}
-	return t
-}

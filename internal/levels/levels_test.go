@@ -69,7 +69,7 @@ func TestMaxWeightTopLevel(t *testing.T) {
 }
 
 func TestRescaleLowerBound(t *testing.T) {
-	// Rescaled value underestimates by at most (1+eps): ŵ <= scaled < (1+eps)ŵ.
+	// The level weight underestimates by at most (1+eps): ŵ <= scaled < (1+eps)ŵ.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		eps := 0.1 + r.Float64()*0.4
@@ -82,10 +82,11 @@ func TestRescaleLowerBound(t *testing.T) {
 			if w <= 0 {
 				continue
 			}
-			hat, ok := s.Rescale(w)
+			k, ok := s.Level(w)
 			if !ok {
 				continue
 			}
+			hat := s.WHat(k)
 			scaled := w * s.B / s.WStar
 			if hat > scaled*(1+1e-9) || scaled >= hat*(1+eps)*(1+1e-9) {
 				return false
@@ -106,59 +107,20 @@ func TestNumLevelsIsLogB(t *testing.T) {
 	}
 }
 
-func TestGroups(t *testing.T) {
-	s := mustScheme(t, 0.25, 10, 100)
-	gs := s.GroupSize()
-	if gs < 1 {
-		t.Fatalf("group size %d", gs)
-	}
-	// Alternate groups differ by at least a factor 2 in weight.
-	ratio := s.WHat(gs)
-	if ratio < 2 || ratio >= 2*(1+s.Eps)*(1+1e-9) {
-		t.Fatalf("group weight ratio %f not in [2, 2(1+eps))", ratio)
-	}
-	// Group 0 contains the top level; groups are monotone down.
-	if s.Group(s.L) != 0 {
-		t.Fatalf("top level in group %d", s.Group(s.L))
-	}
-	if s.Group(0) != s.NumGroups()-1 {
-		t.Fatalf("bottom level in group %d, want %d", s.Group(0), s.NumGroups()-1)
-	}
-	for k := 1; k <= s.L; k++ {
-		if s.Group(k) > s.Group(k-1) {
-			t.Fatal("group index should be non-increasing in level")
-		}
-	}
-}
-
+// TestPartitionCoversKeptEdges checks that the level classes Ê_k
+// partition the kept edges: every edge of weight at least W*/B lands in
+// a level in [0, NumLevels()), and every lighter edge is dropped.
 func TestPartitionCoversKeptEdges(t *testing.T) {
 	g := graph.GNM(40, 150, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 50}, 11)
-	s, err := ForGraph(g, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := s.Partition(g)
-	if len(parts) != s.NumLevels() {
-		t.Fatalf("parts len %d != NumLevels %d", len(parts), s.NumLevels())
-	}
-	covered := 0
-	for k, part := range parts {
-		for _, idx := range part {
-			covered++
-			got, ok := s.Level(g.Edge(idx).W)
-			if !ok || got != k {
-				t.Fatalf("edge %d in part %d but Level says %d ok=%v", idx, k, got, ok)
-			}
+	s := mustScheme(t, 0.25, g.MaxWeight(), g.TotalB())
+	for i, e := range g.Edges() {
+		k, ok := s.Level(e.W)
+		if kept := e.W*s.B/s.WStar >= 1; ok != kept {
+			t.Fatalf("edge %d (w=%v): kept=%v, want %v", i, e.W, ok, kept)
 		}
-	}
-	dropped := 0
-	for _, e := range g.Edges() {
-		if _, ok := s.Level(e.W); !ok {
-			dropped++
+		if ok && (k < 0 || k >= s.NumLevels()) {
+			t.Fatalf("edge %d in level %d outside [0, %d)", i, k, s.NumLevels())
 		}
-	}
-	if covered+dropped != g.M() {
-		t.Fatalf("partition covers %d + dropped %d != m %d", covered, dropped, g.M())
 	}
 }
 
@@ -166,12 +128,15 @@ func TestDroppedWeightSmall(t *testing.T) {
 	// With B >= n, dropped edges each have weight < W*/B, so the dropped
 	// total is < m * W*/B.
 	g := graph.GNM(30, 100, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 1000}, 12)
-	s, err := ForGraph(g, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustScheme(t, 0.25, g.MaxWeight(), g.TotalB())
 	limit := float64(g.M()) * s.WStar / s.B
-	if d := s.DroppedWeight(g); d >= limit {
+	d := 0.0
+	for _, e := range g.Edges() {
+		if _, ok := s.Level(e.W); !ok {
+			d += e.W
+		}
+	}
+	if d >= limit {
 		t.Fatalf("dropped weight %f >= bound %f", d, limit)
 	}
 }
@@ -179,11 +144,11 @@ func TestDroppedWeightSmall(t *testing.T) {
 func TestUnscaleRoundTrip(t *testing.T) {
 	s := mustScheme(t, 0.25, 80, 40)
 	for _, w := range []float64{2.5, 10, 79.9, 80} {
-		hat, ok := s.Rescale(w)
+		k, ok := s.Level(w)
 		if !ok {
 			t.Fatalf("weight %f dropped", w)
 		}
-		back := s.Unscale(hat)
+		back := s.Unscale(s.WHat(k))
 		if back > w*(1+1e-9) || back < w/(1+s.Eps)*(1-1e-9) {
 			t.Fatalf("unscale(%f) = %f not within (w/(1+eps), w]", w, back)
 		}

@@ -117,6 +117,8 @@ func MatchingDualLP2(g *graph.Graph) (float64, Status) {
 // and each odd set by Σ_{i∈U} μ_i, charged in the objective. The paper
 // proves (via total dual integrality) that the optimum equals LP1's for
 // w_ij = 1. Only meaningful for unit-weight graphs.
+//
+//lint:deadexport paper object: the penalty relaxation LP3, checked against LP1 by the lp tests
 func PenaltyPrimalLP3(g *graph.Graph) (float64, Status) {
 	m := g.M()
 	n := g.N()
@@ -160,6 +162,8 @@ func PenaltyPrimalLP3(g *graph.Graph) (float64, Status) {
 // the box constraints 2x_i + Σ_{U∋i} z_U <= 3 contributed by the penalty
 // variables — the formulation whose width is an absolute constant (<= 6).
 // Returns the optimum.
+//
+//lint:deadexport paper object: the penalty dual LP4, checked against LP2 by the lp tests
 func PenaltyDualLP4(g *graph.Graph) (float64, Status) {
 	sets := OddSets(g, g.N())
 	n := g.N()

@@ -57,9 +57,6 @@ func NewProblem(obj []float64) *Problem {
 	return &Problem{c: c}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return len(p.c) }
-
 // AddLE adds the constraint row·x <= rhs.
 func (p *Problem) AddLE(row []float64, rhs float64) {
 	if len(row) != len(p.c) {
@@ -76,12 +73,6 @@ func (p *Problem) AddGE(row []float64, rhs float64) {
 		neg[i] = -v
 	}
 	p.AddLE(neg, -rhs)
-}
-
-// AddEQ adds row·x == rhs (as a <= and >= pair).
-func (p *Problem) AddEQ(row []float64, rhs float64) {
-	p.AddLE(row, rhs)
-	p.AddGE(row, rhs)
 }
 
 const eps = 1e-9

@@ -45,7 +45,8 @@ func TestSimplexInfeasible(t *testing.T) {
 func TestSimplexGEAndEquality(t *testing.T) {
 	// max x + y st x + y == 3, x <= 1 -> value 3 with x=1,y=2 (any split).
 	p := NewProblem([]float64{1, 1})
-	p.AddEQ([]float64{1, 1}, 3)
+	p.AddLE([]float64{1, 1}, 3)
+	p.AddGE([]float64{1, 1}, 3)
 	p.AddLE([]float64{1, 0}, 1)
 	x, v := solveOK(t, p)
 	if math.Abs(v-3) > 1e-7 {
@@ -91,8 +92,10 @@ func TestSimplexNoConstraints(t *testing.T) {
 func TestSimplexRedundantEqualities(t *testing.T) {
 	// Same equality twice (redundant row must not break phase 1).
 	p := NewProblem([]float64{1})
-	p.AddEQ([]float64{1}, 2)
-	p.AddEQ([]float64{1}, 2)
+	for i := 0; i < 2; i++ {
+		p.AddLE([]float64{1}, 2)
+		p.AddGE([]float64{1}, 2)
+	}
 	x, v := solveOK(t, p)
 	if math.Abs(v-2) > 1e-7 || math.Abs(x[0]-2) > 1e-7 {
 		t.Fatalf("x=%v v=%f", x, v)

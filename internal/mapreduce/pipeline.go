@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/sketch"
 	"repro/internal/unionfind"
@@ -72,55 +70,16 @@ func ConnectedComponentsMR(c *Cluster, g *graph.Graph, seed uint64) (*unionfind.
 	collectMapper := func(in KV, emit func(KV)) { emit(KV{Key: 1, Value: in.Value}) }
 	var uf *unionfind.UF
 	collectReducer := func(_ uint64, values []any, _ func(KV)) {
-		rows := make([][]*sketch.L0, reps)
-		for r := range rows {
-			rows[r] = make([]*sketch.L0, n)
-			for v := 0; v < n; v++ {
-				rows[r][v] = spec.SpecAt(r).NewL0()
-			}
-		}
+		// Vertices with no edge keep the bank's zero sketches.
+		bank := spec.NewBank()
 		for _, val := range values {
 			cs := val.(ccSketch)
-			for r := 0; r < reps; r++ {
-				rows[r][cs.vertex] = cs.rows[r]
-			}
+			bank.SetVertex(int(cs.vertex), cs.rows)
 		}
 		// Boruvka over merged component sketches, one repetition per
-		// round (identical to sketch.Bank.SpanningForest).
-		uf = unionfind.New(n)
-		for r := 0; r < reps; r++ {
-			if uf.Components() == 1 {
-				break
-			}
-			merged := false
-			// Union in sorted-representative order: when two components'
-			// samples conflict, which union wins depends on this order,
-			// and the forest must match run to run (and match the
-			// sketch.Bank.SpanningForest it mirrors).
-			comps := uf.Sets()
-			reps := make([]int, 0, len(comps))
-			//lint:ordered key collection, sorted immediately below
-			for rep := range comps {
-				reps = append(reps, rep)
-			}
-			sort.Ints(reps)
-			for _, rep := range reps {
-				members := comps[rep]
-				acc := rows[r][members[0]].Clone()
-				for _, m := range members[1:] {
-					acc.Merge(rows[r][m])
-				}
-				if key, _, ok := acc.Sample(); ok {
-					u, v := graph.UnKey(key)
-					if uf.Union(int(u), int(v)) {
-						merged = true
-					}
-				}
-			}
-			if !merged {
-				break
-			}
-		}
+		// round. Running out of repetitions leaves the components found
+		// so far, so the error is dropped.
+		_, uf, _ = bank.SpanningForest()
 	}
 	c.Run(sketches, collectMapper, collectReducer)
 	return uf, c.Stats()

@@ -45,12 +45,6 @@ func (s *OfflineScratch) RetainedWords() int {
 	return 2*(cap(s.greedy)+cap(s.tmp)) + (cap(s.used)+7)/8
 }
 
-// Offline computes a high-quality matching of g (b == 1 assumed; use
-// OfflineB for capacities). Returns the matching and its weight.
-func Offline(g *graph.Graph, cfg OfflineConfig) (*Matching, float64) {
-	return new(OfflineScratch).offline(g, cfg.withDefaults())
-}
-
 // OfflineB computes a high-quality uncapacitated b-matching. Small
 // instances are solved exactly by vertex splitting; large ones greedily.
 func OfflineB(g *graph.Graph, cfg OfflineConfig) (*Matching, float64) {
@@ -73,8 +67,8 @@ func (s *OfflineScratch) OfflineB(g *graph.Graph, cfg OfflineConfig) (*Matching,
 	return m, m.Weight(g)
 }
 
-// offline is Offline with resolved defaults. The greedy branch is
-// Greedy's matching in index order: no single-edge swap can improve it
+// offline solves a unit-capacity instance with resolved defaults: exact
+// blossom up to cfg.ExactLimit vertices, else Greedy's matching in index order: no single-edge swap can improve it
 // (DESIGN.md §17), so a local-augmentation pass after it would be a
 // no-op.
 func (s *OfflineScratch) offline(g *graph.Graph, cfg OfflineConfig) (*Matching, float64) {

@@ -40,6 +40,6 @@ func BenchmarkHopcroftKarp(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HopcroftKarp(g)
+		hopcroftKarp(g)
 	}
 }

@@ -71,9 +71,6 @@ func filterCore(s stream.Source, p float64, seed uint64, acct *stream.SpaceAccou
 	}
 	for {
 		stats.Rounds++
-		if acct != nil {
-			acct.BeginRound()
-		}
 		// Count survivors (one pass).
 		survivors := 0
 		stream.ForEachBlocks(s, func(_ int, edges []graph.Edge) bool {
@@ -188,9 +185,6 @@ func WeightedFilter(s stream.Source, p float64, seed uint64, acct *stream.SpaceA
 		}
 		for {
 			stats.Rounds++
-			if acct != nil {
-				acct.BeginRound()
-			}
 			survivors := 0
 			stream.ForEachBlocks(s, func(_ int, edges []graph.Edge) bool {
 				for i := range edges {

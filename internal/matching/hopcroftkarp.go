@@ -5,9 +5,8 @@ import "repro/internal/graph"
 // HKState is Hopcroft–Karp bipartite maximum-cardinality matching in
 // phase-stepping form: each Phase runs one BFS layering plus the DFS
 // augmentation sweep, so the engine's round-loop driver can own the loop
-// (one phase per driver round). HopcroftKarp wraps it for wholesale
-// runs; the whole algorithm is O(E sqrt(V)) because O(sqrt(V)) phases
-// suffice.
+// (one phase per driver round); the whole algorithm is O(E sqrt(V))
+// because O(sqrt(V)) phases suffice.
 type HKState struct {
 	g              *graph.Graph
 	side           []int8 // 0 = unvisited, 1 = left, 2 = right
@@ -143,17 +142,4 @@ func (h *HKState) Matching() *Matching {
 		}
 	}
 	return out
-}
-
-// HopcroftKarp computes a maximum-cardinality matching of a bipartite
-// graph in O(E sqrt(V)). The bipartition is inferred by 2-coloring each
-// connected component; it returns ok=false if the graph is not bipartite.
-func HopcroftKarp(g *graph.Graph) (m *Matching, ok bool) {
-	h, ok := NewHopcroftKarp(g)
-	if !ok {
-		return nil, false
-	}
-	for h.Phase() {
-	}
-	return h.Matching(), true
 }

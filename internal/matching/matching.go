@@ -168,32 +168,10 @@ func greedyInOrder(g *graph.Graph, order []wIdx, used []bool) *Matching {
 	return &out
 }
 
-// GreedyArrival computes a maximal matching scanning edges in arrival
-// order (no sorting) — the maximal-matching primitive used on sampled
-// subsets in the filtering algorithm.
-func GreedyArrival(g *graph.Graph) *Matching {
-	used := make([]bool, g.N())
-	var out Matching
-	for idx, e := range g.Edges() {
-		if !used[e.U] && !used[e.V] {
-			used[e.U], used[e.V] = true, true
-			out.EdgeIdx = append(out.EdgeIdx, idx)
-		}
-	}
-	return &out
-}
-
-// GreedyB computes a maximal uncapacitated b-matching: edges are scanned
-// in descending weight order and each chosen edge's multiplicity is
-// raised to saturate an endpoint (min of the two residual capacities),
-// exactly the device of Lemma 20.
-func GreedyB(g *graph.Graph) *Matching {
-	order, _ := byWeightThenIndex(g, nil, nil)
-	return greedyBInOrder(g, order)
-}
-
-// greedyBInOrder is GreedyB's scan over a precomputed (weight desc,
-// index asc) order.
+// greedyBInOrder computes a maximal uncapacitated b-matching: edges are
+// scanned in a precomputed (weight desc, index asc) order and each chosen
+// edge's multiplicity is raised to saturate an endpoint (min of the two
+// residual capacities), exactly the device of Lemma 20.
 func greedyBInOrder(g *graph.Graph, order []wIdx) *Matching {
 	resid := make([]int, g.N())
 	for v := range resid {
@@ -215,19 +193,4 @@ func greedyBInOrder(g *graph.Graph, order []wIdx) *Matching {
 		}
 	}
 	return &out
-}
-
-// MatchedDegrees returns the matched degree per vertex.
-func (m *Matching) MatchedDegrees(g *graph.Graph) []int {
-	deg := make([]int, g.N())
-	for i, idx := range m.EdgeIdx {
-		c := 1
-		if m.Mult != nil {
-			c = m.Mult[i]
-		}
-		e := g.Edge(idx)
-		deg[e.U] += c
-		deg[e.V] += c
-	}
-	return deg
 }

@@ -31,17 +31,6 @@ func TestGreedyHalfApprox(t *testing.T) {
 	}
 }
 
-func TestGreedyArrivalMaximal(t *testing.T) {
-	g := graph.GNM(50, 200, graph.WeightConfig{}, 4)
-	m := GreedyArrival(g)
-	if err := m.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if !m.IsMaximal(g) {
-		t.Fatal("arrival greedy not maximal")
-	}
-}
-
 func TestGreedyBSaturates(t *testing.T) {
 	g := graph.New(3)
 	g.SetB(0, 3)
@@ -50,7 +39,8 @@ func TestGreedyBSaturates(t *testing.T) {
 	g.MustAddEdge(0, 1, 5)
 	g.MustAddEdge(1, 2, 4)
 	g.MustAddEdge(0, 2, 3)
-	m := GreedyB(g)
+	// ExactLimit 1 sends the capacitated instance down the greedy path.
+	m, _ := OfflineB(g, OfflineConfig{ExactLimit: 1})
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +77,8 @@ func TestMatchedDegreesAndSize(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(0, 2, 1)
 	m := &Matching{EdgeIdx: []int{0, 1}, Mult: []int{1, 1}}
-	deg := m.MatchedDegrees(g)
-	if deg[0] != 2 || deg[1] != 1 || deg[2] != 1 || deg[3] != 0 {
-		t.Fatalf("degrees %v", deg)
+	if err := m.Validate(g); err != nil {
+		t.Fatalf("vertex 0 holds both edges within b=2: %v", err)
 	}
 	if m.Size() != 2 {
 		t.Fatalf("size %d", m.Size())
@@ -102,7 +91,7 @@ func TestHopcroftKarpMatchesBlossom(t *testing.T) {
 		nl, nr := 2+r.Intn(6), 2+r.Intn(6)
 		m := 2 + r.Intn(nl*nr-1)
 		g := graph.Bipartite(nl, nr, m, graph.WeightConfig{Mode: graph.UnitWeights}, seed+9)
-		hk, ok := HopcroftKarp(g)
+		hk, ok := hopcroftKarp(g)
 		if !ok {
 			return false
 		}
@@ -118,7 +107,7 @@ func TestHopcroftKarpMatchesBlossom(t *testing.T) {
 
 func TestHopcroftKarpRejectsOddCycle(t *testing.T) {
 	g := graph.TriangleChain(1)
-	if _, ok := HopcroftKarp(g); ok {
+	if _, ok := hopcroftKarp(g); ok {
 		t.Fatal("triangle accepted as bipartite")
 	}
 }
@@ -126,7 +115,7 @@ func TestHopcroftKarpRejectsOddCycle(t *testing.T) {
 func TestHopcroftKarpPerfectMatching(t *testing.T) {
 	// Complete bipartite K_{5,5} has a perfect matching.
 	g := graph.Bipartite(5, 5, 25, graph.WeightConfig{}, 10)
-	m, ok := HopcroftKarp(g)
+	m, ok := hopcroftKarp(g)
 	if !ok || m.Size() != 5 {
 		t.Fatalf("K55: ok=%v size=%d", ok, m.Size())
 	}
@@ -217,7 +206,7 @@ func TestWeightedFilterConstantApprox(t *testing.T) {
 
 func TestOfflineSmallIsExact(t *testing.T) {
 	g := graph.GNM(30, 150, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 40}, 22)
-	m, w := Offline(g, OfflineConfig{})
+	m, w := OfflineB(g, OfflineConfig{})
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +218,7 @@ func TestOfflineSmallIsExact(t *testing.T) {
 
 func TestOfflineLargeUsesGreedy(t *testing.T) {
 	g := graph.GNM(900, 8000, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 40}, 23)
-	m, w := Offline(g, OfflineConfig{ExactLimit: 100})
+	m, w := OfflineB(g, OfflineConfig{ExactLimit: 100})
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -269,4 +258,18 @@ func TestOfflineBExactSplitting(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hopcroftKarp computes a maximum-cardinality matching of a bipartite
+// graph in O(E sqrt(V)). The bipartition is inferred by 2-coloring each
+// connected component; it returns ok=false if the graph is not bipartite.
+// It drives the phase-stepping solver the exact algorithm runs.
+func hopcroftKarp(g *graph.Graph) (m *Matching, ok bool) {
+	h, ok := NewHopcroftKarp(g)
+	if !ok {
+		return nil, false
+	}
+	for h.Phase() {
+	}
+	return h.Matching(), true
 }

@@ -39,7 +39,7 @@ func denseSets(in *Instance) [][]int {
 	g := graph.New(in.N)
 	var out [][]int
 	g.EnumerateOddSets(in.MaxNorm, func(set []int) bool {
-		if in.IsDense(set) {
+		if in.isDense(set) {
 			out = append(out, append([]int(nil), set...))
 		}
 		return true
@@ -69,14 +69,14 @@ func TestHeuristicVsExactLargerSupports(t *testing.T) {
 		// Structural contract, per seed: disjointness and condition (i)
 		// hold unconditionally for both collectors.
 		for name, sets := range map[string][]Set{"heuristic": heur, "exact": exact} {
-			if !Disjoint(sets) {
+			if !disjoint(sets) {
 				t.Fatalf("seed %d: %s sets not disjoint", seed, name)
 			}
 			for _, s := range sets {
-				if in.SetNorm(s.Members)%2 == 0 || in.SetNorm(s.Members) > in.MaxNorm {
+				if in.setNorm(s.Members)%2 == 0 || in.setNorm(s.Members) > in.MaxNorm {
 					t.Fatalf("seed %d: %s returned ineligible set %v", seed, name, s.Members)
 				}
-				if !in.MeetsConditionI(s.Members) {
+				if !in.meetsConditionI(s.Members) {
 					t.Fatalf("seed %d: %s set %v fails condition (i)", seed, name, s.Members)
 				}
 			}

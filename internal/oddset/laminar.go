@@ -183,29 +183,6 @@ func (f *WeightedFamily) ActiveSets() [][]int {
 	return out
 }
 
-// Coverage returns x_i + x_j + Σ_{U∋i,j} z_U for an edge (i, j).
-func (f *WeightedFamily) Coverage(i, j int) float64 {
-	c := f.X[i] + f.X[j]
-	for k, set := range f.Sets {
-		if f.Z[k] <= 0 {
-			continue
-		}
-		hasI, hasJ := false, false
-		for _, v := range set {
-			if v == i {
-				hasI = true
-			}
-			if v == j {
-				hasJ = true
-			}
-		}
-		if hasI && hasJ {
-			c += f.Z[k]
-		}
-	}
-	return c
-}
-
 // Objective returns Σ b_i x_i + Σ floor(||U||_b/2) z_U.
 func (f *WeightedFamily) Objective() float64 {
 	t := 0.0

@@ -13,11 +13,7 @@
 // cross-checked against the enumerator in tests.
 package oddset
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "sort"
 
 // QEdge is a support edge with a non-negative charge q_ij.
 type QEdge struct {
@@ -48,51 +44,6 @@ func (in *Instance) bnorm(v int) int {
 		return 1
 	}
 	return in.BNorm[v]
-}
-
-// SetNorm returns ||U||_b.
-func (in *Instance) SetNorm(set []int) int {
-	s := 0
-	for _, v := range set {
-		s += in.bnorm(v)
-	}
-	return s
-}
-
-// Internal returns the total edge charge inside the set.
-func (in *Instance) Internal(set []int) float64 {
-	mask := make(map[int32]bool, len(set))
-	for _, v := range set {
-		mask[int32(v)] = true
-	}
-	t := 0.0
-	for _, e := range in.Edges {
-		if mask[e.U] && mask[e.V] {
-			t += e.Q
-		}
-	}
-	return t
-}
-
-// QHatSum returns Σ_{i∈U} qhat_i.
-func (in *Instance) QHatSum(set []int) float64 {
-	t := 0.0
-	for _, v := range set {
-		t += in.QHat[v]
-	}
-	return t
-}
-
-// IsDense reports the strict density condition (the negation of Lemma
-// 24's condition (ii)): internal(U) > (qhat(U) - (1-Eps))/2.
-func (in *Instance) IsDense(set []int) bool {
-	return in.Internal(set) > (in.QHatSum(set)-(1-in.Eps))/2
-}
-
-// MeetsConditionI reports Lemma 24's condition (i):
-// internal(U) >= (qhat(U) - 1)/2.
-func (in *Instance) MeetsConditionI(set []int) bool {
-	return in.Internal(set) >= (in.QHatSum(set)-1)/2-1e-12
 }
 
 // Set is a selected odd set with its charge statistics.
@@ -310,40 +261,4 @@ func (in *Instance) collectHeuristic(support []int) []Set {
 		}
 	}
 	return out
-}
-
-// Disjoint reports whether the sets in the collection are pairwise
-// disjoint.
-func Disjoint(sets []Set) bool {
-	seen := make(map[int]bool)
-	for _, s := range sets {
-		for _, v := range s.Members {
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-	}
-	return true
-}
-
-// FromGraphCharges builds an Instance from a graph whose edge weights are
-// the charges, with uniform vertex budget qhat.
-func FromGraphCharges(g *graph.Graph, qhat []float64, maxNorm int, eps float64) *Instance {
-	in := &Instance{N: g.N(), QHat: qhat, MaxNorm: maxNorm, Eps: eps}
-	bs := make([]int, g.N())
-	unit := true
-	for v := 0; v < g.N(); v++ {
-		bs[v] = g.B(v)
-		if bs[v] != 1 {
-			unit = false
-		}
-	}
-	if !unit {
-		in.BNorm = bs
-	}
-	for _, e := range g.Edges() {
-		in.Edges = append(in.Edges, QEdge{U: e.U, V: e.V, Q: e.W})
-	}
-	return in
 }

@@ -32,14 +32,14 @@ func TestCollectDisjointAndConditionI(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := randomInstance(seed, 8)
 		sets := in.Collect()
-		if !Disjoint(sets) {
+		if !disjoint(sets) {
 			return false
 		}
 		for _, s := range sets {
-			if in.SetNorm(s.Members)%2 == 0 || in.SetNorm(s.Members) > in.MaxNorm {
+			if in.setNorm(s.Members)%2 == 0 || in.setNorm(s.Members) > in.MaxNorm {
 				return false
 			}
-			if !in.MeetsConditionI(s.Members) {
+			if !in.meetsConditionI(s.Members) {
 				return false
 			}
 		}
@@ -65,7 +65,7 @@ func TestCollectExactCoversAllDenseSets(t *testing.T) {
 		g := graph.New(in.N)
 		ok := true
 		g.EnumerateOddSets(in.MaxNorm, func(set []int) bool {
-			if !in.IsDense(set) {
+			if !in.isDense(set) {
 				return true
 			}
 			hit := false
@@ -157,12 +157,12 @@ func TestCollectHeuristicOnLargerGraph(t *testing.T) {
 		}
 	}
 	sets := in.collectHeuristic(in.supportVertices())
-	if !Disjoint(sets) {
+	if !disjoint(sets) {
 		t.Fatal("heuristic sets not disjoint")
 	}
 	dense := 0
 	for _, s := range sets {
-		if !in.MeetsConditionI(s.Members) {
+		if !in.meetsConditionI(s.Members) {
 			t.Fatalf("heuristic returned non-(i) set %v", s.Members)
 		}
 		if len(s.Members) == 3 && s.Members[0] < 3*k {
@@ -181,11 +181,11 @@ func TestHeuristicAgreesWithExactOnDensity(t *testing.T) {
 		in := randomInstance(seed, 9)
 		exact := in.collectExact(in.supportVertices())
 		heur := in.collectHeuristic(in.supportVertices())
-		if !Disjoint(heur) {
+		if !disjoint(heur) {
 			t.Fatal("heuristic not disjoint")
 		}
 		for _, s := range heur {
-			if !in.MeetsConditionI(s.Members) {
+			if !in.meetsConditionI(s.Members) {
 				t.Fatalf("seed %d: heuristic set fails (i)", seed)
 			}
 		}
@@ -206,7 +206,7 @@ func TestBNormHandling(t *testing.T) {
 	// {0,1,2,3} has norm 5 (odd) and internal 15.
 	sets := in.Collect()
 	for _, s := range sets {
-		if in.SetNorm(s.Members)%2 == 0 {
+		if in.setNorm(s.Members)%2 == 0 {
 			t.Fatalf("even-norm set collected: %v", s.Members)
 		}
 	}
@@ -266,7 +266,7 @@ func TestUncrossPreservesObjectiveAndCoverage(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				pairs = append(pairs, pair{i, j})
-				covBefore = append(covBefore, fam.Coverage(i, j))
+				covBefore = append(covBefore, fam.coverage(i, j))
 			}
 		}
 		if !fam.Uncross(1000) {
@@ -279,7 +279,7 @@ func TestUncrossPreservesObjectiveAndCoverage(t *testing.T) {
 			return false
 		}
 		for k, pr := range pairs {
-			if fam.Coverage(pr.i, pr.j) < covBefore[k]-1e-9 {
+			if fam.coverage(pr.i, pr.j) < covBefore[k]-1e-9 {
 				return false // coverage must not decrease (feasibility)
 			}
 		}
@@ -290,15 +290,88 @@ func TestUncrossPreservesObjectiveAndCoverage(t *testing.T) {
 	}
 }
 
-func TestFromGraphCharges(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 2.5)
-	g.SetB(2, 3)
-	in := FromGraphCharges(g, []float64{1, 1, 1, 1}, 5, 0.25)
-	if in.N != 4 || len(in.Edges) != 1 || in.Edges[0].Q != 2.5 {
-		t.Fatalf("instance wrong: %+v", in)
+// The Lemma 24 predicates and the laminar coverage the tests check
+// Collect and Uncross against.
+
+// setNorm returns ||U||_b.
+func (in *Instance) setNorm(set []int) int {
+	s := 0
+	for _, v := range set {
+		s += in.bnorm(v)
 	}
-	if in.bnorm(2) != 3 || in.bnorm(0) != 1 {
-		t.Fatal("bnorm wrong")
+	return s
+}
+
+// isDense reports the strict density condition (the negation of Lemma
+// 24's condition (ii)): internal(U) > (qhat(U) - (1-Eps))/2.
+func (in *Instance) isDense(set []int) bool {
+	return in.internalCharge(set) > (in.qHatSum(set)-(1-in.Eps))/2
+}
+
+// meetsConditionI reports Lemma 24's condition (i):
+// internal(U) >= (qhat(U) - 1)/2.
+func (in *Instance) meetsConditionI(set []int) bool {
+	return in.internalCharge(set) >= (in.qHatSum(set)-1)/2-1e-12
+}
+
+// disjoint reports whether the sets in the collection are pairwise
+// disjoint.
+func disjoint(sets []Set) bool {
+	seen := make(map[int]bool)
+	for _, s := range sets {
+		for _, v := range s.Members {
+			if seen[v] {
+				return false
+			}
+			seen[v] = true
+		}
 	}
+	return true
+}
+
+// coverage returns x_i + x_j + Σ_{U∋i,j} z_U for an edge (i, j).
+func (f *WeightedFamily) coverage(i, j int) float64 {
+	c := f.X[i] + f.X[j]
+	for k, set := range f.Sets {
+		if f.Z[k] <= 0 {
+			continue
+		}
+		hasI, hasJ := false, false
+		for _, v := range set {
+			if v == i {
+				hasI = true
+			}
+			if v == j {
+				hasJ = true
+			}
+		}
+		if hasI && hasJ {
+			c += f.Z[k]
+		}
+	}
+	return c
+}
+
+// internalCharge returns the total edge charge inside the set.
+func (in *Instance) internalCharge(set []int) float64 {
+	mask := make(map[int32]bool, len(set))
+	for _, v := range set {
+		mask[int32(v)] = true
+	}
+	t := 0.0
+	for _, e := range in.Edges {
+		if mask[e.U] && mask[e.V] {
+			t += e.Q
+		}
+	}
+	return t
+}
+
+// qHatSum returns Σ_{i∈U} qhat_i.
+func (in *Instance) qHatSum(set []int) float64 {
+	t := 0.0
+	for _, v := range set {
+		t += in.QHat[v]
+	}
+	return t
 }

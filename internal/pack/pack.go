@@ -152,14 +152,3 @@ func maxOf(xs []float64) float64 {
 	}
 	return m
 }
-
-// CheckOracleInequality is a test helper verifying Corollary 8's
-// contract.
-func CheckOracleInequality(z, rowValues []float64, delta float64) bool {
-	lhs, rhs := 0.0, 0.0
-	for r := range z {
-		lhs += z[r] * rowValues[r]
-		rhs += z[r]
-	}
-	return lhs <= (1+delta/2)*rhs+1e-12
-}

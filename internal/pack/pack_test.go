@@ -157,13 +157,3 @@ func TestPackRandomSystems(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckOracleInequality(t *testing.T) {
-	z := []float64{1, 1}
-	if !CheckOracleInequality(z, []float64{1, 1}, 0.2) {
-		t.Fatal("tight pack rejected")
-	}
-	if CheckOracleInequality(z, []float64{3, 3}, 0.2) {
-		t.Fatal("overfull pack accepted")
-	}
-}

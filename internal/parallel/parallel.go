@@ -39,9 +39,6 @@ type Range struct{ Lo, Hi int }
 // Len returns the number of indices in the shard.
 func (r Range) Len() int { return r.Hi - r.Lo }
 
-// Contains reports whether i falls inside the shard.
-func (r Range) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
-
 // Shards splits [0, n) into at most maxShards contiguous near-equal
 // ranges (the first n mod s shards are one element longer). The
 // decomposition is a pure function of n and maxShards; callers that need

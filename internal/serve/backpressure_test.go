@@ -97,12 +97,12 @@ func fillServer(t *testing.T, s *Server, gate <-chan struct{}) []*job {
 			// The first six jobs land in the pool (or on the blocked
 			// dispatcher); wait for the pickup so the admission queue
 			// is empty when the last two arrive to occupy it.
-			waitFor(t, "dispatcher pickup", func() bool { return s.QueueDepth() == 0 })
+			waitFor(t, "dispatcher pickup", func() bool { return len(s.queue) == 0 })
 		}
 	}
 	waitFor(t, "saturated fleet", func() bool {
 		ps := s.pool.Stats()
-		return ps.InFlight == 1 && ps.Queued == 4 && s.QueueDepth() == 2
+		return ps.InFlight == 1 && ps.Queued == 4 && len(s.queue) == 2
 	})
 	// The dispatcher holds job 5 blocked on the pool; wait until it is
 	// past the drain check (marked running), so a Close racing the

@@ -18,6 +18,17 @@ import (
 // carry whole instances inline).
 const maxJobBody = 256 << 20
 
+// maxJobVertices caps a job's n, checked before any per-vertex work:
+// admission fingerprints every vertex, and the solver allocates about
+// 1 KB per vertex (1 033 MB measured for n = 2^20 with two edges at
+// ε = 0.3).
+const maxJobVertices = 1 << 20
+
+// maxGenEdges caps a gen job's m at what an RBG1 upload within
+// maxJobBody can carry (16-byte records), so a generated instance is
+// never larger than an uploaded one could be.
+const maxGenEdges = maxJobBody / 16
+
 // routes mounts the endpoint table:
 //
 //	POST /v1/jobs             submit a job, 202 + {id, status}

@@ -276,6 +276,9 @@ func (s *Server) buildSource(spec *SourceSpec) (match.Source, func(), *ErrorDoc)
 	bad := func(format string, a ...any) (match.Source, func(), *ErrorDoc) {
 		return nil, nil, &ErrorDoc{Code: "invalid_job", Message: fmt.Sprintf(format, a...)}
 	}
+	if spec.N > maxJobVertices {
+		return bad("source.n = %d exceeds the server's limit of %d vertices", spec.N, maxJobVertices)
+	}
 	switch spec.Kind {
 	case "edges":
 		if spec.N <= 0 {
@@ -310,8 +313,8 @@ func (s *Server) buildSource(spec *SourceSpec) (match.Source, func(), *ErrorDoc)
 		}
 		return stream.NewEdgeStream(g), nil, nil
 	case "gen":
-		if spec.M <= 0 {
-			return bad("source.m must be >= 1 for kind gen, got %d", spec.M)
+		if spec.M <= 0 || spec.M > maxGenEdges {
+			return bad("source.m must be in [1, %d] for kind gen, got %d", maxGenEdges, spec.M)
 		}
 		wc, err := weightConfig(spec)
 		if err != nil {
@@ -350,6 +353,11 @@ func (s *Server) buildSource(spec *SourceSpec) (match.Source, func(), *ErrorDoc)
 		if err != nil {
 			os.Remove(path)
 			return bad("source.dataBase64 is not a valid RBG1 file: %v", err)
+		}
+		if src.N() > maxJobVertices {
+			src.Close()
+			os.Remove(path)
+			return bad("source.dataBase64 header n = %d exceeds the server's limit of %d vertices", src.N(), maxJobVertices)
 		}
 		return src, func() { src.Close(); os.Remove(path) }, nil
 	default:

@@ -143,10 +143,6 @@ func New(cfg Config) (*Server, error) {
 // for the endpoint list).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// QueueDepth returns how many admitted jobs wait in the admission queue
-// (before the pool's own queue).
-func (s *Server) QueueDepth() int { return len(s.queue) }
-
 // Close drains the server: no further job is admitted (submissions get
 // 503), jobs already handed to the pool — in flight or in the pool's
 // own queue — finish and keep their results queryable, and jobs still

@@ -312,7 +312,14 @@ func TestClampBudget(t *testing.T) {
 // TestMalformedJobs pins the structured-400 contract: every bad job is
 // rejected at admission with a machine-readable code, never queued.
 func TestMalformedJobs(t *testing.T) {
+	spool := t.TempDir()
+	t.Setenv("TMPDIR", spool)
 	_, ts := startServer(t, Config{})
+	var huge bytes.Buffer
+	if err := stream.WriteBinary(&huge, stream.NewEdgeStream(testGraph(3))); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(huge.Bytes()[8:], 1<<40) // header n
 	errCode := func(body []byte) string {
 		var doc struct {
 			Error ErrorDoc `json:"error"`
@@ -347,6 +354,10 @@ func TestMalformedJobs(t *testing.T) {
 		{"rbg1-bad-base64", JobSpec{Source: SourceSpec{Kind: "rbg1", DataBase64: "!!!"}}},
 		{"rbg1-bad-magic", JobSpec{Source: SourceSpec{Kind: "rbg1",
 			DataBase64: base64.StdEncoding.EncodeToString([]byte("not an rbg1 file at all......"))}}},
+		{"edges-huge-n", JobSpec{Source: SourceSpec{Kind: "edges", N: 1 << 40, Edges: [][]float64{{0, 1, 1}}}}},
+		{"gen-huge-n", JobSpec{Source: SourceSpec{Kind: "gen", N: 1 << 40, M: 1}}},
+		{"gen-huge-m", JobSpec{Source: SourceSpec{Kind: "gen", N: 10, M: 1 << 40}}},
+		{"rbg1-huge-n", JobSpec{Source: SourceSpec{Kind: "rbg1", DataBase64: base64.StdEncoding.EncodeToString(huge.Bytes())}}},
 		{"bad-eps", JobSpec{Eps: 0.9, Source: SourceSpec{Kind: "gen", N: 10, M: 5}}},
 		{"bad-algorithm", JobSpec{Algorithm: "quantum", Source: SourceSpec{Kind: "gen", N: 10, M: 5}}},
 	}
@@ -360,6 +371,9 @@ func TestMalformedJobs(t *testing.T) {
 				t.Errorf("error code = %q, want invalid_job", got)
 			}
 		})
+	}
+	if left, _ := filepath.Glob(filepath.Join(spool, "matchd-*.rbg")); len(left) > 0 {
+		t.Errorf("rejected uploads left spool files behind: %v", left)
 	}
 }
 

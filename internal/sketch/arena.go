@@ -3,8 +3,8 @@ package sketch
 // Arena is a free-list pool of sketch allocations, keyed by spec. A bank
 // build is dominated by its per-(vertex, repetition) L0 allocations —
 // Õ(polylog) words each, n·reps of them — and a pooled Get hands back a
-// Reset sketch instead: Reset restores the exact zero state NewSSparse /
-// NewL0 construct, so a build drawing from an arena is bit-identical to
+// Reset sampler instead: Reset restores the exact zero state NewL0
+// constructs, so a build drawing from an arena is bit-identical to
 // a cold build, it merely skips the allocator.
 //
 // Ownership rules:
@@ -21,42 +21,13 @@ package sketch
 //     RNGs): during the parallel region each worker touches only its
 //     own sub-arena.
 type Arena struct {
-	ssparse map[*SSparseSpec][]*SSparse
-	l0      map[*L0Spec][]*L0
-	shards  []*Arena
+	l0     map[*L0Spec][]*L0
+	shards []*Arena
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{
-		ssparse: make(map[*SSparseSpec][]*SSparse),
-		l0:      make(map[*L0Spec][]*L0),
-	}
-}
-
-// GetSSparse returns a zeroed sketch of the spec: a pooled one Reset in
-// place, or a fresh one when the pool is empty.
-func (a *Arena) GetSSparse(spec *SSparseSpec) *SSparse {
-	pool := a.ssparse[spec]
-	if last := len(pool) - 1; last >= 0 {
-		sk := pool[last]
-		a.ssparse[spec] = pool[:last]
-		sk.Reset()
-		return sk
-	}
-	return spec.NewSSparse()
-}
-
-// PutSSparse returns sketches to the spec's pool. The caller must not
-// use them afterwards. Panics if a sketch was created from a different
-// spec.
-func (a *Arena) PutSSparse(spec *SSparseSpec, sks ...*SSparse) {
-	for _, sk := range sks {
-		if sk.spec != spec {
-			panic("sketch: arena Put of SSparse from a different spec")
-		}
-	}
-	a.ssparse[spec] = append(a.ssparse[spec], sks...)
+	return &Arena{l0: make(map[*L0Spec][]*L0)}
 }
 
 // GetL0 returns a zeroed ℓ0 sampler of the spec: a pooled one Reset in
@@ -123,11 +94,6 @@ func (a *Arena) Drain() {
 	for _, sh := range a.shards {
 		sh.Drain()
 		//lint:ordered pool consolidation; free-list order never affects results
-		for spec, pool := range sh.ssparse {
-			a.ssparse[spec] = append(a.ssparse[spec], pool...)
-			delete(sh.ssparse, spec)
-		}
-		//lint:ordered pool consolidation; free-list order never affects results
 		for spec, pool := range sh.l0 {
 			a.l0[spec] = append(a.l0[spec], pool...)
 			delete(sh.l0, spec)
@@ -141,12 +107,6 @@ func (a *Arena) Drain() {
 // metered live space.
 func (a *Arena) RetainedWords() int {
 	w := 0
-	//lint:ordered word-count accumulation over ints, order-independent
-	for _, pool := range a.ssparse {
-		for _, sk := range pool {
-			w += sk.Words()
-		}
-	}
 	//lint:ordered word-count accumulation over ints, order-independent
 	for _, pool := range a.l0 {
 		for _, s := range pool {

@@ -7,40 +7,17 @@ import (
 	"repro/internal/xrand"
 )
 
-// applyUpdates feeds a deterministic update sequence into a sketch.
-func applySSparseUpdates(sk *SSparse, seed uint64) {
-	for i := 0; i < 200; i++ {
-		sk.Update(uint64(i)*2654435761+seed+1, int64(1+i%3))
-	}
-}
-
+// applyL0Updates feeds a deterministic update sequence into a sampler.
 func applyL0Updates(s *L0, seed uint64) {
 	for i := 0; i < 200; i++ {
 		s.Update(uint64(i)*0x9e3779b97f4a7c15+seed+1, int64(1-2*(i%2)))
 	}
 }
 
-// TestArenaSSparseRoundTrip checks the Get/Put/Reset cycle against cold
-// construction: a pooled sketch must be bit-identical to a fresh
-// NewSSparse after the same update sequence, on the first Get (cold
-// path) and again after a Put/Get round trip (recycled path).
-func TestArenaSSparseRoundTrip(t *testing.T) {
-	spec := NewSSparseSpec(xrand.New(11), 12, 8)
-	a := NewArena()
-
-	for round := uint64(0); round < 3; round++ {
-		got := a.GetSSparse(spec)
-		want := spec.NewSSparse()
-		applySSparseUpdates(got, round)
-		applySSparseUpdates(want, round)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: arena sketch differs from fresh sketch", round)
-		}
-		a.PutSSparse(spec, got) // recycled with dirty state for the next round
-	}
-}
-
-// TestArenaL0RoundTrip is the same cycle for whole ℓ0 samplers.
+// TestArenaL0RoundTrip checks the Get/Put/Reset cycle against cold
+// construction: a pooled sampler must be bit-identical to a fresh NewL0
+// after the same update sequence, on the first Get (cold path) and again
+// after a Put/Get round trip (recycled path).
 func TestArenaL0RoundTrip(t *testing.T) {
 	spec := NewL0Spec(xrand.New(13), 24, 12, 8)
 	a := NewArena()
@@ -61,18 +38,6 @@ func TestArenaL0RoundTrip(t *testing.T) {
 // sketch to a pool keyed by a different spec must panic rather than let
 // a later Get decode under the wrong hash functions.
 func TestArenaCrossSpecPutPanics(t *testing.T) {
-	t.Run("ssparse", func(t *testing.T) {
-		specA := NewSSparseSpec(xrand.New(21), 12, 8)
-		specB := NewSSparseSpec(xrand.New(22), 12, 8)
-		a := NewArena()
-		sk := a.GetSSparse(specA)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("cross-spec PutSSparse did not panic")
-			}
-		}()
-		a.PutSSparse(specB, sk)
-	})
 	t.Run("l0", func(t *testing.T) {
 		specA := NewL0Spec(xrand.New(23), 24, 12, 8)
 		specB := NewL0Spec(xrand.New(24), 24, 12, 8)
@@ -90,12 +55,12 @@ func TestArenaCrossSpecPutPanics(t *testing.T) {
 // TestArenaBankBuildBitIdentity drives the per-shard sub-arena path
 // under every worker count (the -race job runs this package): repeated
 // arena-fed builds recycling through ReleaseTo must stay bit-identical
-// to a cold BuildBank of the same spec and edges.
+// to a cold BuildBankArena (nil arena) of the same spec and edges.
 func TestArenaBankBuildBitIdentity(t *testing.T) {
 	const n = 96
 	edges := ringEdges(n)
 	spec := NewIncidenceSpec(xrand.New(31), n, 6, 12, 8)
-	cold := spec.BuildBank(edges, 1)
+	cold := spec.BuildBankArena(edges, 1, nil)
 
 	a := NewArena()
 	for _, workers := range []int{1, 2, 4} {
@@ -126,14 +91,14 @@ func TestBankBuildArenaAllocsFlat(t *testing.T) {
 	spec.BuildBankArena(edges, 1, a).ReleaseTo(a) // populate the pool
 
 	cold := testing.AllocsPerRun(5, func() {
-		spec.BuildBank(edges, 1)
+		spec.BuildBankArena(edges, 1, nil)
 	})
 	warm := testing.AllocsPerRun(5, func() {
 		spec.BuildBankArena(edges, 1, a).ReleaseTo(a)
 	})
 	// A cold build allocates at least one object per (vertex, repetition)
 	// column; a warm build must be wholly independent of n·reps.
-	if min := float64(n * spec.Reps()); cold < min {
+	if min := float64(n * spec.reps); cold < min {
 		t.Fatalf("cold build allocs = %.0f, want >= %.0f (n·reps columns)", cold, min)
 	}
 	if warm > 64 {
@@ -151,7 +116,7 @@ func BenchmarkBankBuildArena(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			spec.BuildBank(edges, 1)
+			spec.BuildBankArena(edges, 1, nil)
 		}
 	})
 	b.Run("arena", func(b *testing.B) {

@@ -53,7 +53,7 @@ func BenchmarkBankBuildWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				spec.BuildBank(edges, workers)
+				spec.BuildBankArena(edges, workers, nil)
 			}
 		})
 	}

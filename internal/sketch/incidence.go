@@ -50,9 +50,6 @@ func NewIncidenceSpec(r *xrand.RNG, n, reps, s, rows int) *IncidenceSpec {
 // the MapReduce pipeline of Section 4.2).
 func (spec *IncidenceSpec) SpecAt(r int) *L0Spec { return spec.specs[r] }
 
-// Reps returns the number of repetitions.
-func (spec *IncidenceSpec) Reps() int { return spec.reps }
-
 func log2ceil(n int) int {
 	l := 0
 	for v := 1; v < n; v <<= 1 {
@@ -83,15 +80,13 @@ func (spec *IncidenceSpec) NewBank() *Bank {
 	return b
 }
 
-// Words returns the total storage footprint in 64-bit words.
-func (b *Bank) Words() int {
-	w := 0
-	for _, row := range b.sketches {
-		for _, s := range row {
-			w += s.Words()
-		}
+// SetVertex installs vertex v's sketches, one per repetition, built
+// elsewhere from SpecAt (the per-vertex reducers of the MapReduce
+// pipeline of Section 4.2).
+func (b *Bank) SetVertex(v int, rows []*L0) {
+	for r := range b.sketches {
+		b.sketches[r][v] = rows[r]
 	}
-	return w
 }
 
 // ReleaseTo hands every sketch column back to the arena's free lists and
@@ -110,22 +105,6 @@ func (b *Bank) ReleaseTo(a *Arena) {
 	}
 	b.sketches = nil
 }
-
-// VertexWords returns the per-vertex footprint (one vertex, all reps).
-func (b *Bank) VertexWords(v int) int {
-	w := 0
-	for _, row := range b.sketches {
-		w += row[v].Words()
-	}
-	return w
-}
-
-// AddEdge inserts the undirected edge {u, v} into every repetition.
-func (b *Bank) AddEdge(u, v int32) { b.update(u, v, 1) }
-
-// RemoveEdge deletes the undirected edge {u, v} (linear sketches support
-// deletions natively).
-func (b *Bank) RemoveEdge(u, v int32) { b.update(u, v, -1) }
 
 func (b *Bank) update(u, v int32, delta int64) {
 	if u == v {
@@ -150,10 +129,8 @@ func (b *Bank) update(u, v int32, delta int64) {
 	}
 }
 
-// AddEdgeBlock inserts a block of edges — the stream.BlockSweeper
-// granule — into every repetition, one hoisted bank update per edge.
-// Bit-identical to calling AddEdge per edge in order; panics on self
-// loops like AddEdge.
+// AddEdgeBlock inserts a block of edges into every repetition, one
+// hoisted bank update per edge. Panics on self loops.
 func (b *Bank) AddEdgeBlock(edges []graph.Edge) {
 	for i := range edges {
 		b.update(edges[i].U, edges[i].V, 1)

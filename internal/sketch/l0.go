@@ -26,9 +26,6 @@ func NewL0Spec(r *xrand.RNG, universeLog, s, rows int) *L0Spec {
 	}
 }
 
-// Levels returns the number of subsampling levels.
-func (spec *L0Spec) Levels() int { return spec.levels }
-
 // L0 is a mergeable ℓ0-sampler: after arbitrary insertions and deletions
 // it returns some non-zero coordinate of the implicit vector (whp), with
 // the choice statistically close to uniform over the support.
@@ -66,27 +63,6 @@ func (s *L0) Words() int {
 		w += lv.Words()
 	}
 	return w
-}
-
-// Update adds delta at key in the implicit vector. The key reduction,
-// field delta and z^key are computed once and shared by every
-// subsampling level (all levels come from one SSparseSpec, hence one
-// fingerprint base).
-func (s *L0) Update(key uint64, delta int64) {
-	s.updateRaw(key%prime, toField(delta), s.spec.sspec.zpow.Pow(key))
-}
-
-// UpdateBlock applies a block of updates (keys[i], deltas[i]) in order,
-// hoisting the per-update invariants out of the level and row loops.
-// Bit-identical to calling Update per pair.
-func (s *L0) UpdateBlock(keys []uint64, deltas []int64) {
-	if len(keys) != len(deltas) {
-		panic("sketch: UpdateBlock length mismatch")
-	}
-	zp := s.spec.sspec.zpow
-	for i, key := range keys {
-		s.updateRaw(key%prime, toField(deltas[i]), zp.Pow(key))
-	}
 }
 
 // updateRaw fans one hoisted update out to the surviving subsampling
@@ -163,11 +139,4 @@ func (s *L0) Sample() (key uint64, value int64, ok bool) {
 		return keys[best], values[best], true
 	}
 	return 0, 0, false
-}
-
-// IsZeroLikely reports whether level 0 decodes to the empty vector; exact
-// when fewer than s non-zeros remain, heuristic otherwise.
-func (s *L0) IsZeroLikely() bool {
-	keys, _, ok := s.levels[0].Recover()
-	return ok && len(keys) == 0
 }

@@ -110,18 +110,6 @@ func NewFingerprintBase(r *xrand.RNG) uint64 {
 	}
 }
 
-// Update adds delta to the implicit vector at key. Keys must be < 2^61-1.
-//
-// This is the scalar entry point for bare cells, paying a full powm per
-// call; spec-fed paths (SSparse, L0, Bank) hoist key%prime, toField and
-// z^key once per update and fan out through updateRaw. Both paths are
-// bit-identical, pinned by TestUpdateRawMatchesScalar.
-func (c *OneSparse) Update(key uint64, delta int64) {
-	d := toField(delta)
-	//lint:fieldhot scalar reference entry point for bare cells; spec-fed updates hoist z^key through the window table + updateRaw (bit-identity pinned by TestUpdateRawMatchesScalar)
-	c.updateRaw(key%prime, d, powm(c.z, key))
-}
-
 // updateRaw is the hoisted update kernel: the caller has computed
 // keyMod = key % prime, d = toField(delta) and zPowKey = z^key once and
 // shares them across every cell that absorbs the update (all cells of
@@ -148,30 +136,13 @@ func (c *OneSparse) IsZero() bool {
 	return c.sumVal == 0 && c.sumKV == 0 && c.fingerp == 0
 }
 
-// Recover attempts exact 1-sparse recovery. On success it returns the key
-// and the signed value. Values are interpreted in (-p/2, p/2): sketches in
-// this repository always hold small counts, so the embedding is faithful.
-func (c *OneSparse) Recover() (key uint64, value int64, ok bool) {
-	if c.sumVal == 0 {
-		return 0, 0, false // zero vector, or value-sum cancellation
-	}
-	k := mulm(c.sumKV, invm(c.sumVal))
-	// Verify the fingerprint: value·z^k must equal the stored fingerprint.
-	//lint:fieldhot bare-cell decode reference; spec-fed decodes (SSparse.Recover) use recoverFast with the spec's window table, bit-identical
-	if mulm(c.sumVal, powm(c.z, k)) != c.fingerp {
-		return 0, 0, false
-	}
-	v := c.sumVal
-	if v > prime/2 {
-		return k, -int64(prime - v), true
-	}
-	return k, int64(v), true
-}
-
-// recoverFast is Recover with z^k computed through the spec's
-// fixed-base window table instead of square-and-multiply. The field is
-// exact, so the verified fingerprint — and hence the accept/reject
-// decision and the returned pair — is bit-identical to Recover.
+// recoverFast attempts exact 1-sparse recovery. On success it returns
+// the key and the signed value. Values are interpreted in (-p/2, p/2):
+// sketches in this repository always hold small counts, so the
+// embedding is faithful. z^k comes from the spec's fixed-base window
+// table; the field is exact, so the verified fingerprint — and hence
+// the accept/reject decision and the returned pair — is bit-identical
+// to the square-and-multiply reference the tests keep.
 func (c *OneSparse) recoverFast(zp *fpPow) (key uint64, value int64, ok bool) {
 	if c.sumVal == 0 {
 		return 0, 0, false // zero vector, or value-sum cancellation

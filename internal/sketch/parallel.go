@@ -3,7 +3,6 @@ package sketch
 import (
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/stream"
 )
 
 // Parallel incidence-sketch construction (DESIGN.md, "Parallel
@@ -13,7 +12,7 @@ import (
 // workers then apply only their own bucket (the sketch updates dominate
 // the bucketing scan by orders of magnitude). Because the sketches are
 // linear (integer counters), the final bank state is exactly the state
-// the sequential AddEdge loop produces, for any worker count —
+// the sequential AddEdgeBlock produces, for any worker count —
 // per-vertex update order is edge order in both cases.
 
 // NewBankParallel returns a zeroed bank, allocating the per-vertex sketch
@@ -35,31 +34,13 @@ func (spec *IncidenceSpec) NewBankParallel(workers int) *Bank {
 	return b
 }
 
-// Reset zeroes every sketch column in place, sharded by vertex range
-// like NewBankParallel, so a bank can be rebuilt for a new edge set
-// without reallocating its Õ(n·polylog) words of column state. This is
-// the reuse answer to the allocation audit of the bank constructor: the
-// per-(vertex, repetition) L0 allocations dominate a bank build, and
-// they are exactly what Reset retains. A Reset bank is indistinguishable
-// from a fresh NewBankParallel bank of the same spec.
-func (b *Bank) Reset(workers int) {
-	parallel.ForEachShard(workers, b.spec.n, func(_ int, sh parallel.Range) {
-		for v := sh.Lo; v < sh.Hi; v++ {
-			for r := 0; r < b.spec.reps; r++ {
-				b.sketches[r][v].Reset()
-			}
-		}
-	})
-}
-
 // AddEdges inserts every edge into the bank with the work sharded by
 // vertex range across workers. A single O(m) scan buckets the two
 // endpoint updates of each edge by owning shard; workers then apply only
 // their own bucket, so total work stays O(m) plus the sketch updates
 // regardless of worker count. Within a bucket updates keep edge order,
-// so the result is bit-identical to calling AddEdge(e.U, e.V) for each
-// edge in order, for any worker count. Panics on self loops, like
-// AddEdge.
+// so the result is bit-identical to AddEdgeBlock over the same edges,
+// for any worker count. Panics on self loops, like AddEdgeBlock.
 func (b *Bank) AddEdges(edges []graph.Edge, workers int) {
 	shards := parallel.Shards(b.spec.n, parallel.Workers(workers))
 	if len(shards) <= 1 {
@@ -120,69 +101,6 @@ func (b *Bank) absorb(upds []bankUpd) {
 	}
 }
 
-// bankSourceChunk is the staging granule of AddEdgesSource: updates are
-// bucketed and applied per chunk of this many edges, so a source-fed
-// build holds O(1) staged records no matter how long the stream is.
-const bankSourceChunk = 1 << 14
-
-// AddEdgesSource inserts every edge served by src into the bank — one
-// metered pass, since the linear sketches are exactly the one-pass
-// structure of the paper — with the updates sharded by vertex range
-// across workers like AddEdges. The scan buckets updates by owning
-// shard in constant-size chunks and applies each chunk before staging
-// the next, so the staged state is O(1) in m (the edges are never
-// resident). Linear sketches make chunked application equal to one-shot
-// application — per-vertex update order is edge order either way — so
-// the result is bit-identical to AddEdges over the same edge sequence
-// for any worker count.
-func (b *Bank) AddEdgesSource(src stream.Source, workers int) {
-	shards := parallel.Shards(b.spec.n, parallel.Workers(workers))
-	if len(shards) <= 1 {
-		// Sequential: ride the backend's native blocks straight into the
-		// bank, skipping the bucketing pass entirely.
-		stream.ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
-			b.AddEdgeBlock(edges)
-			return true
-		})
-		return
-	}
-	shardOf := make([]int32, b.spec.n)
-	for si, sh := range shards {
-		for v := sh.Lo; v < sh.Hi; v++ {
-			shardOf[v] = int32(si)
-		}
-	}
-	buckets := make([][]bankUpd, len(shards))
-	staged := 0
-	flush := func() {
-		b.applyBuckets(workers, buckets)
-		for si := range buckets {
-			buckets[si] = buckets[si][:0]
-		}
-		staged = 0
-	}
-	stream.ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
-		for i := range edges {
-			e := edges[i]
-			if e.U == e.V {
-				panic("sketch: self loop")
-			}
-			key := graph.KeyOf(e.U, e.V)
-			lo, hi := e.U, e.V
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			buckets[shardOf[lo]] = append(buckets[shardOf[lo]], bankUpd{v: lo, delta: 1, key: key})
-			buckets[shardOf[hi]] = append(buckets[shardOf[hi]], bankUpd{v: hi, delta: -1, key: key})
-			if staged++; staged == bankSourceChunk {
-				flush()
-			}
-		}
-		return true
-	})
-	flush()
-}
-
 // NewBankParallelArena is NewBankParallel with the per-vertex columns
 // drawn from an arena (nil = plain allocation). The free lists are
 // pre-split into per-shard sub-arenas sequentially up front — exactly
@@ -220,31 +138,12 @@ func (spec *IncidenceSpec) NewBankParallelArena(workers int, a *Arena) *Bank {
 	return b
 }
 
-// BuildBank allocates a bank and inserts the edges, both sharded by
-// vertex range across workers — the one-round distributed construction of
-// Section 4.2 collapsed onto a shared-memory pool.
-func (spec *IncidenceSpec) BuildBank(edges []graph.Edge, workers int) *Bank {
-	return spec.BuildBankArena(edges, workers, nil)
-}
-
-// BuildBankArena is BuildBank with the column allocations drawn from an
-// arena (nil = plain allocation).
+// BuildBankArena allocates a bank and inserts the edges, both sharded by
+// vertex range across workers — the one-round distributed construction
+// of Section 4.2 collapsed onto a shared-memory pool — with the column
+// allocations drawn from an arena (nil = plain allocation).
 func (spec *IncidenceSpec) BuildBankArena(edges []graph.Edge, workers int, a *Arena) *Bank {
 	b := spec.NewBankParallelArena(workers, a)
 	b.AddEdges(edges, workers)
-	return b
-}
-
-// BuildBankSource allocates a bank and inserts the edges served by a
-// Source — the distributed construction driven by any access backend.
-func (spec *IncidenceSpec) BuildBankSource(src stream.Source, workers int) *Bank {
-	return spec.BuildBankSourceArena(src, workers, nil)
-}
-
-// BuildBankSourceArena is BuildBankSource with the column allocations
-// drawn from an arena (nil = plain allocation).
-func (spec *IncidenceSpec) BuildBankSourceArena(src stream.Source, workers int, a *Arena) *Bank {
-	b := spec.NewBankParallelArena(workers, a)
-	b.AddEdgesSource(src, workers)
 	return b
 }

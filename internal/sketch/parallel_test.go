@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/stream"
 	"repro/internal/xrand"
 )
 
@@ -32,22 +31,10 @@ func TestBankParallelBitIdentical(t *testing.T) {
 	for _, e := range edges {
 		seq.AddEdge(e.U, e.V)
 	}
-	g := graph.New(n)
-	for _, e := range edges {
-		g.MustAddEdge(int(e.U), int(e.V), e.W)
-	}
 	for _, workers := range []int{1, 2, 4, 0} {
-		par := spec.BuildBank(edges, workers)
+		par := spec.BuildBankArena(edges, workers, nil)
 		if !reflect.DeepEqual(seq.sketches, par.sketches) {
 			t.Fatalf("workers=%d: parallel bank state differs from sequential", workers)
-		}
-		src := stream.NewEdgeStream(g)
-		fromSrc := spec.BuildBankSource(src, workers)
-		if !reflect.DeepEqual(seq.sketches, fromSrc.sketches) {
-			t.Fatalf("workers=%d: source-built bank differs from sequential", workers)
-		}
-		if src.Passes() != 1 {
-			t.Fatalf("workers=%d: bank build consumed %d passes, want 1", workers, src.Passes())
 		}
 	}
 }
@@ -59,7 +46,7 @@ func TestBankParallelSpanningForest(t *testing.T) {
 	for v := 0; v+1 < n; v++ {
 		edges = append(edges, graph.Edge{U: int32(v), V: int32(v + 1), W: 1})
 	}
-	bank := spec.BuildBank(edges, 4)
+	bank := spec.BuildBankArena(edges, 4, nil)
 	forest, uf, err := bank.SpanningForest()
 	if err != nil {
 		t.Fatal(err)

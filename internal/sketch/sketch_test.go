@@ -275,9 +275,6 @@ func TestL0ZeroVector(t *testing.T) {
 	if _, _, ok := sk.Sample(); ok {
 		t.Fatal("sampled from zero vector")
 	}
-	if !sk.IsZeroLikely() {
-		t.Fatal("zero vector not detected")
-	}
 }
 
 func TestL0MergeSamplesSum(t *testing.T) {
@@ -325,7 +322,7 @@ func TestL0Words(t *testing.T) {
 		t.Fatal("Words must be positive")
 	}
 	// levels * rows * buckets * 4
-	want := spec.Levels() * 6 * 16 * 4
+	want := spec.levels * 6 * 16 * 4
 	if sk.Words() != want {
 		t.Fatalf("Words = %d, want %d", sk.Words(), want)
 	}

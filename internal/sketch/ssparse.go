@@ -71,19 +71,6 @@ func (sk *SSparse) Update(key uint64, delta int64) {
 	sk.updateRaw(key%prime, toField(delta), sk.spec.zpow.Pow(key))
 }
 
-// UpdateBlock applies a block of updates (keys[i], deltas[i]) in order,
-// hoisting the per-update invariants out of the row loop. Bit-identical
-// to calling Update per pair.
-func (sk *SSparse) UpdateBlock(keys []uint64, deltas []int64) {
-	if len(keys) != len(deltas) {
-		panic("sketch: UpdateBlock length mismatch")
-	}
-	zp := sk.spec.zpow
-	for i, key := range keys {
-		sk.updateRaw(key%prime, toField(deltas[i]), zp.Pow(key))
-	}
-}
-
 // updateRaw fans one hoisted update out to every row: the degree-1 row
 // hash a0 + a1·x picks the bucket and the cell kernel absorbs the
 // precomputed (keyMod, d, zPowKey) triple.

@@ -12,7 +12,7 @@ func BenchmarkUnweightedSparsify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Unweighted(g, Config{Xi: 0.25, Seed: uint64(i)})
+		unweighted(g, Config{Xi: 0.25, Seed: uint64(i)})
 	}
 }
 

@@ -46,24 +46,15 @@ type builderEdge struct {
 	sigma    float64
 }
 
-// NewDeferredBuilder prepares a streaming deferred construction over a
-// local edge sequence of length m (the count must be known up front: it
-// fixes the subsampling depth, exactly as NewDeferred derives it from its
-// array length). chi >= 1 is the promised distortion bound.
-func NewDeferredBuilder(n, m int, chi float64, cfg Config) (*DeferredBuilder, error) {
-	b := &DeferredBuilder{}
-	if err := b.Reset(n, m, chi, cfg); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Reset re-arms a builder for a new construction, exactly as
-// NewDeferredBuilder would build it, but keeping the slot buffer's and
-// class map's capacity: a caller that runs one construction per job per
-// round (the solver's sampling pass) holds one builder per job and
-// stops reallocating the side data every round. Call only after Finish
-// (or on a builder that was never fed).
+// Reset arms a builder (a zero DeferredBuilder or one already used) for
+// a streaming deferred construction over a local edge sequence of length
+// m (the count must be known up front: it fixes the subsampling depth,
+// exactly as NewDeferred derives it from its array length); chi >= 1 is
+// the promised distortion bound. A reused builder keeps its slot
+// buffer's and class map's capacity: a caller that runs one
+// construction per job per round (the solver's sampling pass) holds one
+// builder per job and stops reallocating the side data every round.
+// Call only after Finish (or on a builder that was never fed).
 func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 	if chi < 1 {
 		return fmt.Errorf("sparsify: chi %v < 1", chi)

@@ -42,10 +42,7 @@ func TestBuilderMatchesNewDeferred(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := NewDeferredBuilder(g.N(), g.M(), tc.chi, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := freshBuilder(t, g.N(), g.M(), tc.chi, cfg)
 			for i, e := range g.Edges() {
 				b.Add(i, e.U, e.V, e.W, i, sigma[i])
 			}
@@ -84,10 +81,10 @@ func TestBuilderMatchesNewDeferred(t *testing.T) {
 }
 
 func TestBuilderRejectsBadArgs(t *testing.T) {
-	if _, err := NewDeferredBuilder(10, 5, 0.5, Config{}); err == nil {
+	if err := new(DeferredBuilder).Reset(10, 5, 0.5, Config{}); err == nil {
 		t.Fatal("chi < 1 accepted")
 	}
-	if _, err := NewDeferredBuilder(10, -1, 2, Config{}); err == nil {
+	if err := new(DeferredBuilder).Reset(10, -1, 2, Config{}); err == nil {
 		t.Fatal("negative m accepted")
 	}
 }
@@ -97,10 +94,7 @@ func TestBuilderStaleRevealUsesPromise(t *testing.T) {
 	// a stale reveal (ablation mode) returns it unchanged and the refined
 	// weight is promise/prob.
 	g := graph.GNM(12, 40, graph.WeightConfig{}, 11)
-	b, err := NewDeferredBuilder(g.N(), g.M(), 2, Config{Xi: 0.5, K: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := freshBuilder(t, g.N(), g.M(), 2, Config{Xi: 0.5, K: 4, Seed: 3})
 	for i, e := range g.Edges() {
 		b.Add(i, e.U, e.V, e.W, i, 1.5)
 	}
@@ -116,7 +110,7 @@ func TestBuilderStaleRevealUsesPromise(t *testing.T) {
 // TestBuilderResetMatchesFresh pins builder reuse: one builder Reset
 // across constructions of different sizes, class mixes and configs
 // (shrinking included, with and without a Scratch) must emit exactly
-// what a fresh NewDeferredBuilder emits for each.
+// what a fresh builder emits for each.
 func TestBuilderResetMatchesFresh(t *testing.T) {
 	scr := NewScratch(40)
 	reused := new(DeferredBuilder)
@@ -145,10 +139,7 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 			d.Release()
 			return items
 		}
-		fresh, err := NewDeferredBuilder(g.N(), tc.m, tc.chi, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := freshBuilder(t, g.N(), tc.m, tc.chi, cfg)
 		want := feed(fresh)
 		if err := reused.Reset(g.N(), tc.m, tc.chi, cfg); err != nil {
 			t.Fatal(err)
@@ -160,4 +151,15 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 	if reused.RetainedWords() == 0 {
 		t.Fatal("reused builder retained no slot capacity")
 	}
+}
+
+// freshBuilder arms a new builder the way the solver does: a zero
+// DeferredBuilder plus Reset.
+func freshBuilder(t *testing.T, n, m int, chi float64, cfg Config) *DeferredBuilder {
+	t.Helper()
+	b := new(DeferredBuilder)
+	if err := b.Reset(n, m, chi, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

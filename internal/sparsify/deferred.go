@@ -155,16 +155,6 @@ func (d *Deferred) Size() int { return len(d.items) }
 // the input stream again.
 func (d *Deferred) Items() []Item { return d.items }
 
-// StoredEdges returns the indices of the stored edges — the only edges
-// whose exact weights the refiner is allowed to request (Definition 4).
-func (d *Deferred) StoredEdges() []int {
-	out := make([]int, len(d.items))
-	for i, it := range d.items {
-		out[i] = it.EdgeIdx
-	}
-	return out
-}
-
 // Refine reveals the exact weights of the stored edges and returns the
 // final sparsifier. reveal is called only for stored edge indices; it
 // must return the true weight u_e. Edges whose revealed weight is zero

@@ -106,8 +106,8 @@ func TestDeferredRevealOnlyStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := map[int]bool{}
-	for _, idx := range d.StoredEdges() {
-		stored[idx] = true
+	for _, it := range d.Items() {
+		stored[it.EdgeIdx] = true
 	}
 	d.Refine(func(i int) float64 {
 		if !stored[i] {

@@ -112,12 +112,12 @@ func TestDeferredExtremePromiseRange(t *testing.T) {
 
 func TestUnweightedSingleEdgeAndEmpty(t *testing.T) {
 	g := graph.New(3)
-	s := Unweighted(g, Config{Xi: 0.25, Seed: 306})
+	s := unweighted(g, Config{Xi: 0.25, Seed: 306})
 	if len(s.Items) != 0 {
 		t.Fatal("items from empty graph")
 	}
 	g.MustAddEdge(0, 1, 5)
-	s = Unweighted(g, Config{Xi: 0.25, Seed: 307})
+	s = unweighted(g, Config{Xi: 0.25, Seed: 307})
 	if len(s.Items) != 1 || s.Items[0].Weight != 5 || s.Items[0].Prob != 1 {
 		t.Fatalf("single edge mishandled: %+v", s.Items)
 	}

@@ -45,13 +45,6 @@ func NewScratch(n int) *Scratch { return &Scratch{n: n} }
 // N returns the element count the pooled forests are sized for.
 func (s *Scratch) N() int { return s.n }
 
-// Retained returns how many forests the pool currently holds.
-func (s *Scratch) Retained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.free)
-}
-
 // RetainedWords reports the pool's capacity in 64-bit words (forests,
 // construction-shell rows, item and reveal buffers; an Item is 6
 // words). Like every arena-side count, retained capacity is never part

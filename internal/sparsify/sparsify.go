@@ -85,16 +85,6 @@ type Item struct {
 	Prob    float64 // retention probability used
 }
 
-// Graph materializes the sparsifier as a graph (for downstream cut
-// queries).
-func (s *Sparsifier) Graph() *graph.Graph {
-	g := graph.New(s.N)
-	for _, it := range s.Items {
-		g.MustAddEdge(int(it.U), int(it.V), it.Weight)
-	}
-	return g
-}
-
 // CutWeight evaluates the sparsifier's estimate of the cut around the set.
 func (s *Sparsifier) CutWeight(inSet []bool) float64 {
 	t := 0.0
@@ -292,18 +282,6 @@ func (c *construction) finish(edges []graph.Edge, weightOf func(edgeIdx int) flo
 		}
 	}
 	return items
-}
-
-// Unweighted builds a sparsifier of an unweighted (or uniformly weighted)
-// graph in a single pass over its edges.
-func Unweighted(g *graph.Graph, cfg Config) *Sparsifier {
-	cfg = cfg.withDefaults(g.N())
-	c := newConstruction(g.N(), g.M(), cfg)
-	for idx, e := range g.Edges() {
-		c.process(idx, idx, e.U, e.V)
-	}
-	items := c.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
-	return &Sparsifier{N: g.N(), Items: items}
 }
 
 // Weighted builds a sparsifier of a weighted graph by splitting edges

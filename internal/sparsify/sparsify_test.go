@@ -41,7 +41,7 @@ func maxCutError(g *graph.Graph, s *Sparsifier, trials int, seed uint64) float64
 
 func TestUnweightedPreservesCuts(t *testing.T) {
 	g := graph.GNM(120, 3000, graph.WeightConfig{Mode: graph.UnitWeights}, 31)
-	s := Unweighted(g, Config{Xi: 0.25, Seed: 1})
+	s := unweighted(g, Config{Xi: 0.25, Seed: 1})
 	if err := maxCutError(g, s, 60, 2); err > 0.35 {
 		t.Fatalf("max cut error %.3f exceeds tolerance", err)
 	}
@@ -49,7 +49,7 @@ func TestUnweightedPreservesCuts(t *testing.T) {
 
 func TestUnweightedShrinksDenseGraph(t *testing.T) {
 	g := graph.GNP(150, 0.6, graph.WeightConfig{}, 32)
-	s := Unweighted(g, Config{Xi: 0.5, Seed: 3})
+	s := unweighted(g, Config{Xi: 0.5, Seed: 3})
 	if len(s.Items) >= g.M() {
 		t.Fatalf("sparsifier (%d) not smaller than graph (%d)", len(s.Items), g.M())
 	}
@@ -63,7 +63,7 @@ func TestSparsifierKeepsSparseGraphExactly(t *testing.T) {
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(i, i/2, 1)
 	}
-	s := Unweighted(g, Config{Xi: 0.25, Seed: 4})
+	s := unweighted(g, Config{Xi: 0.25, Seed: 4})
 	if len(s.Items) != g.M() {
 		t.Fatalf("tree sparsifier has %d items, want %d", len(s.Items), g.M())
 	}
@@ -100,8 +100,11 @@ func TestWeightedHandlesWideDynamicRange(t *testing.T) {
 
 func TestSparsifierGraphRoundTrip(t *testing.T) {
 	g := graph.GNM(30, 200, graph.WeightConfig{}, 34)
-	s := Unweighted(g, Config{Xi: 0.5, Seed: 10})
-	sg := s.Graph()
+	s := unweighted(g, Config{Xi: 0.5, Seed: 10})
+	sg := graph.New(s.N)
+	for _, it := range s.Items {
+		sg.MustAddEdge(int(it.U), int(it.V), it.Weight)
+	}
 	if sg.N() != g.N() {
 		t.Fatalf("graph N = %d", sg.N())
 	}
@@ -127,7 +130,7 @@ func TestUnbiasedSingletonCuts(t *testing.T) {
 	sum := 0.0
 	const reps = 40
 	for rseed := uint64(0); rseed < reps; rseed++ {
-		s := Unweighted(g, Config{Xi: 0.5, Seed: 100 + rseed})
+		s := unweighted(g, Config{Xi: 0.5, Seed: 100 + rseed})
 		sum += s.CutWeight(mask)
 	}
 	mean := sum / reps
@@ -145,4 +148,16 @@ func TestConfigDefaults(t *testing.T) {
 	if c2.K != 7 || c2.Xi != 0.1 {
 		t.Fatalf("explicit config overridden: %+v", c2)
 	}
+}
+
+// unweighted builds a sparsifier of an unweighted (or uniformly weighted)
+// graph in a single pass over its edges.
+func unweighted(g *graph.Graph, cfg Config) *Sparsifier {
+	cfg = cfg.withDefaults(g.N())
+	c := newConstruction(g.N(), g.M(), cfg)
+	for idx, e := range g.Edges() {
+		c.process(idx, idx, e.U, e.V)
+	}
+	items := c.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
+	return &Sparsifier{N: g.N(), Items: items}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -32,14 +31,13 @@ import (
 //
 // Fixed-size records make every access a pure offset computation: a
 // pass is a sequential chunked read, a parallel pass maps shard
-// [lo, hi) to byte range [off+16·lo, off+16·hi), and a point lookup is
-// one pread — the file never needs to be resident.
+// [lo, hi) to byte range [off+16·lo, off+16·hi) — the file never needs
+// to be resident.
 //
 // RBG2 — varint/delta-compressed successor. Edges are framed in blocks
 // of `blockLen` records (stream order is preserved exactly — the codec
 // never reorders), each frame independently decodable, with a frame
-// offset index at the tail so parallel shards and point lookups keep
-// working:
+// offset index at the tail so parallel shards keep working:
 //
 //	offset  size  field
 //	0       4     magic "RBG2"
@@ -408,7 +406,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // frame index are resident — plus, where the platform supports it, a
 // read-only mmap of the file, in which case passes are sequential
 // page-ins with no read syscalls at all (ReadAt is the fallback).
-// Sweeps and lookups are safe for concurrent use.
+// Sweeps are safe for concurrent use.
 type FileSource struct {
 	meter
 	f       *os.File
@@ -425,18 +423,9 @@ type FileSource struct {
 	blockLen int
 	frameOff []int64
 	maxFrame int
-
-	// Point-lookup cache: Edge decodes the owning frame once and
-	// serves neighbors from it (sequential random access would
-	// otherwise decode a frame per edge).
-	mu        sync.Mutex
-	cacheBase int
-	cacheBlk  []graph.Edge
-	cacheRaw  []byte
 }
 
 var _ Source = (*FileSource)(nil)
-var _ RandomAccess = (*FileSource)(nil)
 var _ BlockSweeper = (*FileSource)(nil)
 
 // OpenOptions configures OpenBinaryWith.
@@ -659,9 +648,6 @@ func (s *FileSource) TotalB() int { return s.totalB }
 // Len returns the stream length m.
 func (s *FileSource) Len() int { return s.m }
 
-// Version returns the wire format version backing the source (1 or 2).
-func (s *FileSource) Version() int { return s.ver }
-
 // Mapped reports whether the file is served from a memory mapping
 // (false means the ReadAt fallback is in use).
 func (s *FileSource) Mapped() bool { return s.data != nil }
@@ -677,43 +663,6 @@ func (s *FileSource) readAt(buf []byte, off int64) []byte {
 		panic(&ReadError{Path: s.path, Off: off, Err: err})
 	}
 	return buf
-}
-
-// Edge returns the i-th edge (RandomAccess): a single 16-byte pread on
-// RBG1, a cached frame decode on RBG2.
-func (s *FileSource) Edge(i int) graph.Edge {
-	if i < 0 || i >= s.m {
-		panic(fmt.Sprintf("stream: edge index %d out of range [0,%d)", i, s.m))
-	}
-	if s.ver == 1 {
-		var rec [binRecordSize]byte
-		off := s.dataOff + int64(i)*binRecordSize
-		e := decodeRecord(s.readAt(rec[:], off))
-		if err := s.checkEdge(e); err != nil {
-			panic(&ReadError{Path: s.path, Off: off, Err: err})
-		}
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := i / s.blockLen
-	base := k * s.blockLen
-	if s.cacheBlk == nil || s.cacheBase != base || len(s.cacheBlk) == 0 {
-		if cap(s.cacheBlk) < s.blockLen {
-			s.cacheBlk = make([]graph.Edge, s.blockLen)
-		}
-		if s.data == nil && cap(s.cacheRaw) < s.maxFrame {
-			s.cacheRaw = make([]byte, s.maxFrame)
-		}
-		blk, err := s.decodeFrameInto(k, s.cacheRaw, s.cacheBlk[:cap(s.cacheBlk)])
-		if err != nil {
-			s.cacheBlk = s.cacheBlk[:0]
-			panic(&ReadError{Path: s.path, Off: s.frameOff[k], Err: err})
-		}
-		s.cacheBase = base
-		s.cacheBlk = blk
-	}
-	return s.cacheBlk[i-base]
 }
 
 func decodeRecord(rec []byte) graph.Edge {

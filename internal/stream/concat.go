@@ -25,7 +25,6 @@ type ConcatSource struct {
 }
 
 var _ Source = (*ConcatSource)(nil)
-var _ RandomAccess = (*ConcatSource)(nil)
 
 // Concat composes the sub-sources. They must agree on the vertex set:
 // same N and the same per-vertex capacities.
@@ -66,23 +65,6 @@ func (c *ConcatSource) TotalB() int { return c.subs[0].TotalB() }
 
 // Len returns the total stream length.
 func (c *ConcatSource) Len() int { return c.total }
-
-// Edge returns the i-th edge by dispatching into the owning sub-source,
-// which must itself support RandomAccess.
-func (c *ConcatSource) Edge(i int) graph.Edge {
-	if i < 0 || i >= c.total {
-		panic(fmt.Sprintf("stream: edge index %d out of range [0,%d)", i, c.total))
-	}
-	si := 0
-	for si+1 < len(c.offsets) && c.offsets[si+1] <= i {
-		si++
-	}
-	ra, ok := c.subs[si].(RandomAccess)
-	if !ok {
-		panic(fmt.Sprintf("stream: concat sub %d does not support random access", si))
-	}
-	return ra.Edge(i - c.offsets[si])
-}
 
 // ForEach performs one pass over the sub-sources in order. Returning
 // false aborts the pass (it still counts as a pass).

@@ -4,8 +4,7 @@ package stream
 // (including the early-abort rule: an aborted sweep still counts one
 // pass), replayability (every sweep enumerates the same (idx, edge)
 // sequence), parallel/sequential equivalence for every worker count,
-// static metadata consistency, the un-metered Sweep contract, and
-// RandomAccess agreement where implemented.
+// static metadata consistency and the un-metered Sweep contract.
 
 import (
 	"os"
@@ -255,23 +254,6 @@ func runConformance(t *testing.T, mk func(t *testing.T) Source, dense bool) {
 			}
 		}
 	})
-
-	t.Run("random-access", func(t *testing.T) {
-		s := mk(t)
-		ra, ok := s.(RandomAccess)
-		if !ok {
-			t.Skip("backend does not implement RandomAccess")
-		}
-		ref := collect(s.Sweep)
-		for _, ie := range ref {
-			if got := ra.Edge(ie.idx); got != ie.e {
-				t.Fatalf("Edge(%d) = %+v, sweep saw %+v", ie.idx, got, ie.e)
-			}
-		}
-		if s.Passes() != 0 {
-			t.Fatalf("random access advanced the pass counter to %d", s.Passes())
-		}
-	})
 }
 
 // conformanceGraph is a small instance with parallel edges, varied
@@ -335,8 +317,8 @@ func TestConformanceFileSourceRBG2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src.Version() != 2 {
-			t.Fatalf("auto-detected version %d, want 2", src.Version())
+		if src.ver != 2 {
+			t.Fatalf("auto-detected version %d, want 2", src.ver)
 		}
 		t.Cleanup(func() { src.Close() })
 		return src

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -12,8 +13,8 @@ import (
 // anywhere, every pass replays a seeded synthetic generator. The edge
 // sequence is a pure function of the spec — edges are drawn in fixed-size
 // blocks, each block from its own pre-split RNG — so passes are
-// bit-identical to each other, parallel sweeps shard on block boundaries
-// without coordination, and point lookups replay one block. A GenSource
+// bit-identical to each other and parallel sweeps shard on block
+// boundaries without coordination. A GenSource
 // holds O(1) state per sweep: it is the backend for scaling runs at sizes
 // that cannot be materialized (experiment E13/E15 regime m >> RAM).
 //
@@ -50,7 +51,6 @@ type GenSpec struct {
 const genBlockEdges = 1 << 12
 
 var _ Source = (*GenSource)(nil)
-var _ RandomAccess = (*GenSource)(nil)
 
 // NewGen returns a generator-backed source for the spec.
 func NewGen(spec GenSpec) (*GenSource, error) {
@@ -59,6 +59,9 @@ func NewGen(spec GenSpec) (*GenSource, error) {
 	}
 	if spec.M > 0 && spec.N < 2 {
 		return nil, fmt.Errorf("stream: need n >= 2 for m=%d generated edges", spec.M)
+	}
+	if spec.N > math.MaxInt32 {
+		return nil, fmt.Errorf("stream: generator n=%d exceeds the int32 vertex ids of graph.Edge", spec.N)
 	}
 	s := &GenSource{spec: spec, capSd: xrand.Mix64(spec.Seed ^ 0xcab0cab0cab0cab0)}
 	s.totalB = 0
@@ -126,19 +129,6 @@ func (s *GenSource) sweepRange(lo, hi int, f func(idx int, e graph.Edge) bool) {
 			}
 		}
 	}
-}
-
-// Edge replays the i-th edge (RandomAccess; costs one block prefix).
-func (s *GenSource) Edge(i int) graph.Edge {
-	if i < 0 || i >= s.spec.M {
-		panic(fmt.Sprintf("stream: edge index %d out of range [0,%d)", i, s.spec.M))
-	}
-	var out graph.Edge
-	s.sweepRange(i, i+1, func(_ int, e graph.Edge) bool {
-		out = e
-		return true
-	})
-	return out
 }
 
 // ForEach performs one replayed pass in index order. Returning false

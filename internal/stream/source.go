@@ -61,17 +61,6 @@ type Source interface {
 	SweepParallel(workers int, f func(idx int, e graph.Edge))
 }
 
-// RandomAccess is the optional point-lookup extension of a Source. All
-// backends in this package implement it (an index into an in-memory
-// slice, a 16-byte pread on a FileSource, a block replay on a GenSource),
-// but the solver does not require it — it is used by tooling that needs a
-// handful of edges by index, e.g. validating a matching against a file
-// too large to materialize.
-type RandomAccess interface {
-	// Edge returns the i-th edge of the stream.
-	Edge(i int) graph.Edge
-}
-
 // meter is the shared pass counter backends embed. It is safe for
 // concurrent use.
 type meter struct {

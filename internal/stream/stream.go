@@ -30,7 +30,6 @@ type EdgeStream struct {
 }
 
 var _ Source = (*EdgeStream)(nil)
-var _ RandomAccess = (*EdgeStream)(nil)
 
 // NewEdgeStream wraps a graph as a stream. The graph must not be mutated
 // afterwards.
@@ -49,9 +48,6 @@ func (s *EdgeStream) TotalB() int { return s.g.TotalB() }
 
 // Len returns the stream length m.
 func (s *EdgeStream) Len() int { return s.g.M() }
-
-// Edge returns the i-th edge (RandomAccess).
-func (s *EdgeStream) Edge(i int) graph.Edge { return s.g.Edge(i) }
 
 // ForEach performs one pass over the edges in arrival order. The callback
 // receives the edge index and the edge. Returning false aborts the pass
@@ -125,13 +121,11 @@ func (s *EdgeStream) SweepBlocksParallel(workers int, f func(base int, edges []g
 	})
 }
 
-// SpaceAccountant tracks words of central storage in use, its peak, and
-// the number of adaptive access rounds. All methods are safe for
-// concurrent use.
+// SpaceAccountant tracks words of central storage in use and its peak.
+// All methods are safe for concurrent use.
 type SpaceAccountant struct {
 	current int64
 	peak    int64
-	rounds  int64
 }
 
 // NewSpaceAccountant returns a zeroed accountant.
@@ -161,10 +155,3 @@ func (a *SpaceAccountant) Current() int { return int(atomic.LoadInt64(&a.current
 
 // Peak returns the maximum words ever held simultaneously.
 func (a *SpaceAccountant) Peak() int { return int(atomic.LoadInt64(&a.peak)) }
-
-// BeginRound records one adaptive access round (a round of sketching, a
-// MapReduce round, or a streaming pass, depending on the model in play).
-func (a *SpaceAccountant) BeginRound() { atomic.AddInt64(&a.rounds, 1) }
-
-// Rounds returns the number of adaptive rounds recorded.
-func (a *SpaceAccountant) Rounds() int { return int(atomic.LoadInt64(&a.rounds)) }

@@ -78,16 +78,6 @@ func TestSpaceAccountantUnderflowPanics(t *testing.T) {
 	NewSpaceAccountant().Free(1)
 }
 
-func TestRounds(t *testing.T) {
-	a := NewSpaceAccountant()
-	for i := 0; i < 7; i++ {
-		a.BeginRound()
-	}
-	if a.Rounds() != 7 {
-		t.Fatalf("rounds = %d", a.Rounds())
-	}
-}
-
 func TestAccountantConcurrency(t *testing.T) {
 	a := NewSpaceAccountant()
 	var wg sync.WaitGroup
@@ -98,16 +88,12 @@ func TestAccountantConcurrency(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				a.Alloc(3)
 				a.Free(3)
-				a.BeginRound()
 			}
 		}()
 	}
 	wg.Wait()
 	if a.Current() != 0 {
 		t.Fatalf("leaked %d words", a.Current())
-	}
-	if a.Rounds() != 8000 {
-		t.Fatalf("rounds = %d, want 8000", a.Rounds())
 	}
 	if a.Peak() < 3 || a.Peak() > 24 {
 		t.Fatalf("peak %d outside [3,24]", a.Peak())

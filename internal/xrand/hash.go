@@ -81,22 +81,13 @@ func (h *PolyHash) HashMod(xMod uint64) uint64 {
 	return acc
 }
 
-// HashRange maps x to [0, n) with at most one part in 2^61 of bias.
-func (h *PolyHash) HashRange(x uint64, n int) int {
-	return h.HashRangeMod(x%MersennePrime61, n)
-}
-
-// HashRangeMod is HashRange at an already-reduced point (see HashMod).
+// HashRangeMod maps an already-reduced point (see HashMod) to [0, n)
+// with at most one part in 2^61 of bias.
 func (h *PolyHash) HashRangeMod(xMod uint64, n int) int {
 	if n <= 0 {
-		panic("xrand: HashRange with non-positive n")
+		panic("xrand: HashRangeMod with non-positive n")
 	}
 	return int(h.HashMod(xMod) % uint64(n))
-}
-
-// HashFloat maps x to a uniform-ish float64 in [0,1).
-func (h *PolyHash) HashFloat(x uint64) float64 {
-	return float64(h.Hash(x)) / float64(MersennePrime61)
 }
 
 // Level returns the subsampling level of x: the number of leading

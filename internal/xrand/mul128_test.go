@@ -78,9 +78,6 @@ func TestHashModMatchesHash(t *testing.T) {
 			if got, want := h.HashMod(xMod), h.Hash(x); got != want {
 				t.Fatalf("k=%d x=%d: HashMod %d, Hash %d", k, x, got, want)
 			}
-			if got, want := h.HashRangeMod(xMod, 97), h.HashRange(x, 97); got != want {
-				t.Fatalf("k=%d x=%d: HashRangeMod %d, HashRange %d", k, x, got, want)
-			}
 			for _, max := range []int{0, 1, 7, 40, 64} {
 				if got, want := h.LevelMod(xMod, max), legacyLevel(h, x, max); got != want {
 					t.Fatalf("k=%d x=%d max=%d: LevelMod %d, legacy %d", k, x, max, got, want)

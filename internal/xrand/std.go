@@ -8,6 +8,8 @@ import "math/rand"
 // The returned value is NOT safe for concurrent use and must not cross
 // a goroutine boundary — parallel code pre-splits with SplitRNGs and
 // gives each worker its own RNG instead.
+//
+//lint:deadexport the math/rand bridge rngdiscipline points to; the sketch tests pin testing/quick corpora with it
 func Std(seed uint64) *rand.Rand {
 	return rand.New(&stdSource{rng: New(seed)})
 }

@@ -52,9 +52,6 @@ func (r *RNG) Split(label uint64) *RNG {
 // Uint64 returns a uniform 64-bit value.
 func (r *RNG) Uint64() uint64 { return splitmix64(&r.state) }
 
-// Uint32 returns a uniform 32-bit value.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -109,22 +106,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Zipf returns a value in [1, n] drawn from a (truncated) Zipf distribution
-// with exponent s > 0, via inverse-CDF on the precomputed normalizer. For
-// repeated draws with the same parameters use NewZipf.
-func (r *RNG) Zipf(n int, s float64) int {
-	z := NewZipf(n, s)
-	return z.Draw(r)
 }
 
 // Zipfian is a truncated Zipf sampler over {1..n} with exponent s.
