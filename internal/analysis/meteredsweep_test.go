@@ -20,3 +20,10 @@ func TestMeteredSweepStreamExempt(t *testing.T) {
 		t.Errorf("internal/stream owns the raw sweeps, got: %v", diags)
 	}
 }
+
+func TestMeteredSweepBlocks(t *testing.T) {
+	diags := analysistest.Run(t, "testdata", "repro/internal/semistream", analysis.MeteredSweep)
+	if len(diags) != 2 {
+		t.Errorf("got %d diagnostics, want 2: %v", len(diags), diags)
+	}
+}

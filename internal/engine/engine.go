@@ -250,7 +250,7 @@ type Outcome struct {
 
 // drive runs alg under the shared round loop, drawing scratch from
 // arena: cancellation is honored at pass and round boundaries (in-flight
-// sequential sweeps abort within a constant number of edges), budgets
+// sequential sweeps abort at the next block boundary), budgets
 // trip at the same checkpoints, and a trip or cancellation returns the
 // best-so-far Outcome together with the error. A *stream.ReadError a
 // sweep raises fails the run through the same abort path. A budget trip
@@ -268,12 +268,7 @@ func drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions
 	if src.Len() == 0 {
 		return out, nil
 	}
-	if ctx.Done() != nil {
-		// Only a cancellable context needs the guarded sweeps; a plain
-		// background context keeps the unwrapped source (identical code
-		// path).
-		src = newCtxSource(ctx, src)
-	}
+	src = stream.Cancellable(ctx, src)
 	run := &Run{
 		Acct:     stream.NewSpaceAccountant(),
 		src:      src,

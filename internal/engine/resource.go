@@ -11,12 +11,8 @@ package engine
 // facade and not in any one algorithm.
 
 import (
-	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/graph"
-	"repro/internal/stream"
 )
 
 // Budget bounds the resources one solve run may consume. The zero value
@@ -117,118 +113,4 @@ type Extensions struct {
 	// same discretization and otherwise runs cold; Stats.WarmStarted
 	// reports which path ran.
 	Warm *Duals
-}
-
-// ctxCheckEvery is how many edges a guarded sweep delivers between
-// context checks. Small enough that cancellation mid-pass is prompt even
-// when every edge is slow, large enough that the check never shows up in
-// a profile.
-const ctxCheckEvery = 256
-
-// ctxSource wraps a Source so sequential sweeps abort promptly once ctx
-// is cancelled: the callback chain checks ctx.Err() every ctxCheckEvery
-// edges (including before the first) and ends the pass via the normal
-// early-abort path, so pass metering is untouched. Derived views built
-// on top of the wrapper (the per-level Filtered streams) inherit the
-// guard through Sweep. Parallel sweeps delegate unguarded — the engine
-// only reaches them through code paths it bounds itself — and the pass
-// counter is the inner source's, so a run that is never cancelled is
-// bit-identical to an unwrapped one.
-type ctxSource struct {
-	inner stream.Source
-	ctx   context.Context
-}
-
-var _ stream.Source = (*ctxSource)(nil)
-var _ stream.BlockSweeper = (*ctxSource)(nil)
-
-func newCtxSource(ctx context.Context, src stream.Source) *ctxSource {
-	return &ctxSource{inner: src, ctx: ctx}
-}
-
-// N returns the number of vertices.
-func (s *ctxSource) N() int { return s.inner.N() }
-
-// B returns the capacity of vertex v.
-func (s *ctxSource) B(v int) int { return s.inner.B(v) }
-
-// TotalB returns Σ b_i.
-func (s *ctxSource) TotalB() int { return s.inner.TotalB() }
-
-// Len returns the stream length m.
-func (s *ctxSource) Len() int { return s.inner.Len() }
-
-// Passes returns the inner source's metered pass count.
-func (s *ctxSource) Passes() int { return s.inner.Passes() }
-
-// guard wraps a sweep callback with the periodic context check.
-func (s *ctxSource) guard(f func(idx int, e graph.Edge) bool) func(idx int, e graph.Edge) bool {
-	count := 0
-	cancelled := false
-	return func(idx int, e graph.Edge) bool {
-		if cancelled {
-			return false
-		}
-		if count%ctxCheckEvery == 0 && s.ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		count++
-		return f(idx, e)
-	}
-}
-
-// ForEach performs one guarded metered pass.
-func (s *ctxSource) ForEach(f func(idx int, e graph.Edge) bool) { s.inner.ForEach(s.guard(f)) }
-
-// Sweep is the guarded un-metered sweep.
-//
-//lint:unmetered decorator forwarding; metering stays with the inner source
-func (s *ctxSource) Sweep(f func(idx int, e graph.Edge) bool) { s.inner.Sweep(s.guard(f)) }
-
-// ForEachParallel delegates to the inner source (see the type comment).
-func (s *ctxSource) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.inner.ForEachParallel(workers, f)
-}
-
-// SweepParallel delegates to the inner source (see the type comment).
-func (s *ctxSource) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	//lint:unmetered decorator forwarding; metering stays with the inner source
-	s.inner.SweepParallel(workers, f)
-}
-
-// guardBlocks wraps a block callback with a per-block context check —
-// the block granule (at most BlockEdges edges) is the "constant number
-// of edges" the cancellation contract promises.
-func (s *ctxSource) guardBlocks(f func(base int, edges []graph.Edge) bool) func(base int, edges []graph.Edge) bool {
-	cancelled := false
-	return func(base int, edges []graph.Edge) bool {
-		if cancelled || s.ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		return f(base, edges)
-	}
-}
-
-// ForEachBlocks performs one guarded metered block pass, preserving the
-// inner source's native block shape (BlockSweeper contract).
-func (s *ctxSource) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	stream.ForEachBlocks(s.inner, s.guardBlocks(f))
-}
-
-// SweepBlocks is the guarded un-metered block sweep.
-func (s *ctxSource) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
-	stream.SweepBlocks(s.inner, s.guardBlocks(f))
-}
-
-// ForEachBlocksParallel delegates to the inner source unguarded,
-// exactly like ForEachParallel (see the type comment).
-func (s *ctxSource) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	stream.ForEachBlocksParallel(s.inner, workers, f)
-}
-
-// SweepBlocksParallel delegates to the inner source unguarded.
-func (s *ctxSource) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	stream.SweepBlocksParallel(s.inner, workers, f)
 }

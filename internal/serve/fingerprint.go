@@ -8,10 +8,12 @@
 // snapshot addresses (WithInitialDuals re-validates them at install
 // time), and the content hash pins the instance bit-for-bit, so any
 // perturbation — one reweighted edge — misses the cache and falls back
-// to the certified cold start. A hit can only save rounds, never weaken
-// the certificate: λ and the dual objective are re-evaluated against
-// the current instance every round regardless of where the starting
-// duals came from.
+// to the certified cold start. A generated instance is keyed on its
+// generator spec in place of W* and the hash: its edges are a pure
+// function of the spec, so admitting it reads no edge at all. A hit can
+// only save rounds, never weaken the certificate: λ and the dual
+// objective are re-evaluated against the current instance every round
+// regardless of where the starting duals came from.
 
 package serve
 
@@ -33,6 +35,7 @@ type fpKey struct {
 	eps    float64
 	wstar  float64
 	hash   uint64
+	gen    stream.GenSpec // a gen job's spec; zero for content-keyed jobs
 }
 
 // FNV-1a 64-bit, inlined so hashing an edge record costs no interface
@@ -49,6 +52,19 @@ func fnvMix(h, x uint64) uint64 {
 		x >>= 8
 	}
 	return h
+}
+
+// fingerprint keys a job's instance: a gen job on its generator spec,
+// with no sweep, and every other kind on its content.
+func fingerprint(spec *SourceSpec, src match.Source, algo string, eps float64) (fpKey, error) {
+	if spec.Kind != "gen" {
+		return fingerprintSource(src, algo, eps)
+	}
+	gs, err := generatorSpec(spec)
+	if err != nil {
+		return fpKey{}, err
+	}
+	return fpKey{algo: algo, n: src.N(), totalB: src.TotalB(), m: src.Len(), eps: eps, gen: gs}, nil
 }
 
 // fingerprintSource computes the fingerprint in one un-metered sweep

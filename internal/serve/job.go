@@ -216,7 +216,7 @@ func (s *Server) buildJob(ctx context.Context, spec *JobSpec) (*job, *ErrorDoc) 
 	}
 	warmWanted := spec.WarmStart == nil || *spec.WarmStart
 	if warmWanted && s.warm != nil && j.algo == match.DefaultAlgorithm {
-		fp, err := fingerprintSource(src, j.algo, eps)
+		fp, err := fingerprint(&spec.Source, src, j.algo, eps)
 		if err != nil {
 			j.discard()
 			return nil, &ErrorDoc{Code: "invalid_job", Message: fmt.Sprintf("source cannot be read: %v", err)}
@@ -313,16 +313,11 @@ func (s *Server) buildSource(spec *SourceSpec) (match.Source, func(), *ErrorDoc)
 		}
 		return stream.NewEdgeStream(g), nil, nil
 	case "gen":
-		if spec.M <= 0 || spec.M > maxGenEdges {
-			return bad("source.m must be in [1, %d] for kind gen, got %d", maxGenEdges, spec.M)
-		}
-		wc, err := weightConfig(spec)
+		gs, err := generatorSpec(spec)
 		if err != nil {
 			return bad("%v", err)
 		}
-		src, err := stream.NewGen(stream.GenSpec{
-			N: spec.N, M: spec.M, Weights: wc, Seed: spec.Seed, BMax: spec.BMax,
-		})
+		src, err := stream.NewGen(gs)
 		if err != nil {
 			return bad("source.gen: %v", err)
 		}
@@ -363,6 +358,19 @@ func (s *Server) buildSource(spec *SourceSpec) (match.Source, func(), *ErrorDoc)
 	default:
 		return bad("source.kind must be edges, gen or rbg1, got %q", spec.Kind)
 	}
+}
+
+// generatorSpec maps a gen source onto the stream.GenSpec its edges are
+// a pure function of.
+func generatorSpec(spec *SourceSpec) (stream.GenSpec, error) {
+	if spec.M <= 0 || spec.M > maxGenEdges {
+		return stream.GenSpec{}, fmt.Errorf("source.m must be in [1, %d] for kind gen, got %d", maxGenEdges, spec.M)
+	}
+	wc, err := weightConfig(spec)
+	if err != nil {
+		return stream.GenSpec{}, err
+	}
+	return stream.GenSpec{N: spec.N, M: spec.M, Weights: wc, Seed: spec.Seed, BMax: spec.BMax}, nil
 }
 
 // weightConfig maps the wire weight-law name onto graph.WeightConfig

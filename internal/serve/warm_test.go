@@ -8,11 +8,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stream"
 	"repro/match"
@@ -218,5 +220,50 @@ func TestWarmCacheEviction(t *testing.T) {
 	}
 	if c.size() != 2 {
 		t.Errorf("size = %d, want 2", c.size())
+	}
+}
+
+// TestGenAdmissionReadsNoEdge pins the admission cost of a gen job: its
+// fingerprint is its generator spec, so a job at the admission caps
+// (n = 2^20, m = 2^24, whose full replay takes most of a second)
+// admits without replaying a single edge.
+func TestGenAdmissionReadsNoEdge(t *testing.T) {
+	s, _ := startServer(t, Config{})
+	spec := &JobSpec{Source: SourceSpec{Kind: "gen", N: maxJobVertices, M: maxGenEdges,
+		Weights: "uniform", WMax: 25, Seed: 3}}
+	start := time.Now()
+	j, errDoc := s.buildJob(context.Background(), spec)
+	elapsed := time.Since(start)
+	if errDoc != nil {
+		t.Fatalf("cap-sized gen job refused: %+v", errDoc)
+	}
+	defer j.discard()
+	if !j.warmEligible {
+		t.Fatal("cap-sized gen job is not warm-eligible")
+	}
+	if elapsed > 150*time.Millisecond {
+		t.Fatalf("admitting a cap-sized gen job took %v; admission must not replay the stream", elapsed)
+	}
+}
+
+// TestGenRepeatHitsWarmCache pins the other half of the spec key: the
+// same generator spec twice is a warm hit with the cold answer, and a
+// different seed is a miss.
+func TestGenRepeatHitsWarmCache(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	spec := JobSpec{Source: genSpec(4)}
+	cold := solveSync(t, ts.URL, spec)
+	if cold.WarmHit {
+		t.Fatal("first gen solve claims a warm hit on an empty cache")
+	}
+	warm := solveSync(t, ts.URL, spec)
+	if !warm.WarmHit {
+		t.Fatal("repeat of the same gen spec missed the warm cache")
+	}
+	if warm.Result == nil || warm.Result.Weight != cold.Result.Weight {
+		t.Fatalf("warm result %v, cold result %v: seeding changed the answer", warm.Result, cold.Result)
+	}
+	if other := solveSync(t, ts.URL, JobSpec{Source: genSpec(5)}); other.WarmHit {
+		t.Fatal("a gen spec with another seed hit the warm cache")
 	}
 }

@@ -100,21 +100,3 @@ func (a *Arena) Drain() {
 		}
 	}
 }
-
-// RetainedWords reports the pooled capacity in 64-bit words, including
-// sub-arenas — the observability hook engine.Arena folds into its own
-// RetainedWords: memory the process keeps warm, never part of any run's
-// metered live space.
-func (a *Arena) RetainedWords() int {
-	w := 0
-	//lint:ordered word-count accumulation over ints, order-independent
-	for _, pool := range a.l0 {
-		for _, s := range pool {
-			w += s.Words()
-		}
-	}
-	for _, sh := range a.shards {
-		w += sh.RetainedWords()
-	}
-	return w
-}

@@ -56,15 +56,6 @@ func (spec *L0Spec) NewL0() *L0 {
 	return &L0{spec: spec, levels: lv}
 }
 
-// Words returns the storage footprint in 64-bit words.
-func (s *L0) Words() int {
-	w := 0
-	for _, lv := range s.levels {
-		w += lv.Words()
-	}
-	return w
-}
-
 // updateRaw fans one hoisted update out to the surviving subsampling
 // levels.
 func (s *L0) updateRaw(keyMod, d, zPowKey uint64) {

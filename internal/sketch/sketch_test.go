@@ -314,16 +314,3 @@ func TestL0SuccessRate(t *testing.T) {
 		t.Fatalf("L0 sampling failed %d/%d times", fail, trials)
 	}
 }
-
-func TestL0Words(t *testing.T) {
-	spec := NewL0Spec(xrand.New(17), 20, 8, 6)
-	sk := spec.NewL0()
-	if sk.Words() <= 0 {
-		t.Fatal("Words must be positive")
-	}
-	// levels * rows * buckets * 4
-	want := spec.levels * 6 * 16 * 4
-	if sk.Words() != want {
-		t.Fatalf("Words = %d, want %d", sk.Words(), want)
-	}
-}

@@ -52,9 +52,6 @@ func (spec *SSparseSpec) NewSSparse() *SSparse {
 	return &SSparse{spec: spec, cells: cells}
 }
 
-// Words returns the storage footprint in 64-bit words.
-func (sk *SSparse) Words() int { return 4 * len(sk.cells) }
-
 // Reset zeroes the sketch in place — every cell back to the empty
 // OneSparse of the spec's fingerprint base — so the allocation can be
 // reused for a fresh implicit vector.

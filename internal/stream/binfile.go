@@ -408,7 +408,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // page-ins with no read syscalls at all (ReadAt is the fallback).
 // Sweeps are safe for concurrent use.
 type FileSource struct {
-	meter
+	sweeps
 	f       *os.File
 	path    string
 	n, m    int
@@ -418,10 +418,11 @@ type FileSource struct {
 	ver     int
 	data    []byte // read-only mmap of the whole file; nil = pread path
 
-	// RBG2 only: frame geometry. Frame k occupies bytes
-	// [frameOff[k], frameOff[k+1]) and edges [k·blockLen, …).
+	// Block geometry: block k holds edges [k·blockLen, …) — an RBG2
+	// frame, occupying bytes [frameOff[k], frameOff[k+1]), or BlockEdges
+	// RBG1 records. maxFrame is the largest block in bytes.
 	blockLen int
-	frameOff []int64
+	frameOff []int64 // RBG2 only
 	maxFrame int
 }
 
@@ -481,6 +482,7 @@ func newFileSource(f *os.File, path string, opt OpenOptions) (*FileSource, error
 		return nil, err
 	}
 	src.path = path
+	src.ranged(src.Len, src.read)
 	if !opt.NoMmap {
 		// Best-effort: a failed map (platform without support, weird
 		// filesystem, empty file) silently keeps the ReadAt path.
@@ -538,7 +540,8 @@ func parseV1(f *os.File, size int64) (*FileSource, error) {
 	if header[4] != binVersion {
 		return nil, fmt.Errorf("stream: unsupported RBG1 version %d", header[4])
 	}
-	src := &FileSource{f: f, n: n, m: m, totalB: n, dataOff: 24, ver: 1}
+	src := &FileSource{f: f, n: n, m: m, totalB: n, dataOff: 24, ver: 1,
+		blockLen: BlockEdges, maxFrame: BlockEdges * binRecordSize}
 	if header[5]&binFlagHasB != 0 {
 		if size < 24+int64(4)*int64(n) {
 			return nil, fmt.Errorf("stream: short capacity table: %d bytes", size)
@@ -652,17 +655,15 @@ func (s *FileSource) Len() int { return s.m }
 // (false means the ReadAt fallback is in use).
 func (s *FileSource) Mapped() bool { return s.data != nil }
 
-// readAt fills buf from the mapping or the file, panicking with a
-// typed *ReadError on failure (the sweep contract has no error return;
-// the engine converts the panic into an abort).
-func (s *FileSource) readAt(buf []byte, off int64) []byte {
+// bytesAt returns the n bytes at off: a slice of the mapping, or raw
+// filled by ReadAt on the pread path.
+func (s *FileSource) bytesAt(off int64, n int, raw []byte) ([]byte, error) {
 	if s.data != nil {
-		return s.data[off : off+int64(len(buf))]
+		return s.data[off : off+int64(n)], nil
 	}
-	if _, err := s.f.ReadAt(buf, off); err != nil {
-		panic(&ReadError{Path: s.path, Off: off, Err: err})
-	}
-	return buf
+	buf := raw[:n]
+	_, err := s.f.ReadAt(buf, off)
+	return buf, err
 }
 
 func decodeRecord(rec []byte) graph.Edge {
@@ -687,14 +688,9 @@ func (s *FileSource) checkEdge(e graph.Edge) error {
 // have capacity for blockLen edges), returning the decoded edges.
 func (s *FileSource) decodeFrameInto(k int, raw []byte, out []graph.Edge) ([]graph.Edge, error) {
 	frameLen := int(s.frameOff[k+1] - s.frameOff[k])
-	var buf []byte
-	if s.data != nil {
-		buf = s.data[s.frameOff[k] : s.frameOff[k]+int64(frameLen)]
-	} else {
-		buf = raw[:frameLen]
-		if _, err := s.f.ReadAt(buf, s.frameOff[k]); err != nil {
-			return nil, err
-		}
+	buf, err := s.bytesAt(s.frameOff[k], frameLen, raw)
+	if err != nil {
+		return nil, err
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(buf[0:]))
 	count := int(binary.LittleEndian.Uint32(buf[4:]))
@@ -802,82 +798,64 @@ func decodeFramePayload(p []byte, count, n int, out []graph.Edge) ([]graph.Edge,
 	return out, nil
 }
 
-// sweepBlocksRange enumerates edges [lo, hi) in dense blocks decoded
-// into per-call scratch (safe for concurrent sweeps; callbacks must
-// not retain the slice). On the mmap path the next block's pages are
-// advised ahead of the decode, so a pass overlaps page-in with
-// decoding.
-func (s *FileSource) sweepBlocksRange(lo, hi int, f func(base int, edges []graph.Edge) bool) {
-	if lo >= hi {
-		return
-	}
-	if s.ver == 2 {
-		s.sweepBlocksRange2(lo, hi, f)
-		return
-	}
-	scratch := make([]graph.Edge, BlockEdges)
-	var raw []byte
-	if s.data == nil {
-		raw = make([]byte, BlockEdges*binRecordSize)
-	}
-	for b := lo; b < hi; b += BlockEdges {
-		e := b + BlockEdges
-		if e > hi {
-			e = hi
-		}
-		cnt := e - b
-		off := s.dataOff + int64(b)*binRecordSize
-		if s.data != nil && e < hi {
-			s.adviseNext(off+int64(cnt)*binRecordSize, int64(BlockEdges)*binRecordSize)
-		}
-		var rec []byte
-		if s.data != nil {
-			rec = s.data[off : off+int64(cnt)*binRecordSize]
-		} else {
-			rec = s.readAt(raw[:cnt*binRecordSize], off)
-		}
-		blk := scratch[:cnt]
-		for i := range blk {
-			blk[i] = decodeRecord(rec[i*binRecordSize:])
-			if err := s.checkEdge(blk[i]); err != nil {
-				panic(&ReadError{Path: s.path, Off: off + int64(i)*binRecordSize, Err: err})
-			}
-		}
-		if !f(b, blk) {
-			return
-		}
-	}
-}
-
-func (s *FileSource) sweepBlocksRange2(lo, hi int, f func(base int, edges []graph.Edge) bool) {
+// read decodes edges [lo, hi) in dense blocks into per-call scratch
+// (the backend's one read loop; safe for concurrent sweeps, and
+// callbacks must not retain the slice). Delivered blocks follow the
+// file's blocks — RBG2 frames map one-to-one onto them — clipped to
+// [lo, hi). On the mmap path the next block's bytes are advised ahead
+// of the decode, so a pass overlaps page-in with decoding.
+func (s *FileSource) read(lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
 	scratch := make([]graph.Edge, s.blockLen)
 	var raw []byte
 	if s.data == nil {
 		raw = make([]byte, s.maxFrame)
 	}
 	for k := lo / s.blockLen; k*s.blockLen < hi; k++ {
-		base := k * s.blockLen
-		if s.data != nil && k+1 < len(s.frameOff)-1 && base+s.blockLen < hi {
-			s.adviseNext(s.frameOff[k+1], s.frameOff[k+2]-s.frameOff[k+1])
+		from, to := max(k*s.blockLen, lo), min((k+1)*s.blockLen, hi)
+		if s.data != nil && to < hi {
+			s.adviseNext(s.blockSpan(k + 1))
 		}
-		blk, err := s.decodeFrameInto(k, raw, scratch)
+		if !f(from, s.decodeBlock(k, from, to, raw, scratch)) {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeBlock decodes edges [from, to) of block k into out. An I/O
+// failure or a corrupt record or frame panics with a typed *ReadError
+// (the sweep contract has no error return; the engine converts the
+// panic into an abort).
+func (s *FileSource) decodeBlock(k, from, to int, raw []byte, out []graph.Edge) []graph.Edge {
+	if s.ver == 2 {
+		blk, err := s.decodeFrameInto(k, raw, out)
 		if err != nil {
 			panic(&ReadError{Path: s.path, Off: s.frameOff[k], Err: err})
 		}
-		emitLo, emitHi := base, base+len(blk)
-		if emitLo < lo {
-			emitLo = lo
-		}
-		if emitHi > hi {
-			emitHi = hi
-		}
-		if emitLo >= emitHi {
-			continue
-		}
-		if !f(emitLo, blk[emitLo-base:emitHi-base]) {
-			return
+		base := k * s.blockLen
+		return blk[from-base : to-base]
+	}
+	off := s.dataOff + int64(from)*binRecordSize
+	rec, err := s.bytesAt(off, (to-from)*binRecordSize, raw)
+	if err != nil {
+		panic(&ReadError{Path: s.path, Off: off, Err: err})
+	}
+	blk := out[:to-from]
+	for i := range blk {
+		blk[i] = decodeRecord(rec[i*binRecordSize:])
+		if err := s.checkEdge(blk[i]); err != nil {
+			panic(&ReadError{Path: s.path, Off: off + int64(i)*binRecordSize, Err: err})
 		}
 	}
+	return blk
+}
+
+// blockSpan returns the byte range of block k.
+func (s *FileSource) blockSpan(k int) (off, length int64) {
+	if s.ver == 2 {
+		return s.frameOff[k], s.frameOff[k+1] - s.frameOff[k]
+	}
+	return s.dataOff + int64(k*s.blockLen)*binRecordSize, int64(s.blockLen) * binRecordSize
 }
 
 // adviseNext hints the kernel to page in the next block's byte range
@@ -892,76 +870,4 @@ func (s *FileSource) adviseNext(off, length int64) {
 		return
 	}
 	adviseWillNeed(s.data[off:end])
-}
-
-// sweepRange enumerates edges [lo, hi) one at a time on top of the
-// block decoder.
-func (s *FileSource) sweepRange(lo, hi int, f func(idx int, e graph.Edge) bool) {
-	s.sweepBlocksRange(lo, hi, func(base int, edges []graph.Edge) bool {
-		for i := range edges {
-			if !f(base+i, edges[i]) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// ForEach performs one pass over the file in record order. Returning
-// false aborts the pass (it still counts as a pass).
-func (s *FileSource) ForEach(f func(idx int, e graph.Edge) bool) {
-	s.pass()
-	s.Sweep(f)
-}
-
-// Sweep is ForEach without the pass charge (Source contract).
-func (s *FileSource) Sweep(f func(idx int, e graph.Edge) bool) {
-	s.sweepRange(0, s.m, f)
-}
-
-// ForEachParallel performs one pass sharded by record range: each
-// worker decodes its own blocks, so the shards together read the file
-// exactly once. Counts one pass for any worker count (Source contract).
-func (s *FileSource) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.pass()
-	s.SweepParallel(workers, f)
-}
-
-// SweepParallel is ForEachParallel without the pass charge.
-func (s *FileSource) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	parallel.ForEachShard(workers, s.m, func(_ int, r parallel.Range) {
-		s.sweepRange(r.Lo, r.Hi, func(idx int, e graph.Edge) bool {
-			f(idx, e)
-			return true
-		})
-	})
-}
-
-// ForEachBlocks performs one metered pass in dense blocks (BlockSweeper
-// contract). RBG2 frames map one-to-one onto delivered blocks.
-func (s *FileSource) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.pass()
-	s.SweepBlocks(f)
-}
-
-// SweepBlocks is ForEachBlocks without the pass charge.
-func (s *FileSource) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.sweepBlocksRange(0, s.m, f)
-}
-
-// ForEachBlocksParallel performs one metered pass with blocks sharded
-// by edge range across workers (BlockSweeper contract).
-func (s *FileSource) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	s.pass()
-	s.SweepBlocksParallel(workers, f)
-}
-
-// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
-func (s *FileSource) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	parallel.ForEachShard(workers, s.m, func(_ int, r parallel.Range) {
-		s.sweepBlocksRange(r.Lo, r.Hi, func(base int, edges []graph.Edge) bool {
-			f(base, edges)
-			return true
-		})
-	})
 }

@@ -27,13 +27,14 @@ import "repro/internal/graph"
 //     each index is delivered exactly once, blocks may arrive
 //     concurrently from multiple goroutines, one pass total.
 //
-// Backends implement BlockSweeper natively; every other Source still
-// conforms through the package-level helpers, which fall back to
-// batching the per-edge sweep. Wrapper types that intercept ForEach /
-// ForEachParallel by embedding a backend must intercept the block
-// methods too — the helpers type-assert the whole value, so an
-// embedded backend's native block methods would otherwise bypass the
-// wrapper.
+// Every stream type in this package implements BlockSweeper natively —
+// block sweeps are the primitive its per-edge sweeps unpack (see
+// sweeps) — and every other Source still conforms through the
+// package-level helpers, which fall back to batching the per-edge
+// sweep. Wrapper types that intercept ForEach / ForEachParallel by
+// embedding a backend must intercept the block methods too — the
+// helpers type-assert the whole value, so an embedded backend's native
+// block methods would otherwise bypass the wrapper.
 
 // BlockEdges is the default block granule: big enough to amortize the
 // callback, small enough that a sweep's working set stays cache-sized
@@ -42,7 +43,7 @@ import "repro/internal/graph"
 const BlockEdges = 1 << 12
 
 // BlockSweeper is the optional batched-sweep extension of a Source.
-// All backends in this package implement it; consumers reach it
+// Every stream type in this package implements it; consumers reach it
 // through ForEachBlocks / SweepBlocks and friends, never by asserting
 // it themselves, so sources without a native implementation conform
 // through the fallback.
@@ -133,22 +134,6 @@ func sweepToBlocks(sweep func(f func(idx int, e graph.Edge) bool), f func(base i
 	if !stopped && len(buf) > 0 {
 		f(base, buf)
 	}
-}
-
-// sliceBlocks emits edges[lo:hi] of a fully materialized edge slice
-// (stream index == slice index) as zero-copy sub-slices of at most
-// BlockEdges edges. Reports false when the callback aborted.
-func sliceBlocks(edges []graph.Edge, lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
-	for b := lo; b < hi; b += BlockEdges {
-		e := b + BlockEdges
-		if e > hi {
-			e = hi
-		}
-		if !f(b, edges[b:e:e]) {
-			return false
-		}
-	}
-	return true
 }
 
 // filterBlocks splits one delivered block into the maximal dense runs

@@ -19,13 +19,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // EdgeStream is the in-memory Source: a materialized graph presented as a
 // replayable, read-only sequence of edges.
 type EdgeStream struct {
-	meter
+	sweeps
 	g *graph.Graph
 }
 
@@ -34,7 +33,9 @@ var _ Source = (*EdgeStream)(nil)
 // NewEdgeStream wraps a graph as a stream. The graph must not be mutated
 // afterwards.
 func NewEdgeStream(g *graph.Graph) *EdgeStream {
-	return &EdgeStream{g: g}
+	s := &EdgeStream{g: g}
+	s.ranged(s.Len, s.read)
+	return s
 }
 
 // N returns the number of vertices.
@@ -49,76 +50,17 @@ func (s *EdgeStream) TotalB() int { return s.g.TotalB() }
 // Len returns the stream length m.
 func (s *EdgeStream) Len() int { return s.g.M() }
 
-// ForEach performs one pass over the edges in arrival order. The callback
-// receives the edge index and the edge. Returning false aborts the pass
-// (it still counts as a pass).
-func (s *EdgeStream) ForEach(f func(idx int, e graph.Edge) bool) {
-	s.pass()
-	s.Sweep(f)
-}
-
-// Sweep is ForEach without the pass charge (Source contract).
-func (s *EdgeStream) Sweep(f func(idx int, e graph.Edge) bool) {
-	for i, e := range s.g.Edges() {
-		if !f(i, e) {
-			return
+// read delivers edges [lo, hi) as zero-copy sub-slices of the resident
+// edge list, at most BlockEdges each (the backend's one read loop).
+func (s *EdgeStream) read(lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
+	edges := s.g.Edges()
+	for b := lo; b < hi; b += BlockEdges {
+		e := min(b+BlockEdges, hi)
+		if !f(b, edges[b:e:e]) {
+			return false
 		}
 	}
-}
-
-// ForEachParallel performs one pass over the edges with the work sharded
-// by edge range across workers (0 = GOMAXPROCS, 1 = sequential). The
-// callback may run concurrently from multiple goroutines and there is no
-// early abort; each edge index is visited exactly once, so callbacks that
-// only write index-keyed slots need no synchronization. The whole sweep
-// counts as a single pass regardless of worker count — the shards
-// together read the input once, exactly as the distributed mappers of
-// Section 4.2 share one round.
-func (s *EdgeStream) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.pass()
-	s.SweepParallel(workers, f)
-}
-
-// SweepParallel is ForEachParallel without the pass charge.
-func (s *EdgeStream) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	edges := s.g.Edges()
-	parallel.ForEachShard(workers, len(edges), func(_ int, r parallel.Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			f(i, edges[i])
-		}
-	})
-}
-
-// ForEachBlocks performs one metered pass in dense blocks
-// (BlockSweeper contract). Blocks are zero-copy sub-slices of the
-// materialized edge list.
-func (s *EdgeStream) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.pass()
-	s.SweepBlocks(f)
-}
-
-// SweepBlocks is ForEachBlocks without the pass charge.
-func (s *EdgeStream) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
-	edges := s.g.Edges()
-	sliceBlocks(edges, 0, len(edges), f)
-}
-
-// ForEachBlocksParallel performs one metered pass with blocks sharded
-// by edge range across workers (BlockSweeper contract).
-func (s *EdgeStream) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	s.pass()
-	s.SweepBlocksParallel(workers, f)
-}
-
-// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
-func (s *EdgeStream) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	edges := s.g.Edges()
-	parallel.ForEachShard(workers, len(edges), func(_ int, r parallel.Range) {
-		sliceBlocks(edges, r.Lo, r.Hi, func(base int, blk []graph.Edge) bool {
-			f(base, blk)
-			return true
-		})
-	})
+	return true
 }
 
 // SpaceAccountant tracks words of central storage in use and its peak.
