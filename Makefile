@@ -77,8 +77,9 @@ experiments:
 bench-json:
 	$(GO) run ./cmd/matchbench -quick -json -rev $(REV)
 
-# Bench smoke gate: the newest capture must show no wall-time
-# regressions against the previous one (exit 1 otherwise).
+# Bench diff: the newest capture's wall times against the previous
+# one, with REGRESSION flags. It only reports: the target exits 0
+# whatever it flags (an exact gate is ROADMAP item 7).
 BENCH_OLD ?= BENCH_pr9.json
 BENCH_NEW ?= BENCH_pr10.json
 bench-gate:

@@ -37,8 +37,7 @@ func (a *cliqueAlg) Init(_ context.Context, run *engine.Run, src stream.Source) 
 // clique model's state is the materialized instance itself, which a new
 // run must rebuild from its own source, so nothing is retained beyond
 // the configuration.
-func (a *cliqueAlg) Reset(p engine.Params) {
-	a.p, a.seed, a.maxRounds = p.P, p.Seed, p.MaxRounds
+func (a *cliqueAlg) Reset() {
 	a.g = nil
 	a.proto = nil
 }

@@ -43,7 +43,7 @@ func (a *hkAlg) Init(_ context.Context, run *engine.Run, src stream.Source) erro
 
 // Reset drops the per-run graph and phase state for session reuse; the
 // exact baseline's state is the materialized instance, rebuilt per run.
-func (a *hkAlg) Reset(engine.Params) {
+func (a *hkAlg) Reset() {
 	a.g = nil
 	a.h = nil
 	a.done = false

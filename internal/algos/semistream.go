@@ -45,12 +45,11 @@ func (a *greedyAlg) Init(_ context.Context, run *engine.Run, src stream.Source) 
 
 // Reset clears the per-run state for session reuse. The matched-vertex
 // bit buffer is retained (it is scratch), and so is augmentRounds (the
-// factory resolved it from the same Params the session hands back);
-// the greedy state, its edge list and the augmenting edge-index set
-// are not — the previous run's Outcome owns the matching, and a
-// non-nil cur doubles as the "already augmenting" signal Finish keys
-// on.
-func (a *greedyAlg) Reset(engine.Params) {
+// factory's configuration); the greedy state, its edge list and the
+// augmenting edge-index set are not — the previous run's Outcome owns
+// the matching, and a non-nil cur doubles as the "already augmenting"
+// signal Finish keys on.
+func (a *greedyAlg) Reset() {
 	a.src = nil
 	a.n = 0
 	a.st = nil

@@ -34,17 +34,16 @@ func allocsPerRun(runs int, warmup int, fn func(i int)) float64 {
 // allocations through one reused (and, for the dual-primal solver,
 // warm-started) session versus the construct-per-call cold baseline,
 // and fleet throughput through match.Pool with J concurrent jobs × R
-// repeat-solves per configuration. The alloc ratio is the headline: a
-// session that retains its scratch arena, dual-state table, forest
-// pool and construction grids — and that warm starts into a 1-round
-// trajectory — should allocate an order of magnitude less per solve
-// than rebuilding everything from zero.
+// repeat-solves per configuration. The alloc ratio stacks two effects:
+// the session's retained scratch (dual-state table, forest pool,
+// construction grids) removes the rebuild, and the chained warm duals
+// end a repeat solve in one round, which removes most of the work.
 func E17Throughput(cfg Config) Table {
 	t := Table{
 		ID:    "E17",
 		Title: "serving throughput: session reuse, warm-started duals, match.Pool",
 		Columns: []string{"algo", "family", "n", "m", "allocs/solve cold", "allocs/solve reused",
-			"alloc ratio", "retained kwords", "pool jobs", "pool solves", "solves/s"},
+			"alloc ratio", "pool jobs", "pool solves", "solves/s"},
 	}
 	n, m, repeats := 64, 512, 6
 	poolJobs, poolRepeats := 3, 4
@@ -100,10 +99,6 @@ func E17Throughput(cfg Config) Table {
 				prev = res
 			})
 			ratio := cold / reused
-			// What the warm session keeps pooled between the solves above:
-			// sketch banks, forests, oracle scratch — capacity, not live
-			// space (a SpaceWords budget trips identically warm or cold).
-			retainedKW := solver.RetainedWords() / 1024
 
 			// Fleet throughput: J sessions, J×R jobs through the queue.
 			pool, err := match.NewPool(poolJobs, opts...)
@@ -126,11 +121,10 @@ func E17Throughput(cfg Config) Table {
 			perSec := float64(solves) / wall.Seconds()
 
 			t.AddRow(algo, fam.name, d(fam.g.N()), d(fam.g.M()),
-				f(cold), f(reused), fr(ratio), d(retainedKW), d(poolJobs), d(solves), f(perSec))
+				f(cold), f(reused), fr(ratio), d(poolJobs), d(solves), f(perSec))
 		}
 	}
 	t.Note("cold = match.New + Solve per call; reused = one Solver (cached session), dual-primal chained through WithInitialDuals")
-	t.Note("retained kwords = Solver.RetainedWords()/1024 after the reused solves: pooled capacity kept warm, never metered as live space")
 	t.Note("allocs measured AllocsPerRun-style at GOMAXPROCS(1); pool rows share the configured worker budget across %d sessions", poolJobs)
 	noteWorkers(&t, cfg)
 	return t

@@ -118,14 +118,6 @@ func (t *rowTable) vertexRows(v int32) []int32 {
 	return t.sorted[t.vOff[v]:t.vOff[v+1]]
 }
 
-// retainedWords is the table's capacity in 64-bit words.
-func (t *rowTable) retainedWords() int {
-	const rowKeyW = 2 // {int32, int}
-	return rowKeyW*cap(t.rows) + cap(t.s) + cap(t.activeDesc) +
-		(cap(t.index)+cap(t.sorted)+cap(t.vOff)+1)/2 +
-		(cap(t.levelSeen)+7)/8
-}
-
 // resizeZeroed returns a zeroed length-n buffer, reusing b's backing
 // when it is large enough.
 func resizeZeroed[T any](b []T, n int) []T {

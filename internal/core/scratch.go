@@ -81,44 +81,13 @@ type posEntry struct {
 	d float64
 }
 
-// retainedWords approximates the scratch's pooled footprint in 64-bit
-// words: buffers at capacity, struct sizes rounded up to whole words,
-// bool and int32 buffers packed. Retained capacity, never part of any
-// run's metered live space.
-func (sc *oracleScratch) retainedWords() int {
-	const (
-		supportEdgeW = 4 // {int32, int32, int, float64, int}
-		xEntryW      = 3 // {int32, int, float64}
-		zEntryW      = 5 // {int, float64, []int32 header}
-		posEntryW    = 2 // {int, float64}
-		qEdgeW       = 2 // {int32, int32, float64}
-	)
-	w := sc.rt.retainedWords()
-	w += cap(sc.zeta) + cap(sc.zetaBar) + (cap(sc.zetaSet)+cap(sc.inPos)+7)/8
-	w += supportEdgeW * cap(sc.support)
-	for _, row := range sc.perLevel {
-		w += supportEdgeW * cap(row)
-	}
-	w += sc.f64s.capWords(1)
-	w += sc.xents.capWords(xEntryW)
-	w += sc.zents.capWords(zEntryW)
-	w += xEntryW * (cap(sc.accX) + cap(sc.finX) + cap(sc.combX))
-	w += zEntryW * (cap(sc.accZ) + cap(sc.finZ) + cap(sc.combZ))
-	w += posEntryW * cap(sc.pos)
-	w += (cap(sc.posVerts) + cap(sc.posOff) + 1) / 2
-	w += cap(sc.kstar) + cap(sc.viol) + cap(sc.qhat) + cap(sc.bnorm)
-	w += qEdgeW * cap(sc.qedges)
-	return w
-}
-
-// lentPool is a typed free-list with wholesale reclaim — the engine
-// arena's bufPool pattern scoped to the oracle loop, where buffers turn
-// over per call rather than per run. get pops the most recently freed
-// buffer when it fits (within one MiniOracle call nearly every request
-// has the same length, so the last-freed buffer almost always fits and
-// the best-fit scan never runs), zeroes it to the requested length, and
-// records it as lent; getEmpty returns a zero-length buffer for
-// append-style use.
+// lentPool is a typed free-list with wholesale reclaim, scoped to the
+// oracle loop, where buffers turn over per call. get pops the most
+// recently freed buffer when it fits (within one MiniOracle call nearly
+// every request has the same length, so the last-freed buffer almost
+// always fits and the best-fit scan never runs), zeroes it to the
+// requested length, and records it as lent; getEmpty returns a
+// zero-length buffer for append-style use.
 type lentPool[T any] struct {
 	free [][]T
 	lent [][]T
@@ -168,16 +137,4 @@ func (p *lentPool[T]) retain(buf []T) {
 func (p *lentPool[T]) reclaim() {
 	p.free = append(p.free, p.lent...)
 	p.lent = p.lent[:0]
-}
-
-// capWords sums both lists' capacity at wordsPerElem words per element.
-func (p *lentPool[T]) capWords(wordsPerElem int) int {
-	n := 0
-	for _, b := range p.free {
-		n += cap(b)
-	}
-	for _, b := range p.lent {
-		n += cap(b)
-	}
-	return wordsPerElem * n
 }

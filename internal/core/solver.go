@@ -95,15 +95,15 @@ type dualPrimal struct {
 	target     float64
 	mKept      float64
 	liveLevels []int
-	levelCount []int // arena-backed
+	levelCount []int
 
 	// The (use, level) job grid of one sampling round, fixed across
 	// rounds: job (q, slot) owns the deferred construction for use q at
 	// level liveLevels[slot].
 	jobs        []defJob
 	chunk       []chunkEdge
-	levelCursor []int // arena-backed
-	slotOf      []int // arena-backed
+	levelCursor []int
+	slotOf      []int
 	// Per-slot index lists into the chunk, rebuilt per dispatch (backing
 	// arrays reused): each (use, level) job walks only its own level's
 	// edges rather than rescanning the whole chunk.
@@ -159,11 +159,11 @@ func New(opt Options) (engine.Algorithm, error) {
 // Reset prepares the solver for another run (the engine.Algorithm
 // reuse contract): per-run results, duals-trajectory and convergence
 // state clear; the retained scratch — the dual state's backing table,
-// the job grids, the staging chunk, the union buffers/subgraph and the
-// union-find pool — stays warm for Init to reuse. The best-so-far
-// matching is released, not truncated: the previous run's Outcome owns
-// those slices.
-func (a *dualPrimal) Reset(engine.Params) {
+// the per-level tables, the job grids, the staging chunk, the union
+// buffers/subgraph and the union-find pool — stays warm for Init to
+// zero and reuse. The best-so-far matching is released, not truncated:
+// the previous run's Outcome owns those slices.
+func (a *dualPrimal) Reset() {
 	a.stats = engine.Stats{}
 	a.src = nil
 	a.scheme = nil
@@ -173,7 +173,6 @@ func (a *dualPrimal) Reset(engine.Params) {
 	a.rng = nil
 	a.liveLevels = a.liveLevels[:0]
 	a.jobs = a.jobs[:0]
-	a.levelCount, a.levelCursor, a.slotOf = nil, nil, nil // arena-backed; re-taken at Init
 	a.chunk = a.chunk[:0]
 	// Drop the previous run's builders and sparsifiers so their samples
 	// — and, after an abort, unfinished constructions with the forest
@@ -184,30 +183,6 @@ func (a *dualPrimal) Reset(engine.Params) {
 	a.lambda, a.beta = 0, 0
 	a.bestHat, a.bestWeight = 0, 0
 	a.best = nil
-}
-
-// RetainedWords sums the solver-owned pooled scratch the session arena
-// cannot see: the sparsifier scratch (forests, shells, item and reveal
-// buffers), the builders' side-data slots, the union buffers and the
-// oracle-loop scratch. All of it is slices, counted at capacity; the one
-// map left, each builder's few-entry class index, is not counted. Zero
-// before the first Init. engine.Session.RetainedWords adds it to the
-// arena's pools.
-func (a *dualPrimal) RetainedWords() int {
-	const unionEdgeW = 3 // {int, {int32, int32, float64}}
-	w := unionEdgeW*cap(a.union) + a.offline.RetainedWords()
-	for _, b := range a.batchBuf {
-		if b != nil {
-			w += b.RetainedWords()
-		}
-	}
-	if a.ufScratch != nil {
-		w += a.ufScratch.RetainedWords()
-	}
-	if a.scratch != nil {
-		w += a.scratch.retainedWords()
-	}
-	return w
 }
 
 // bOf adapts the source's capacities to the dual-state callbacks.
@@ -251,7 +226,7 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	// populated levels define the per-level streams of the initial
 	// solution and the (use, level) sparsifier grid; the counts fix each
 	// construction's subsampling depth.
-	a.levelCount = run.Arena().Ints(a.nl)
+	a.levelCount = resizeZeroed(a.levelCount, a.nl)
 	stream.ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
 		for i := range edges {
 			if k, ok := scheme.Level(edges[i].W); ok {
@@ -328,8 +303,8 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	if a.chunk == nil {
 		a.chunk = make([]chunkEdge, 0, solveChunkEdges)
 	}
-	a.levelCursor = run.Arena().Ints(a.nl)
-	a.slotOf = run.Arena().Ints(a.nl)
+	a.levelCursor = resizeZeroed(a.levelCursor, a.nl)
+	a.slotOf = resizeZeroed(a.slotOf, a.nl)
 	for slot, k := range a.liveLevels {
 		a.slotOf[k] = slot
 	}

@@ -27,7 +27,7 @@ func solve(src stream.Source, opt Options) (*result, error) {
 		return nil, err
 	}
 	res := &result{}
-	res.Outcome, err = engine.NewSession(alg, engine.Params{}).Solve(context.Background(), src,
+	res.Outcome, err = engine.NewSession(alg).Solve(context.Background(), src,
 		engine.Extensions{Observer: func(ev engine.RoundEvent) {
 			res.lambdas = append(res.lambdas, ev.Lambda)
 			res.betas = append(res.betas, ev.Beta)

@@ -55,7 +55,7 @@ func newSession(t *testing.T, name string) *engine.Session {
 	if err != nil {
 		t.Fatalf("%s: factory: %v", name, err)
 	}
-	return engine.NewSession(alg, conformanceParams)
+	return engine.NewSession(alg)
 }
 
 // drive runs one cold solve: a fresh instance in a fresh session.
@@ -70,6 +70,7 @@ func TestConformanceEveryRegisteredAlgorithm(t *testing.T) {
 		t.Fatalf("registry has %d algorithms, want >= 5: %s", len(infos), engine.Names())
 	}
 	g := conformanceGraph()
+	cg := cancellationGraph(t)
 	for _, info := range infos {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
@@ -96,7 +97,7 @@ func TestConformanceEveryRegisteredAlgorithm(t *testing.T) {
 				testBudgetTrips(t, g, info.Name, base)
 			})
 			t.Run("cancellation-mid-pass", func(t *testing.T) {
-				testCancellation(t, g, info.Name)
+				testCancellation(t, cg, info.Name)
 			})
 			t.Run("session-reuse", func(t *testing.T) {
 				testSessionReuse(t, g, info.Name, base)
@@ -273,11 +274,11 @@ func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Ou
 	assertSameOutcome(t, cold2, third)
 }
 
-// testWarmSessionBudget is the arena-exhaustion clause: a space budget
+// testWarmSessionBudget is the retained-scratch clause: a space budget
 // one notch under the cold peak must trip on a session's SECOND solve —
 // the one whose working memory comes from retained pools rather than
 // the allocator — with the same typed abort a cold run produces. This
-// is what keeps the arena honest: pooled buffers are retained
+// is what keeps retention honest: pooled buffers are retained
 // *capacity*, but the words an algorithm semantically holds are metered
 // by the SpaceAccountant regardless of where the bytes came from, so
 // warming the pools can never smuggle a run under a space budget.
@@ -357,10 +358,22 @@ func (c *cancelAfterSource) delivered() int {
 	return c.seen
 }
 
+// cancellationGraph spans three full blocks and part of a fourth, so a
+// sweep that stops at the next block boundary delivers far fewer edges
+// than one that runs its pass out. It is bipartite with unit
+// capacities, which every registered algorithm serves.
+func cancellationGraph(t *testing.T) *graph.Graph {
+	m := 3*stream.BlockEdges + 17
+	g := graph.Bipartite(150, 150, m, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 10}, 5)
+	if g.M() != m {
+		t.Fatalf("cancellation instance has %d edges, want %d", g.M(), m)
+	}
+	return g
+}
+
 // testCancellation cancels the context partway through the first pass
 // and demands a prompt abort: ctx.Err() surfaces, no certificate
-// survives, and the guarded sweeps stop within the engine's check
-// interval (256 edges) plus one fresh-pass grace.
+// survives, and the guarded sweep stops at the next block boundary.
 func testCancellation(t *testing.T, g *graph.Graph, name string) {
 	const after = 40
 	ctx, cancel := context.WithCancel(context.Background())
@@ -379,10 +392,11 @@ func testCancellation(t *testing.T, g *graph.Graph, name string) {
 	if err := out.Matching.Validate(g); err != nil {
 		t.Errorf("cancelled run's matching infeasible: %v", err)
 	}
-	// The cancel fires mid-pass at delivery `after`; the engine's guard
-	// checks every 256 deliveries, so the aborting pass delivers at most
-	// ~256 more edges and no further pass gets past its first check.
-	if d := src.delivered(); d > after+2*256 {
+	// The cancel fires at delivery `after`, inside the first block. The
+	// guard checks ctx once per block, so the aborting pass delivers at
+	// most the rest of that block, and the checkpoint after the pass ends
+	// the run; a pass that ran out would deliver all of g's edges.
+	if d := src.delivered(); d > after+stream.BlockEdges {
 		t.Errorf("cancellation was not honored within a pass: %d edges delivered (cancelled at %d)", d, after)
 	}
 }

@@ -43,11 +43,11 @@ import (
 //     "best so far" may legitimately be an empty matching.
 //   - Reset prepares the same instance for another driven run: it clears
 //     every per-run field (results, duals, convergence flags) while
-//     *retaining* reusable scratch capacity, and absorbs the session's
-//     Params again (a factory-fresh instance and a Reset one must be
-//     indistinguishable to Init). Two contracts follow. Identity: solve →
-//     Reset → solve is bit-identical to two cold solves, including every
-//     resource meter — retained capacity must never surface as live words.
+//     *retaining* reusable scratch capacity (a factory-fresh instance and
+//     a Reset one must be indistinguishable to Init). Two contracts
+//     follow. Identity: solve → Reset → solve is bit-identical to two
+//     cold solves, including every resource meter — retained capacity
+//     must never surface as live words.
 //     No aliasing: state reachable from a previously returned Outcome
 //     (the matching's index slices above all) must not be mutated by the
 //     next run; scratch that would alias a result is released, not
@@ -59,7 +59,7 @@ type Algorithm interface {
 	Init(ctx context.Context, run *Run, src stream.Source) error
 	Round(ctx context.Context, run *Run) (done bool, err error)
 	Finish(run *Run) (*matching.Matching, Extras)
-	Reset(p Params)
+	Reset()
 }
 
 // Run owns the resource machinery of one driven solve: the space
@@ -78,20 +78,12 @@ type Run struct {
 
 	src      stream.Source
 	ctx      context.Context
-	arena    *Arena
 	budget   Budget
 	observer func(RoundEvent)
 	warm     *Duals
 	passes0  int
 	rounds   int
 }
-
-// Arena returns the run's scratch arena: the capacity its Session
-// retains across runs, empty on a session's first run. Algorithms draw
-// working buffers from it instead of make so a reused session converges
-// to near-zero allocation; the buffers come back logically fresh either
-// way, so taking scratch from the arena never changes results.
-func (r *Run) Arena() *Arena { return r.arena }
 
 // Warm returns the run's warm-start request (Extensions.Warm; nil for
 // a cold run). An algorithm that keeps a dual installs it at Init when
@@ -248,9 +240,9 @@ type Outcome struct {
 	Extras
 }
 
-// drive runs alg under the shared round loop, drawing scratch from
-// arena: cancellation is honored at pass and round boundaries (in-flight
-// sequential sweeps abort at the next block boundary), budgets
+// drive runs alg under the shared round loop: cancellation is honored
+// at pass and round boundaries (in-flight sequential sweeps abort at the
+// next block boundary), budgets
 // trip at the same checkpoints, and a trip or cancellation returns the
 // best-so-far Outcome together with the error. A *stream.ReadError a
 // sweep raises fails the run through the same abort path. A budget trip
@@ -260,7 +252,7 @@ type Outcome struct {
 // an unsound prefix-minimum, so those runs surrender the certificate:
 // Lambda is zeroed and only the primal matching is the contract. The
 // Outcome is non-nil on every path.
-func drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions, arena *Arena) (*Outcome, error) {
+func drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -273,7 +265,6 @@ func drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions
 		Acct:     stream.NewSpaceAccountant(),
 		src:      src,
 		ctx:      ctx,
-		arena:    arena,
 		budget:   ext.Budget,
 		observer: ext.Observer,
 		warm:     ext.Warm,

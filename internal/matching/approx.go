@@ -39,12 +39,6 @@ type OfflineScratch struct {
 	used   []bool // per vertex
 }
 
-// RetainedWords reports the scratch's capacity in 64-bit words (a wIdx
-// is 2 words; the bool buffer rounds up to whole words).
-func (s *OfflineScratch) RetainedWords() int {
-	return 2*(cap(s.greedy)+cap(s.tmp)) + (cap(s.used)+7)/8
-}
-
 // OfflineB computes a high-quality uncapacitated b-matching. Small
 // instances are solved exactly by vertex splitting; large ones greedily.
 func OfflineB(g *graph.Graph, cfg OfflineConfig) (*Matching, float64) {

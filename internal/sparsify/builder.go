@@ -72,10 +72,6 @@ func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 	return nil
 }
 
-// RetainedWords reports the builder's retained slot capacity in 64-bit
-// words (a slot is 6 words).
-func (b *DeferredBuilder) RetainedWords() int { return 6 * cap(b.slots) }
-
 // Add streams one edge into the construction. localIdx must be the edge's
 // position in the builder's own sequence (0..m-1, strictly increasing
 // across calls — it drives the subsampling hash); orig is its index in

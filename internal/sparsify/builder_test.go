@@ -148,7 +148,7 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 			t.Fatalf("trial %d: reset builder emitted %d items, fresh builder %d (or contents differ)", trial, len(got), len(want))
 		}
 	}
-	if reused.RetainedWords() == 0 {
+	if cap(reused.slots) == 0 {
 		t.Fatal("reused builder retained no slot capacity")
 	}
 }

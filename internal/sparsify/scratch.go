@@ -45,32 +45,6 @@ func NewScratch(n int) *Scratch { return &Scratch{n: n} }
 // N returns the element count the pooled forests are sized for.
 func (s *Scratch) N() int { return s.n }
 
-// RetainedWords reports the pool's capacity in 64-bit words (forests,
-// construction-shell rows, item and reveal buffers; an Item is 6
-// words). Like every arena-side count, retained capacity is never part
-// of any run's metered live space.
-func (s *Scratch) RetainedWords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := 0
-	for _, uf := range s.free {
-		w += uf.Words()
-	}
-	for _, c := range s.shells {
-		for _, row := range c.stored {
-			w += cap(row)
-		}
-		w += 3 * (cap(c.ufs) + cap(c.stored)) // spine headers
-	}
-	for _, b := range s.items {
-		w += 6 * cap(b)
-	}
-	for _, b := range s.f64s {
-		w += cap(b)
-	}
-	return w
-}
-
 // Get returns a forest of n singleton sets: a pooled one Reset in
 // place, or a fresh one when the pool is empty.
 func (s *Scratch) Get() *unionfind.UF {

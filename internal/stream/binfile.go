@@ -77,10 +77,10 @@ const (
 	binVersion    = 1
 	binFlagHasB   = 1
 	binRecordSize = 16
-	// binReadBuffer sizes the writer's buffered output: big enough to
+	// binWriteBuffer caps the writer's buffered output: big enough to
 	// make encoding sequential-I/O bound, small enough that a write
 	// holds O(1) memory relative to the instance.
-	binReadBuffer = 1 << 18
+	binWriteBuffer = 1 << 18
 
 	bin2Magic       = "RBG2"
 	bin2Version     = 2
@@ -156,12 +156,12 @@ func CatchReadError(f func() error) (err error) {
 
 // WriteBinary encodes src in the RBG1 format (one metered pass over src).
 func WriteBinary(w io.Writer, src Source) error {
-	bw := bufio.NewWriterSize(w, binReadBuffer)
 	n, m := src.N(), src.Len()
 	flags := byte(0)
 	if hasCapacities(src) {
 		flags |= binFlagHasB
 	}
+	bw := bufferFor(w, 24, n, m, flags)
 	header := make([]byte, 24)
 	copy(header, binMagic)
 	header[4] = binVersion
@@ -178,13 +178,15 @@ func WriteBinary(w io.Writer, src Source) error {
 	}
 	var werr error
 	var rec [binRecordSize]byte
-	src.ForEach(func(_ int, e graph.Edge) bool {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.U))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.V))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(e.W))
-		if _, err := bw.Write(rec[:]); err != nil {
-			werr = err
-			return false
+	ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
+		for _, e := range edges {
+			binary.LittleEndian.PutUint32(rec[0:], uint32(e.U))
+			binary.LittleEndian.PutUint32(rec[4:], uint32(e.V))
+			binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(e.W))
+			if _, err := bw.Write(rec[:]); err != nil {
+				werr = err
+				return false
+			}
 		}
 		return true
 	})
@@ -192,6 +194,20 @@ func WriteBinary(w io.Writer, src Source) error {
 		return werr
 	}
 	return bw.Flush()
+}
+
+// bufferFor buffers w for an encoding of a header, the capacity table
+// when flags has one, and m edges at the RBG1 record size: the buffer
+// holds that whole bound or binWriteBuffer, whichever is smaller, so a
+// small instance does not allocate for the largest. RBG2 frames are
+// usually smaller than RBG1 records; a file that outgrows the bound
+// only costs extra flushes.
+func bufferFor(w io.Writer, header, n, m int, flags byte) *bufio.Writer {
+	size := header + binRecordSize*m
+	if flags&binFlagHasB != 0 {
+		size += 4 * n
+	}
+	return bufio.NewWriterSize(w, min(size, binWriteBuffer))
 }
 
 func hasCapacities(src Source) bool {
@@ -224,12 +240,12 @@ func WriteBinaryFile(path string, src Source) error {
 // codec compresses, it never reorders — so a round trip through RBG2
 // is bit-identical to the source.
 func WriteBinary2(w io.Writer, src Source) error {
-	bw := bufio.NewWriterSize(w, binReadBuffer)
 	n, m := src.N(), src.Len()
 	flags := byte(0)
 	if hasCapacities(src) {
 		flags |= binFlagHasB
 	}
+	bw := bufferFor(w, bin2HeaderSize, n, m, flags)
 	header := make([]byte, bin2HeaderSize)
 	copy(header, bin2Magic)
 	header[4] = bin2Version
@@ -249,7 +265,7 @@ func WriteBinary2(w io.Writer, src Source) error {
 	}
 	numBlocks := (m + bin2BlockLen - 1) / bin2BlockLen
 	frameOff := make([]int64, 0, numBlocks)
-	staged := make([]graph.Edge, 0, bin2BlockLen)
+	staged := make([]graph.Edge, 0, min(bin2BlockLen, m))
 	var payload []byte
 	var werr error
 	flush := func() bool {
@@ -273,10 +289,14 @@ func WriteBinary2(w io.Writer, src Source) error {
 		staged = staged[:0]
 		return true
 	}
-	src.ForEach(func(_ int, e graph.Edge) bool {
-		staged = append(staged, e)
-		if len(staged) == bin2BlockLen {
-			return flush()
+	ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
+		for len(edges) > 0 {
+			k := min(bin2BlockLen-len(staged), len(edges))
+			staged = append(staged, edges[:k]...)
+			edges = edges[k:]
+			if len(staged) == bin2BlockLen && !flush() {
+				return false
+			}
 		}
 		return true
 	})

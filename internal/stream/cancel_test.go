@@ -24,8 +24,7 @@ type guardBackend struct {
 // guardBackends builds every backend over instances that span several
 // blocks, so a block boundary falls inside each sweep.
 func guardBackends(t *testing.T) []guardBackend {
-	g := graph.GNM(200, 2*BlockEdges+BlockEdges/2+17, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 12}, 99)
-	graph.WithRandomB(g, 3, false, 100)
+	g := multiFrameGraph(t)
 	open := func(path string) func(t *testing.T) Source {
 		return func(t *testing.T) Source {
 			src, err := OpenBinary(path)

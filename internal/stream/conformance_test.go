@@ -7,9 +7,11 @@ package stream
 // static metadata consistency and the un-metered Sweep contract.
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -292,11 +294,20 @@ func TestConformanceFileSource(t *testing.T) {
 	}, true)
 }
 
-// multiFrameGraph is big enough that an RBG2 encoding spans several
-// frames (and a block sweep spans several blocks).
-func multiFrameGraph() *graph.Graph {
-	g := graph.GNM(50, 2*bin2BlockLen+bin2BlockLen/2+17,
-		graph.WeightConfig{Mode: graph.UniformWeights, WMax: 12}, 99)
+// multiFrameN is multiFrameGraph's vertex count: GNM caps m at the
+// n(n-1)/2 simple edges, and 200 vertices hold 19 900.
+const multiFrameN = 200
+
+// multiFrameGraph is big enough that an RBG2 encoding spans three
+// frames (and a block sweep three blocks); it fails t when GNM's cap
+// would have cut it short.
+func multiFrameGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	m := 2*bin2BlockLen + bin2BlockLen/2 + 17
+	g := graph.GNM(multiFrameN, m, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 12}, 99)
+	if g.M() != m {
+		t.Fatalf("multi-frame fixture has %d edges, want %d", g.M(), m)
+	}
 	graph.WithRandomB(g, 3, false, 100)
 	return g
 }
@@ -311,7 +322,7 @@ func bin2Fixture(t *testing.T, src Source) string {
 }
 
 func TestConformanceFileSourceRBG2(t *testing.T) {
-	path := bin2Fixture(t, NewEdgeStream(multiFrameGraph()))
+	path := bin2Fixture(t, NewEdgeStream(multiFrameGraph(t)))
 	runConformance(t, func(t *testing.T) Source {
 		src, err := OpenBinary(path)
 		if err != nil {
@@ -335,7 +346,7 @@ func TestConformanceFileSourceNoMmap(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "edges.bin")
-			if err := tc.write(path, NewEdgeStream(multiFrameGraph())); err != nil {
+			if err := tc.write(path, NewEdgeStream(multiFrameGraph(t))); err != nil {
 				t.Fatal(err)
 			}
 			runConformance(t, func(t *testing.T) Source {
@@ -523,7 +534,7 @@ func TestBinary2RoundTrip(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"small-caps", conformanceGraph()},
-		{"multi-frame", multiFrameGraph()},
+		{"multi-frame", multiFrameGraph(t)},
 		{"unit-weights", graph.GNM(40, bin2BlockLen+100, graph.WeightConfig{}, 7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -576,8 +587,41 @@ func TestBinary2CompressionRatio(t *testing.T) {
 	}
 }
 
+// TestWriteBinarySmallAllocation checks that both writers size their
+// buffers to the instance: a 320-edge write allocates under 64 KiB per
+// call, where the buffer for the largest files alone is 256 KiB.
+func TestWriteBinarySmallAllocation(t *testing.T) {
+	g := graph.GNM(48, 320, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 17)
+	graph.WithRandomB(g, 3, false, 18)
+	for _, tc := range []struct {
+		name  string
+		write func(io.Writer, Source) error
+	}{
+		{"rbg1", WriteBinary},
+		{"rbg2", WriteBinary2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := NewEdgeStream(g)
+			const calls = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				if err := tc.write(io.Discard, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / calls
+			t.Logf("writing %d edges allocated %d B per call", g.M(), per)
+			if per >= 64<<10 {
+				t.Fatalf("writing %d edges allocated %d B per call, want < 64 KiB", g.M(), per)
+			}
+		})
+	}
+}
+
 func TestOpenBinary2RejectsCorruption(t *testing.T) {
-	path := bin2Fixture(t, NewEdgeStream(multiFrameGraph()))
+	path := bin2Fixture(t, NewEdgeStream(multiFrameGraph(t)))
 	valid, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -617,8 +661,9 @@ func TestOpenBinary2RejectsCorruption(t *testing.T) {
 		return b
 	})
 	mangle("frame-corrupt", func(b []byte) []byte {
-		// Flip a byte in the middle of the first frame's payload.
-		b[bin2HeaderSize+4*50+20] ^= 0xff
+		// Flip a byte in the first frame's payload, past the capacity
+		// table and the 8-byte frame header.
+		b[bin2HeaderSize+4*multiFrameN+20] ^= 0xff
 		return b
 	})
 	mangle("huge-m", func(b []byte) []byte {

@@ -61,10 +61,6 @@ func (u *UF) Union(x, y int) bool {
 // Same reports whether x and y are in the same set.
 func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 
-// Words returns the storage footprint in 64-bit words (4 bytes of
-// parent plus 1 byte of rank per element, rounded up).
-func (u *UF) Words() int { return (5*len(u.parent) + 7) / 8 }
-
 // Reset restores the structure to n singleton sets without reallocating.
 func (u *UF) Reset() {
 	for i := range u.parent {

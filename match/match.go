@@ -93,11 +93,15 @@ var ErrInvalidOption = errors.New("match: invalid option")
 
 // Solver is a configured solve. Its configuration is immutable after
 // New; internally it caches one reusable solve *session* (the algorithm
-// instance plus its scratch arena), so calling Solve repeatedly on one
-// Solver reuses working memory instead of rebuilding every structure —
-// near-zero allocation on same-shape instances, with results
-// bit-identical to a fresh Solver's (pinned by the engine conformance
-// suite and the facade's reuse tests).
+// instance with the scratch it retains), so calling Solve repeatedly on
+// one Solver reuses working memory instead of rebuilding every
+// structure, with results bit-identical to a fresh Solver's (pinned by
+// the engine conformance suite and the facade's reuse tests). Reuse
+// alone cuts a repeat dual-primal solve's heap bytes 1.6× on a
+// 48-vertex, 320-edge instance and 3.4× on 700 vertices and 6 000
+// edges, and its allocation count 1.1–1.4×: the rounds still allocate
+// their per-round results. The order-of-magnitude cuts come from
+// chaining WithInitialDuals, which ends a repeat solve in one round.
 //
 // A Solver remains safe for concurrent Solve calls: the cached session
 // serves one solve at a time and concurrent callers transparently fall
@@ -173,21 +177,6 @@ func (s *Solver) Budget() Budget { return s.budget }
 
 // Algorithm returns the name of the algorithm this Solver runs.
 func (s *Solver) Algorithm() string { return s.algo }
-
-// RetainedWords reports the scratch capacity the Solver's cached session
-// currently retains across solves (sketch pools, forest pools, oracle
-// scratch), in 64-bit words. Retained capacity is process memory kept
-// warm for the next solve — deliberately not part of any run's metered
-// live space, so a Budget{SpaceWords} trips identically on warm and
-// cold sessions. Zero before the first session-cacheable solve.
-func (s *Solver) RetainedWords() int {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	if s.cache.sess == nil {
-		return 0
-	}
-	return s.cache.sess.RetainedWords()
-}
 
 // Solve runs the configured algorithm over src — the dual-primal solver
 // by default, or any registry algorithm selected with WithAlgorithm. An
@@ -279,20 +268,19 @@ func (s *Solver) acquire(run *Solver, cacheable bool) (*engine.Session, func(), 
 // constant-regime Profile reaches it, and any other algorithm from its
 // registry factory over the model-agnostic Params.
 func (s *Solver) newSession() (*engine.Session, error) {
-	p := engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
-		Workers: s.opt.Workers, MaxRounds: s.opt.MaxRounds}
 	var alg engine.Algorithm
 	var err error
 	if s.algo == DefaultAlgorithm {
 		alg, err = core.New(s.opt)
 	} else {
 		_, factory, _ := engine.Lookup(s.algo) // validate has checked the name
-		alg, err = factory(p)
+		alg, err = factory(engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
+			Workers: s.opt.Workers, MaxRounds: s.opt.MaxRounds})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.algo, err)
 	}
-	return engine.NewSession(alg, p), nil
+	return engine.NewSession(alg), nil
 }
 
 // Solve is the one-shot convenience path — match.New plus Solver.Solve

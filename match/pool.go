@@ -34,9 +34,9 @@ type poolJob struct {
 // concurrently: the serving shape the scalable-auction line of work
 // motivates (arXiv:2307.08979), stacked on this module's session reuse.
 // NewPool starts size worker goroutines, each owning one Solver whose
-// cached session persists across the jobs it serves — a stream of
-// same-shape instances through a Pool converges to near-zero allocation
-// per solve, exactly like sequential session reuse.
+// cached session persists across the jobs it serves, so a job reuses
+// the scratch of the jobs before it exactly as sequential Solve calls
+// on one Solver do (see Solver for what that saves).
 //
 // Scheduling is a single FIFO queue: jobs are served strictly in Submit
 // order as workers free up, so no submitter can starve another
