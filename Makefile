@@ -52,9 +52,12 @@ lint:
 	fi
 
 # Short fuzz smoke over the RBG1/RBG2 decoders: hostile bytes must be
-# rejected with a typed error, never a panic or hostile allocation.
+# rejected with a typed error, never a panic or hostile allocation, and
+# the RBG2 frame decoder must decode (or reject) any payload exactly as
+# its one-varint-at-a-time reference does.
 fuzz:
-	$(GO) test ./internal/stream/ -run=^$$ -fuzz=FuzzOpenBinary -fuzztime=10s
+	$(GO) test ./internal/stream/ -run=^$$ -fuzz=^FuzzOpenBinary$$ -fuzztime=10s
+	$(GO) test ./internal/stream/ -run=^$$ -fuzz=^FuzzDecodeFramePayload$$ -fuzztime=10s
 
 # The repository benchmark (perfbench/, see BENCHMARK.json) is a module
 # of its own, so the root `go test ./...` never builds it: vet it and run

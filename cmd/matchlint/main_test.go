@@ -10,9 +10,11 @@ import (
 
 // TestDirtyModule runs the CLI against the fixture module: dirty.go
 // violates maprange, noclock and errwrapbudget; dead.go exports a
-// test-only Helper and carries a bare //lint:deadexport, while its
-// justified directive and its methods reached only through a named
-// interface and an interface literal draw no finding.
+// test-only Helper, carries a bare //lint:deadexport, and has two
+// methods that only its test reaches, through an interface literal and
+// an interface type the test declares; its justified directive and its
+// methods reached through a named interface and an interface literal in
+// main.go draw no finding.
 func TestDirtyModule(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-C", "testdata/dirtymod", "./..."}, &stdout, &stderr)
@@ -21,13 +23,14 @@ func TestDirtyModule(t *testing.T) {
 	}
 	out := stdout.String()
 	for _, want := range []string{"[maprange]", "[noclock]", "[errwrapbudget]",
-		"[deadexport] exported Helper ", "exported BareFixture is referenced by no non-test code: delete it, move it into the test that uses it, or justify keeping it with //lint:deadexport (bare //lint:deadexport needs a justification)"} {
+		"[deadexport] exported Helper ", "exported Box.Probe ", "exported Box.Peek ",
+		"exported BareFixture is referenced by no non-test code: delete it, move it into the test that uses it, or justify keeping it with //lint:deadexport (bare //lint:deadexport needs a justification)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing a %s finding:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "\n"); n != 5 {
-		t.Errorf("got %d findings, want 5:\n%s", n, out)
+	if n := strings.Count(out, "\n"); n != 7 {
+		t.Errorf("got %d findings, want 7:\n%s", n, out)
 	}
 }
 

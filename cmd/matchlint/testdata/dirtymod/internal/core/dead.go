@@ -27,3 +27,11 @@ func (Box) Size() int { return 4 }
 
 // Words satisfies the interface literal in main.go.
 func (Box) Words() int { return 5 }
+
+// Probe is called only through an interface literal in dead_test.go, and
+// Peek only through an interface type dead_test.go declares: no program
+// reaches either, so deadexport reports both.
+func (Box) Probe() int { return 6 }
+
+// Peek: see Probe.
+func (Box) Peek() int { return 7 }

@@ -2,8 +2,12 @@ package core
 
 import "testing"
 
+type peeker interface{ Peek() int }
+
 func TestFixtures(t *testing.T) {
-	if Helper()+KeptFixture()+BareFixture() != 6 {
+	var p interface{ Probe() int } = Box{}
+	var k peeker = Box{}
+	if Helper()+KeptFixture()+BareFixture()+p.Probe()+k.Peek() != 19 {
 		t.Fatal("fixture values changed")
 	}
 }

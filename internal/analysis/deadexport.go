@@ -15,9 +15,10 @@ import (
 // missing from it. A method counts as used when its name and signature
 // match a method of any interface type in a loaded or imported package
 // (interface literals included), since a call through the interface
-// never names the concrete method. A deliberate cross-package test
-// fixture or a paper object no program calls carries a justified
-// //lint:deadexport.
+// never names the concrete method; interfaces that test files declare
+// do not count, since no program calls through them. A deliberate
+// cross-package test fixture or a paper object no program calls carries
+// a justified //lint:deadexport.
 var DeadExport = &Analyzer{
 	Name:     "deadexport",
 	Doc:      "flags exported identifiers and methods declared under internal/ that no non-test file of the module references; delete them, move them into the test that uses them, or justify with //lint:deadexport",
@@ -51,29 +52,33 @@ func collectExportUses(units []*Unit) any {
 	}
 	u.addInterface(types.Universe.Lookup("error").Type())
 	scanned := map[string]bool{}
-	var scan func(p *types.Package)
-	scan = func(p *types.Package) {
+	var scan func(fset *token.FileSet, p *types.Package)
+	scan = func(fset *token.FileSet, p *types.Package) {
 		if p == nil || scanned[p.Path()] {
 			return
 		}
 		scanned[p.Path()] = true
 		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+			// A unit's scope holds the types its in-package test files
+			// declare too.
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !isTestPos(fset, tn.Pos()) {
 				u.addInterface(tn.Type())
 			}
 		}
 		for _, imp := range p.Imports() {
-			scan(imp)
+			scan(fset, imp)
 		}
 	}
 	for _, unit := range units {
-		scan(unit.Pkg)
+		scan(unit.Fset, unit.Pkg)
 		for _, f := range unit.Files {
 			test := isTestFile(unit.Fset, f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.InterfaceType:
-					u.addInterface(unit.Info.TypeOf(n))
+					if !test {
+						u.addInterface(unit.Info.TypeOf(n))
+					}
 				case *ast.Ident:
 					if obj := unit.Info.Uses[n]; obj != nil && !test {
 						if k, ok := exportKeyOf(obj); ok {
@@ -195,6 +200,8 @@ func runDeadExport(pass *Pass) error {
 	return nil
 }
 
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+func isTestFile(fset *token.FileSet, f *ast.File) bool { return isTestPos(fset, f.Pos()) }
+
+func isTestPos(fset *token.FileSet, pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

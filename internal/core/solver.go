@@ -31,14 +31,13 @@ type Options struct {
 	MaxRounds int
 	// Workers shards the per-edge/per-vertex work of every sampling
 	// round (promise-multiplier evaluation, deferred-sparsifier
-	// construction, refinement reveals, the per-level initial solutions)
-	// across a worker pool: 0 = GOMAXPROCS, 1 = exact sequential
-	// execution. The outcome is bit-identical for every worker count —
-	// randomness is pre-split per shard and shard outputs merge in
-	// deterministic order (see internal/parallel); only wall-clock time
-	// changes. The sequential oracle-use loop is untouched: that
-	// adaptivity is the quantity the paper bounds, not an implementation
-	// artifact.
+	// construction, refinement reveals) across a worker pool:
+	// 0 = GOMAXPROCS, 1 = exact sequential execution. The outcome is
+	// bit-identical for every worker count — randomness is pre-split per
+	// shard and shard outputs merge in deterministic order (see
+	// internal/parallel); only wall-clock time changes. The sequential
+	// oracle-use loop is untouched: that adaptivity is the quantity the
+	// paper bounds, not an implementation artifact.
 	Workers int
 }
 
@@ -223,7 +222,7 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	}
 
 	// Pass: level census — how many edges live at each weight level. The
-	// populated levels define the per-level streams of the initial
+	// populated levels define the per-level filters of the initial
 	// solution and the (use, level) sparsifier grid; the counts fix each
 	// construction's subsampling depth.
 	a.levelCount = resizeZeroed(a.levelCount, a.nl)
@@ -260,7 +259,7 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 		a.stats.WarmStarted = true
 	} else {
 		a.stats.InitRounds = buildInitialSolution(src, a.liveLevels, scheme, a.prof, a.eps, a.opt.P,
-			initRNG, run.Acct, a.state, a.workers)
+			initRNG, run.Acct, a.state)
 	}
 	if err := run.Check(); err != nil {
 		return err
@@ -713,61 +712,50 @@ func refineBatch(defs []*sparsify.Deferred, liveLevels []int,
 
 // buildInitialSolution computes per-level maximal b-matchings by
 // filtering (Lemma 20) and installs the Lemma 21 assignment
-// x_i(k) = r·ŵ_k on saturated vertices. Each level's stream is a
-// Filtered view of the source — no per-level subgraph is materialized;
-// the filter holds O(n) residuals and its metered transient sample.
-// Returns the rounds consumed (levels run conceptually in parallel: the
-// max over levels — and with workers > 1 they genuinely do, each with a
-// pre-split seed, entries merging in level order). The jobs meter
-// nothing shared; each level's FilterStats replay onto acct in level
-// order afterwards, so acct's rounds, current, and peak end up exactly
-// as a sequential run leaves them for any worker count — concurrent
-// levels never inflate the measured peak.
+// x_i(k) = r·ŵ_k on saturated vertices. Every live level is one class of
+// one MaximalBMatchingFilter run, with its own pre-split seed: the
+// levels share each round's sweeps of the source, no per-level subgraph
+// is materialized, and each level holds O(n) residuals and its transient
+// sample. The sweeps charge the source no pass; the levels run
+// conceptually in parallel, so the rounds consumed are the max over
+// levels. Each level's peak sample replays onto acct in level order
+// afterwards, so acct's current and peak end up exactly as a sequential
+// run of the levels leaves them.
 func buildInitialSolution(src stream.Source, liveLevels []int, scheme *levels.Scheme,
 	prof Profile, eps, p float64, rng *xrand.RNG, acct *stream.SpaceAccountant,
-	state *dualState, workers int) int {
+	state *dualState) int {
 
 	r := prof.RInitFactor * eps
-	type levelJob struct {
-		k    int
-		seed uint64
+	seeds := make([]uint64, len(liveLevels))
+	slot := make([]int, scheme.NumLevels())
+	for k := range slot {
+		slot[k] = -1
 	}
-	jobs := make([]levelJob, 0, len(liveLevels))
-	for _, k := range liveLevels {
-		jobs = append(jobs, levelJob{k: k, seed: rng.Split(uint64(k)).Uint64()})
+	for i, k := range liveLevels {
+		seeds[i] = rng.Split(uint64(k)).Uint64()
+		slot[k] = i
 	}
-	type levelResult struct {
-		entries    []xEntry
-		rounds     int
-		peakSample int
-	}
-	results := parallel.Map(workers, len(jobs), func(ji int) levelResult {
-		j := jobs[ji]
-		view := stream.NewFilter(src, func(_ int, e graph.Edge) bool {
-			ek, ok := scheme.Level(e.W)
-			return ok && ek == j.k
-		})
-		_, stats := matching.MaximalBMatchingFilter(view, p, j.seed, nil)
-		var entries []xEntry
-		for v := 0; v < src.N(); v++ {
-			if stats.FinalResidual[v] == 0 { // saturated at level k
-				entries = append(entries, xEntry{v: int32(v), k: j.k, val: r * scheme.WHat(j.k)})
-			}
+	_, stats := matching.MaximalBMatchingFilter(src, p, seeds, func(e graph.Edge) int {
+		if k, ok := scheme.Level(e.W); ok {
+			return slot[k]
 		}
-		return levelResult{entries: entries, rounds: stats.Rounds, peakSample: stats.PeakSample}
+		return -1
 	})
 	maxRounds := 0
 	var entries []xEntry
-	for _, lr := range results {
-		if lr.rounds > maxRounds {
-			maxRounds = lr.rounds
+	for i, k := range liveLevels {
+		st := stats[i]
+		maxRounds = max(maxRounds, st.Rounds)
+		for v, res := range st.FinalResidual {
+			if res == 0 { // saturated at level k
+				entries = append(entries, xEntry{v: int32(v), k: k, val: r * scheme.WHat(k)})
+			}
 		}
-		entries = append(entries, lr.entries...)
 		// Replay: a sequential run holds each level's peak transiently
 		// before freeing it all (filters free every allocation before
 		// returning).
-		acct.Alloc(lr.peakSample)
-		acct.Free(lr.peakSample)
+		acct.Alloc(st.PeakSample)
+		acct.Free(st.PeakSample)
 	}
 	state.SetInit(entries)
 	return maxRounds

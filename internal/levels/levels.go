@@ -7,6 +7,7 @@ package levels
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Scheme captures a discretization: the reference weight W*, the total
@@ -21,7 +22,27 @@ type Scheme struct {
 
 	log1pEps float64
 	what     []float64 // ŵ_k = (1+ε)^k for k = 0..L, built once at construction
+	// cells is Level's table over the rescaled weight's float64 bits:
+	// cell c covers the floats in [1, 2·2^⌊log₂ B⌋) whose bits>>44 (the
+	// binary exponent and the top 8 mantissa bits) equal 1023<<8 + c, and
+	// holds the number of levels k ≥ 1 whose boundary ŵ_k·(1+levelGuard)
+	// lies below the cell's lowest float. nil when L overflows a uint16.
+	cells []uint16
 }
+
+// levelGuard is the relative half-width of the band around each level
+// boundary ŵ_k inside which Level defers to the closed form. Outside the
+// band, log(scaled) is at least levelGuard away from k·log(1+ε), while
+// the rounding of ŵ_k, of the closed form and its 1e-12 nudge move the
+// comparison by under 1e-11 for every level a uint16 holds, so counting
+// boundaries and the closed form agree on every float64.
+const levelGuard = 1e-9
+
+// cellShift drops the 44 low mantissa bits: a cell is one binary
+// exponent and one value of the top 8 mantissa bits, a relative width of
+// at most 1/256, so a cell spans at most one level boundary for ε ≥ 0.004
+// (Level steps past several for a smaller ε).
+const cellShift = 44
 
 // NewScheme builds a discretization for accuracy eps from W* and B.
 func NewScheme(eps, wstar float64, b int) (*Scheme, error) {
@@ -44,6 +65,19 @@ func NewScheme(eps, wstar float64, b int) (*Scheme, error) {
 		//lint:powtable table construction; the per-call hot path reads this table
 		s.what[k] = math.Pow(1+eps, float64(k))
 	}
+	if s.L <= math.MaxUint16 {
+		// Rescaled weights reach B (at w = W*), so the cells cover every
+		// binary exponent from 2^0 up to B's.
+		s.cells = make([]uint16, bits.Len(uint(b))<<8)
+		k := 0
+		for c := range s.cells {
+			lo := math.Float64frombits(uint64(c+1023<<8) << cellShift)
+			for k < s.L && s.what[k+1]*(1+levelGuard) < lo {
+				k++
+			}
+			s.cells[c] = uint16(k)
+		}
+	}
 	return s, nil
 }
 
@@ -62,16 +96,36 @@ func (s *Scheme) WHat(k int) float64 {
 // Level returns the level of an original edge weight w, and ok=false if
 // the edge is dropped (rescaled weight < 1, i.e. w < W*/B). Definition 3:
 // k is the unique level with (W*/B)·ŵ_k <= w < (W*/B)·ŵ_{k+1}.
+//
+// The result is closedForm's for every w. Level reads the count of
+// boundaries below the rescaled weight's cell and steps past the
+// boundaries inside the cell; it calls closedForm only within levelGuard
+// of a boundary and outside the table.
 func (s *Scheme) Level(w float64) (k int, ok bool) {
 	scaled := w * s.B / s.WStar
 	if scaled < 1 {
 		return 0, false
 	}
-	k = int(math.Floor(math.Log(scaled)/s.log1pEps + 1e-12))
-	if k > s.L {
-		k = s.L // guard against floating point at w == W*
+	if c := math.Float64bits(scaled)>>cellShift - 1023<<8; c < uint64(len(s.cells)) {
+		for k = int(s.cells[c]); k < s.L; k++ {
+			next := s.what[k+1]
+			if scaled < next*(1-levelGuard) {
+				return k, true
+			}
+			if scaled <= next*(1+levelGuard) {
+				return s.closedForm(scaled), true
+			}
+		}
+		return s.L, true
 	}
-	return k, true
+	return s.closedForm(scaled), true
+}
+
+// closedForm is Definition 3's level of a rescaled weight scaled >= 1:
+// ⌊log_{1+ε} scaled⌋, nudged up by 1e-12 and capped at L against
+// floating point at w == W*.
+func (s *Scheme) closedForm(scaled float64) int {
+	return min(int(math.Floor(math.Log(scaled)/s.log1pEps+1e-12)), s.L)
 }
 
 // Unscale maps a discretized objective value back to original units.

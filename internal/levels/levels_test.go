@@ -154,3 +154,68 @@ func TestUnscaleRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// closedFormLevel is Level as the closed form of Definition 3 computes
+// it, with no table: the reference the table-driven Level must equal on
+// every float64.
+func closedFormLevel(s *Scheme, w float64) (int, bool) {
+	scaled := w * s.B / s.WStar
+	if scaled < 1 {
+		return 0, false
+	}
+	k := int(math.Floor(math.Log(scaled)/math.Log1p(s.Eps) + 1e-12))
+	if k > s.L {
+		k = s.L
+	}
+	return k, true
+}
+
+// TestLevelEqualsClosedForm checks the table-driven Level against the
+// closed form on random weights, on every float within 4 096 ulps of each
+// level boundary, just outside each boundary's guard band (where the
+// table answers alone), at each cell's lowest float, and at W*.
+func TestLevelEqualsClosedForm(t *testing.T) {
+	r := xrand.New(21)
+	for _, eps := range []float64{0.01, 0.05, 0.1, 0.25, 0.3, 0.49, 1} {
+		for _, b := range []int{1, 2, 7, 640, 1 << 16, 1 << 20} {
+			wstar := 1 + 99*r.Float64()
+			s := mustScheme(t, eps, wstar, b)
+			if s.cells == nil {
+				t.Fatalf("eps=%v B=%d: no table", eps, b)
+			}
+			check := func(w float64) {
+				gk, gok := s.Level(w)
+				if wk, wok := closedFormLevel(s, w); gk != wk || gok != wok {
+					t.Fatalf("eps=%v B=%d W*=%v: Level(%v) = (%d, %v), closed form (%d, %v)",
+						eps, b, wstar, w, gk, gok, wk, wok)
+				}
+			}
+			// ulps steps w by d units in the last place (w > 0).
+			ulps := func(w float64, d int64) float64 {
+				return math.Float64frombits(uint64(int64(math.Float64bits(w)) + d))
+			}
+			check(wstar)
+			for i := 0; i < 2000; i++ {
+				check(wstar * math.Pow(r.Float64(), 3) * 1.5)
+			}
+			unit := wstar / s.B
+			for k := 1; k <= s.L+1; k++ {
+				w := unit * s.WHat(k)
+				for d := int64(-4096); d <= 4096; d++ {
+					check(ulps(w, d))
+				}
+				for _, edge := range []float64{w * (1 - 1.01*levelGuard), w * (1 + 1.01*levelGuard)} {
+					for d := int64(-64); d <= 64; d++ {
+						check(ulps(edge, d))
+					}
+				}
+			}
+			for c := range s.cells {
+				lo := math.Float64frombits(uint64(c+1023<<8) << cellShift)
+				for d := int64(-2); d <= 2; d++ {
+					check(ulps(lo*unit, d))
+				}
+			}
+		}
+	}
+}

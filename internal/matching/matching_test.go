@@ -182,7 +182,8 @@ func TestBFilteringRespectsCapacities(t *testing.T) {
 	g := graph.GNM(100, 2000, graph.WeightConfig{}, 17)
 	graph.WithRandomB(g, 4, false, 18)
 	s := stream.NewEdgeStream(g)
-	m, _ := MaximalBMatchingFilter(s, 2, 19, nil)
+	ms, _ := MaximalBMatchingFilter(s, 2, []uint64{19}, func(graph.Edge) int { return 0 })
+	m := ms[0]
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}

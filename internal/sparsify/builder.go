@@ -2,8 +2,7 @@ package sparsify
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 )
 
 // DeferredBuilder is the streaming construction of the deferred
@@ -22,11 +21,14 @@ import (
 // to drive refinement and the offline union step with no random access
 // back into the input.
 type DeferredBuilder struct {
-	n, m    int
-	chi     float64
-	cfg     Config // defaults and chi² oversampling already applied
-	classes map[int]*construction
-	keys    []int // sorted class ids, rebuilt by Finish
+	n, m int
+	chi  float64
+	cfg  Config // defaults and chi² oversampling already applied
+	// byClass[i] is the construction of weight class classLo+i (nil
+	// while no edge of the class has arrived), so Finish walks the
+	// classes in increasing order without sorting them.
+	byClass []*construction
+	classLo int
 	// slots is the side data of the stored edges, append-only in
 	// storage order: the constructions' stored rows hold slot ids, so
 	// Finish reaches an edge's side data — and its local index, which
@@ -51,7 +53,7 @@ type builderEdge struct {
 // m (the count must be known up front: it fixes the subsampling depth,
 // exactly as NewDeferred derives it from its array length); chi >= 1 is
 // the promised distortion bound. A reused builder keeps its slot
-// buffer's and class map's capacity: a caller that runs one
+// buffer's and class table's capacity: a caller that runs one
 // construction per job per round (the solver's sampling pass) holds one
 // builder per job and stops reallocating the side data every round.
 // Call only after Finish (or on a builder that was never fed).
@@ -64,10 +66,8 @@ func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 	}
 	b.n, b.m, b.chi = n, m, chi
 	b.cfg = deferredConfig(n, chi, cfg)
-	if b.classes == nil {
-		b.classes = make(map[int]*construction)
-	}
-	clear(b.classes)
+	clear(b.byClass)
+	b.byClass = b.byClass[:0]
 	b.slots = b.slots[:0]
 	return nil
 }
@@ -76,21 +76,39 @@ func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 // position in the builder's own sequence (0..m-1, strictly increasing
 // across calls — it drives the subsampling hash); orig is its index in
 // the original stream and w its original weight, both retained only for
-// stored edges. Edges with non-positive sigma are dropped, matching
-// bucketByClass.
+// stored edges. Edges whose sigma has no weight class (zero, negative,
+// NaN or infinite) are dropped, as bucketByClass drops them.
 func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sigma float64) {
-	if !(sigma > 0) {
+	cl, ok := weightClass(sigma)
+	if !ok {
 		return
 	}
-	cl := int(math.Floor(math.Log2(sigma)))
-	c := b.classes[cl]
-	if c == nil {
-		c = newConstruction(b.n, b.m, withClassSeed(b.cfg, cl))
-		b.classes[cl] = c
-	}
-	if c.process(localIdx, len(b.slots), u, v) {
+	if c := b.classConstruction(cl); c.process(localIdx, len(b.slots), u, v) {
 		b.slots = append(b.slots, builderEdge{u: u, v: v, localIdx: localIdx, w: w, orig: orig, sigma: sigma})
 	}
+}
+
+// classConstruction returns class cl's construction, widening byClass
+// to reach cl and creating the construction on the class's first edge.
+func (b *DeferredBuilder) classConstruction(cl int) *construction {
+	i := cl - b.classLo
+	switch {
+	case len(b.byClass) == 0:
+		b.byClass = append(b.byClass, nil)
+		b.classLo, i = cl, 0
+	case i < 0:
+		b.byClass = slices.Insert(b.byClass, 0, make([]*construction, -i)...)
+		b.classLo, i = cl, 0
+	}
+	for i >= len(b.byClass) {
+		b.byClass = append(b.byClass, nil)
+	}
+	c := b.byClass[i]
+	if c == nil {
+		c = newConstruction(b.n, b.m, withClassSeed(b.cfg, cl))
+		b.byClass[i] = c
+	}
+	return c
 }
 
 // Finish emits the Deferred. The per-class item streams concatenate in
@@ -107,19 +125,14 @@ func (b *DeferredBuilder) Finish() *Deferred {
 	if s := b.cfg.Scratch; s != nil && s.n == b.n {
 		scr = s
 	}
-	keys := b.keys[:0]
-	//lint:ordered key collection, sorted immediately below
-	for cl := range b.classes {
-		keys = append(keys, cl)
-	}
-	sort.Ints(keys)
-	b.keys = keys
 	d := &Deferred{n: b.n, chi: b.chi, scr: scr}
 	if scr != nil {
 		d.items = scr.getItems(0)
 	}
-	for _, cl := range keys {
-		sub := b.classes[cl]
+	for ci, sub := range b.byClass {
+		if sub == nil {
+			continue
+		}
 		// A slot belongs to one class, so one mark per slot dedups
 		// within each class exactly as a fresh per-class set would.
 		for i := 0; i < sub.numLv; i++ {
@@ -148,8 +161,9 @@ func (b *DeferredBuilder) Finish() *Deferred {
 			}
 		}
 		sub.retire()
+		b.byClass[ci] = nil
 	}
-	clear(b.classes)
+	b.byClass = b.byClass[:0]
 	b.slots = b.slots[:0]
 	return d
 }

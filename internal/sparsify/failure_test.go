@@ -132,3 +132,38 @@ func TestWeightedZeroAndNegativeClassesDropped(t *testing.T) {
 		t.Fatalf("zero-weight edge classified: %v", classes)
 	}
 }
+
+// TestWeightClassEqualsLog2 checks weightClass against the expression it
+// replaces, int(math.Floor(math.Log2(x))): on random positive floats over
+// the whole exponent range, subnormals included, and on every power of
+// two with its 64 neighbours on each side; and that it places no edge of
+// non-positive, NaN or infinite weight.
+func TestWeightClassEqualsLog2(t *testing.T) {
+	check := func(x float64) {
+		got, ok := weightClass(x)
+		if want := int(math.Floor(math.Log2(x))); !ok || got != want {
+			t.Fatalf("weightClass(%v) [bits %#016x] = (%d, %v), math.Log2 floor %d",
+				x, math.Float64bits(x), got, ok, want)
+		}
+	}
+	r := xrand.New(23)
+	for i := 0; i < 200000; i++ {
+		bits := r.Uint64() >> 1 // positive, every exponent equally likely
+		if x := math.Float64frombits(bits); x > 0 && x <= math.MaxFloat64 {
+			check(x)
+		}
+	}
+	for e := -1074; e <= 1023; e++ {
+		p := math.Float64bits(math.Ldexp(1, e))
+		for d := -64; d <= 64; d++ {
+			if x := math.Float64frombits(p + uint64(d)); x > 0 && x <= math.MaxFloat64 {
+				check(x)
+			}
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if cl, ok := weightClass(x); ok {
+			t.Fatalf("weightClass(%v) = (%d, true), want no class", x, cl)
+		}
+	}
+}

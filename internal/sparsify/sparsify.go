@@ -321,24 +321,47 @@ type classGroup struct {
 	idxs  []int
 }
 
-// bucketByClass groups edge indices by ⌊log2(weight)⌋ class, sharding the
-// scan by edge range across workers. Shard-local lists concatenate in
-// shard order, so each class's index list comes out in increasing edge
-// order — exactly what a sequential scan produces for any shard partition
-// — and parallel edges (same endpoints, same class) keep their arrival
-// order, which makes their downstream weight sums deterministic. Classes
-// are returned sorted; zero-weight edges are dropped (no cut mass).
+// classGuard is the relative band around a power of two inside which
+// weightClass defers to math.Log2. Outside it, the mantissa m of
+// math.Frexp lies in (0.5(1+classGuard), 1−classGuard), so math.Log2's
+// log(m)/ln 2 + e lies more than 1.4e-9 inside (e−1, e), where its
+// rounding (under 2.3e-13 for every float64 exponent) cannot reach an
+// integer, and its floor is e−1.
+const classGuard = 1e-9
+
+// weightClass returns ⌊log₂ x⌋, x's powers-of-two weight class, as
+// int(math.Floor(math.Log2(x))) computes it for every positive finite
+// float64, subnormals included: from math.Frexp's exponent, and from
+// math.Log2 itself within classGuard of a power of two, where its
+// rounding can make the floor differ from the exponent. ok is false for
+// an x no class holds: zero, negative, NaN or infinite.
+func weightClass(x float64) (int, bool) {
+	frac, exp := math.Frexp(x)
+	if frac > 0.5*(1+classGuard) && frac < 1-classGuard {
+		return exp - 1, true
+	}
+	if !(x > 0) || x > math.MaxFloat64 {
+		return 0, false
+	}
+	return int(math.Floor(math.Log2(x))), true
+}
+
+// bucketByClass groups edge indices by weightClass, sharding the scan by
+// edge range across workers. Shard-local lists concatenate in shard
+// order, so each class's index list comes out in increasing edge order —
+// exactly what a sequential scan produces for any shard partition — and
+// parallel edges (same endpoints, same class) keep their arrival order,
+// which makes their downstream weight sums deterministic. Classes are
+// returned sorted; edges without a class (zero weight: no cut mass) are
+// dropped.
 func bucketByClass(m int, weightOf func(int) float64, workers int) []classGroup {
 	shards := parallel.Shards(m, parallel.Workers(workers))
 	locals := parallel.Map(workers, len(shards), func(s int) map[int][]int {
 		local := make(map[int][]int)
 		for i := shards[s].Lo; i < shards[s].Hi; i++ {
-			w := weightOf(i)
-			if w <= 0 {
-				continue
+			if cl, ok := weightClass(weightOf(i)); ok {
+				local[cl] = append(local[cl], i)
 			}
-			cl := int(math.Floor(math.Log2(w)))
-			local[cl] = append(local[cl], i)
 		}
 		return local
 	})

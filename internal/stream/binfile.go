@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 
 	"repro/internal/graph"
@@ -768,12 +769,7 @@ func decodeFramePayload(p []byte, count, n int, out []graph.Edge) ([]graph.Edge,
 	out = out[:count]
 	prevU := int64(0)
 	for i := 0; i < count; i++ {
-		du, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return nil, fmt.Errorf("truncated endpoint varint at edge %d", i)
-		}
-		p = p[sz:]
-		v64, sz := binary.Uvarint(p)
+		du, v64, sz := endpointVarints(p)
 		if sz <= 0 {
 			return nil, fmt.Errorf("truncated endpoint varint at edge %d", i)
 		}
@@ -816,6 +812,47 @@ func decodeFramePayload(p []byte, count, n int, out []graph.Edge) ([]graph.Edge,
 		return nil, fmt.Errorf("%d trailing bytes after frame payload", len(p))
 	}
 	return out, nil
+}
+
+// endpointVarints decodes the two endpoint varints of an edge at the
+// start of p: the values and the bytes both take, or sz = 0 where
+// binary.Uvarint fails on either. It returns what two binary.Uvarint
+// calls return on every input. When both varints end within p's first 8
+// bytes (the endpoint varints WriteBinary2 writes do for n <= 2^27: the
+// zigzagged delta and v then take at most 4 bytes each), it decodes them
+// from one 8-byte little-endian load, with no branch on their lengths;
+// otherwise it calls binary.Uvarint.
+func endpointVarints(p []byte) (du, v uint64, sz int) {
+	if len(p) >= 8 {
+		x := binary.LittleEndian.Uint64(p)
+		stop := ^x & 0x8080_8080_8080_8080 // a varint ends at a clear continuation bit
+		if second := stop & (stop - 1); second != 0 {
+			// Each varint is at most 7 bytes, so neither overflows. Packing
+			// both varints' bytes at once puts the first one's 7-bit
+			// groups below the second one's.
+			g := packVarint(x & (second ^ (second - 1)))
+			n1 := (bits.TrailingZeros64(stop) + 1) / 8
+			return g & (1<<(7*n1) - 1), g >> (7 * n1), (bits.TrailingZeros64(second) + 1) / 8
+		}
+	}
+	du, n1 := binary.Uvarint(p)
+	if n1 <= 0 {
+		return 0, 0, 0
+	}
+	v, n2 := binary.Uvarint(p[n1:])
+	if n2 <= 0 {
+		return 0, 0, 0
+	}
+	return du, v, n1 + n2
+}
+
+// packVarint drops the continuation bit of each byte of the
+// little-endian word x and packs the 7-bit groups, byte j's at bit 7j:
+// first within byte pairs, then within 14-bit and 28-bit halves.
+func packVarint(x uint64) uint64 {
+	x = x&0x007f_007f_007f_007f | x>>1&0x3f80_3f80_3f80_3f80
+	x = x&0x0000_3fff_0000_3fff | x>>2&0x0fff_c000_0fff_c000
+	return x&0x0000_0000_0fff_ffff | x>>4&0x00ff_ffff_f000_0000
 }
 
 // read decodes edges [lo, hi) in dense blocks into per-call scratch

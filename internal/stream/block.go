@@ -110,9 +110,8 @@ func SweepBlocksParallel(src Source, workers int, f func(base int, edges []graph
 }
 
 // sweepToBlocks batches a per-edge sweep into maximal dense runs of up
-// to BlockEdges edges. Non-contiguous indices (a Filtered view without
-// a native implementation) flush the pending run, so every delivered
-// block is dense by construction.
+// to BlockEdges edges. Non-contiguous indices flush the pending run, so
+// every delivered block is dense by construction.
 func sweepToBlocks(sweep func(f func(idx int, e graph.Edge) bool), f func(base int, edges []graph.Edge) bool) {
 	buf := make([]graph.Edge, 0, BlockEdges)
 	base := 0
@@ -134,29 +133,4 @@ func sweepToBlocks(sweep func(f func(idx int, e graph.Edge) bool), f func(base i
 	if !stopped && len(buf) > 0 {
 		f(base, buf)
 	}
-}
-
-// filterBlocks splits one delivered block into the maximal dense runs
-// that satisfy keep, emitting each run as a zero-copy sub-slice.
-// Reports false when the callback aborted.
-func filterBlocks(base int, edges []graph.Edge, keep func(idx int, e graph.Edge) bool, f func(base int, edges []graph.Edge) bool) bool {
-	run := -1
-	for i := range edges {
-		if keep(base+i, edges[i]) {
-			if run < 0 {
-				run = i
-			}
-			continue
-		}
-		if run >= 0 {
-			if !f(base+run, edges[run:i:i]) {
-				return false
-			}
-			run = -1
-		}
-	}
-	if run >= 0 {
-		return f(base+run, edges[run:len(edges):len(edges)])
-	}
-	return true
 }

@@ -33,10 +33,8 @@ func collect(sweep func(f func(idx int, e graph.Edge) bool)) []idxEdge {
 }
 
 // runConformance exercises the full Source contract. mk must return a
-// fresh source (zero passes consumed) on every call. dense reports
-// whether indices must be exactly 0..Len-1 (all primary backends; a
-// Filtered view keeps parent indices instead).
-func runConformance(t *testing.T, mk func(t *testing.T) Source, dense bool) {
+// fresh source (zero passes consumed) on every call.
+func runConformance(t *testing.T, mk func(t *testing.T) Source) {
 	t.Helper()
 
 	t.Run("fresh", func(t *testing.T) {
@@ -69,7 +67,7 @@ func runConformance(t *testing.T, mk func(t *testing.T) Source, dense bool) {
 			t.Fatalf("ForEach yielded %d edges, Len says %d", len(ref), s.Len())
 		}
 		for i, ie := range ref {
-			if dense && ie.idx != i {
+			if ie.idx != i {
 				t.Fatalf("position %d has idx %d (want dense indices)", i, ie.idx)
 			}
 			if i > 0 && ie.idx <= ref[i-1].idx {
@@ -279,7 +277,7 @@ func binFixture(t *testing.T, src Source) string {
 
 func TestConformanceEdgeStream(t *testing.T) {
 	g := conformanceGraph()
-	runConformance(t, func(t *testing.T) Source { return NewEdgeStream(g) }, true)
+	runConformance(t, func(t *testing.T) Source { return NewEdgeStream(g) })
 }
 
 func TestConformanceFileSource(t *testing.T) {
@@ -291,7 +289,7 @@ func TestConformanceFileSource(t *testing.T) {
 		}
 		t.Cleanup(func() { src.Close() })
 		return src
-	}, true)
+	})
 }
 
 // multiFrameN is multiFrameGraph's vertex count: GNM caps m at the
@@ -333,7 +331,7 @@ func TestConformanceFileSourceRBG2(t *testing.T) {
 		}
 		t.Cleanup(func() { src.Close() })
 		return src
-	}, true)
+	})
 }
 
 func TestConformanceFileSourceNoMmap(t *testing.T) {
@@ -359,7 +357,7 @@ func TestConformanceFileSourceNoMmap(t *testing.T) {
 				}
 				t.Cleanup(func() { src.Close() })
 				return src
-			}, true)
+			})
 		})
 	}
 }
@@ -373,7 +371,7 @@ func TestConformanceGenSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		return src
-	}, true)
+	})
 }
 
 func TestConformanceConcatSource(t *testing.T) {
@@ -412,14 +410,7 @@ func TestConformanceConcatSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		return c
-	}, true)
-}
-
-func TestConformanceFiltered(t *testing.T) {
-	g := conformanceGraph()
-	runConformance(t, func(t *testing.T) Source {
-		return NewFilter(NewEdgeStream(g), func(_ int, e graph.Edge) bool { return e.W >= 4 })
-	}, false)
+	})
 }
 
 func TestConcatRejectsMismatches(t *testing.T) {
@@ -435,37 +426,6 @@ func TestConcatRejectsMismatches(t *testing.T) {
 	}
 	if _, err := Concat(); err == nil {
 		t.Fatal("empty concat accepted")
-	}
-}
-
-func TestFilteredSubsetSemantics(t *testing.T) {
-	g := conformanceGraph()
-	parent := NewEdgeStream(g)
-	fil := NewFilter(parent, func(_ int, e graph.Edge) bool { return e.W >= 4 })
-	want := 0
-	for _, e := range g.Edges() {
-		if e.W >= 4 {
-			want++
-		}
-	}
-	if fil.Len() != want {
-		t.Fatalf("filtered Len %d, want %d", fil.Len(), want)
-	}
-	fil.ForEach(func(idx int, e graph.Edge) bool {
-		if g.Edge(idx) != e {
-			t.Fatalf("filtered idx %d does not match parent edge", idx)
-		}
-		if e.W < 4 {
-			t.Fatalf("predicate violated at idx %d", idx)
-		}
-		return true
-	})
-	// The view meters itself; the parent is not charged.
-	if parent.Passes() != 0 {
-		t.Fatalf("parent charged %d passes by filtered view", parent.Passes())
-	}
-	if fil.Passes() != 1 {
-		t.Fatalf("view has %d passes, want 1", fil.Passes())
 	}
 }
 
@@ -528,14 +488,37 @@ func TestBinaryUnitCapacitiesOmitTable(t *testing.T) {
 	}
 }
 
+// exactGNM is graph.GNM that fails the test unless the graph has the m
+// edges asked for (n vertices hold at most n(n-1)/2).
+func exactGNM(t *testing.T, n, m int, wc graph.WeightConfig, seed uint64) *graph.Graph {
+	t.Helper()
+	g := graph.GNM(n, m, wc, seed)
+	if g.M() != m {
+		t.Fatalf("fixture has %d edges, want %d", g.M(), m)
+	}
+	return g
+}
+
+// TestBinary2RoundTrip round-trips instances whose frames use each
+// weight mode; the multi-frame ones cross frame boundaries in every
+// mode.
 func TestBinary2RoundTrip(t *testing.T) {
+	// Every weight 2.5: the constant-weight mode.
+	constW := graph.New(multiFrameN)
+	for _, e := range exactGNM(t, multiFrameN, 2*bin2BlockLen+17, graph.WeightConfig{}, 8).Edges() {
+		constW.MustAddEdge(int(e.U), int(e.V), 2.5)
+	}
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
+		name   string
+		g      *graph.Graph
+		mode   byte // the weight mode of every frame
+		frames int
 	}{
-		{"small-caps", conformanceGraph()},
-		{"multi-frame", multiFrameGraph(t)},
-		{"unit-weights", graph.GNM(40, bin2BlockLen+100, graph.WeightConfig{}, 7)},
+		{"small-caps", conformanceGraph(), 2, 1},
+		{"multi-frame", multiFrameGraph(t), 3, 3},
+		{"unit-weights", exactGNM(t, 100, bin2BlockLen+100, graph.WeightConfig{}, 7), 0, 2},
+		{"const-weights", constW, 1, 3},
+		{"dict-weights", exactGNM(t, multiFrameN, 2*bin2BlockLen+17, graph.WeightConfig{Mode: graph.PowersOf}, 9), 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := bin2Fixture(t, NewEdgeStream(tc.g))
@@ -546,6 +529,19 @@ func TestBinary2RoundTrip(t *testing.T) {
 			defer src.Close()
 			if src.N() != tc.g.N() || src.Len() != tc.g.M() || src.TotalB() != tc.g.TotalB() {
 				t.Fatalf("header mismatch: n=%d m=%d B=%d", src.N(), src.Len(), src.TotalB())
+			}
+			if got := len(src.frameOff) - 1; got != tc.frames {
+				t.Fatalf("%d frames, want %d", got, tc.frames)
+			}
+			for k := 0; k < tc.frames; k++ {
+				// A frame is an 8-byte header, then the mode byte.
+				head, err := src.bytesAt(src.frameOff[k], 9, make([]byte, 9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if head[8] != tc.mode {
+					t.Fatalf("frame %d has weight mode %d, want %d", k, head[8], tc.mode)
+				}
 			}
 			got := Materialize(src)
 			if !reflect.DeepEqual(got.Edges(), tc.g.Edges()) {

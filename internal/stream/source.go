@@ -19,19 +19,18 @@ import (
 // composition of shards (ConcatSource) without change.
 //
 // Edge indices are stable across passes: every sweep enumerates the same
-// (idx, edge) pairs in the same order, and idx ranges over [0, Len()) for
-// the primary backends (a Filtered view reuses its parent's indices, so
-// there the idx sequence is a strictly increasing subsequence). That
-// stability is what lets downstream samples refer back to edges by index.
+// (idx, edge) pairs in the same order, and idx ranges over [0, Len()).
+// That stability is what lets downstream samples refer back to edges by
+// index.
 //
 // ForEach and ForEachParallel are the metered sweeps algorithm code must
 // use: each call counts one pass, aborted or not. Sweep and SweepParallel
 // (and their block forms, see BlockSweeper) are the raw, un-metered
-// forms; they exist so derived views (Filtered, ConcatSource) can
-// enumerate their parent without charging the parent a pass — the view
-// meters its own passes, matching the paper's accounting where each
-// per-level stream runs on its own machine. Algorithm code should never
-// call them directly.
+// forms; they exist so a composite source (ConcatSource) can enumerate
+// its parts without charging them a pass, and for reads the paper's
+// accounting places on machines of their own: the initial solution's
+// per-level filters (matching.MaximalBMatchingFilter) share sweeps that
+// charge no pass. Other algorithm code should never call them directly.
 type Source interface {
 	// N returns the number of vertices (known a priori, as is standard in
 	// semi-streaming).
@@ -180,9 +179,9 @@ func eachEdgeParallel(f func(idx int, e graph.Edge)) func(base int, edges []grap
 // The guard meters nothing itself — its metered sweeps are metered
 // sweeps of src, un-metered ones stay un-metered, and Passes is src's —
 // so a run that is never cancelled is bit-identical to an unguarded one.
-// Parallel sweeps pass straight through unguarded. Views derived from
-// the guard (per-level Filtered streams) inherit it through their
-// parent's block sweeps. A context that can never be done returns src
+// Parallel sweeps pass straight through unguarded. Un-metered sequential
+// sweeps are guarded like metered ones, so the initial solution's shared
+// filter sweeps stop too. A context that can never be done returns src
 // itself.
 func Cancellable(ctx context.Context, src Source) Source {
 	if ctx.Done() == nil {
