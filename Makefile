@@ -88,8 +88,8 @@ BENCH_NEW ?= BENCH_pr10.json
 bench-gate:
 	$(GO) run ./cmd/matchbench -compare $(BENCH_OLD) $(BENCH_NEW)
 
-# Allocation-profile smoke: the allocs/op benchmarks for the pooled
-# and allocation-flat paths — arena-fed bank builds and the batched
+# Allocation-profile smoke: the allocs/op benchmarks for the
+# allocation-flat paths — arena-fed bank builds and the batched
 # field-update kernel in internal/sketch, session-reuse solves through
 # the facade — at -benchtime=1x so CI sees the counters without paying
 # a full benchmark run.

@@ -35,8 +35,8 @@ func allocsPerRun(runs int, warmup int, fn func(i int)) float64 {
 // warm-started) session versus the construct-per-call cold baseline,
 // and fleet throughput through match.Pool with J concurrent jobs × R
 // repeat-solves per configuration. The alloc ratio stacks two effects:
-// the session's retained scratch (dual-state table, forest pool,
-// construction grids) removes the rebuild, and the chained warm duals
+// the session's retained scratch (dual-state table, the builder grid
+// with its forests) removes the rebuild, and the chained warm duals
 // end a repeat solve in one round, which removes most of the work.
 func E17Throughput(cfg Config) Table {
 	t := Table{

@@ -109,23 +109,21 @@ type dualPrimal struct {
 	bySlot [][]int32
 
 	// Round-loop scratch retained across rounds and runs: the (use,
-	// slot) grids of deferred builders and their sealed sparsifiers, the
-	// offline-solve union (its (source index, edge) list, subgraph and
-	// solver buffers), and the pool of union-find forests every
-	// construction draws from. All of it is rebuilt from
-	// scratch-equivalent state each round; retention only removes the
-	// per-round make/alloc traffic the allocation audit found here. Each
-	// builder keeps its own side-data slots across the rounds of a run,
-	// so the parallel jobs of a round never share one.
-	batches   [][]*sparsify.DeferredBuilder
-	batchBuf  []*sparsify.DeferredBuilder
-	defs      [][]*sparsify.Deferred
-	defBuf    []*sparsify.Deferred
-	union     []unionEdge
-	sub       *graph.Graph
-	offline   matching.OfflineScratch
-	ufScratch *sparsify.Scratch
-	scratch   *oracleScratch // refine + oracle-loop working buffers
+	// slot) grids of deferred builders and their sealed sparsifiers, and
+	// the offline-solve union (its (source index, edge) list, subgraph
+	// and solver buffers). All of it is rebuilt from scratch-equivalent
+	// state each round; retention only removes the per-round make/alloc
+	// traffic the allocation audit found here. Each builder owns what it
+	// reuses — side-data slots, construction shells, forests, item and
+	// reveal buffers — so the parallel jobs of a round never share one.
+	batches  [][]*sparsify.DeferredBuilder
+	batchBuf []*sparsify.DeferredBuilder
+	defs     [][]*sparsify.Deferred
+	defBuf   []*sparsify.Deferred
+	union    []unionEdge
+	sub      *graph.Graph
+	offline  matching.OfflineScratch
+	scratch  *oracleScratch // refine + oracle-loop working buffers
 
 	// Trajectory and best-so-far primal state.
 	lambda     float64
@@ -158,10 +156,12 @@ func New(opt Options) (engine.Algorithm, error) {
 // Reset prepares the solver for another run (the engine.Algorithm
 // reuse contract): per-run results, duals-trajectory and convergence
 // state clear; the retained scratch — the dual state's backing table,
-// the per-level tables, the job grids, the staging chunk, the union
-// buffers/subgraph and the union-find pool — stays warm for Init to
-// zero and reuse. The best-so-far matching is released, not truncated:
-// the previous run's Outcome owns those slices.
+// the per-level tables, the job grids with their deferred builders, the
+// staging chunk and the union buffers/subgraph — stays warm for Init to
+// zero and reuse (a builder an aborted run left mid-feed retires its
+// unfinished constructions at its next Reset). The best-so-far matching
+// is released, not truncated: the previous run's Outcome owns those
+// slices.
 func (a *dualPrimal) Reset() {
 	a.stats = engine.Stats{}
 	a.src = nil
@@ -173,12 +173,6 @@ func (a *dualPrimal) Reset() {
 	a.liveLevels = a.liveLevels[:0]
 	a.jobs = a.jobs[:0]
 	a.chunk = a.chunk[:0]
-	// Drop the previous run's builders and sparsifiers so their samples
-	// — and, after an abort, unfinished constructions with the forest
-	// pool they reference — can be collected between runs; the grid
-	// backing stays. Builders live for one run, across its rounds.
-	clear(a.batchBuf)
-	clear(a.defBuf)
 	a.lambda, a.beta = 0, 0
 	a.bestHat, a.bestWeight = 0, 0
 	a.best = nil
@@ -310,15 +304,16 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	a.bySlot = resizeRows(a.bySlot, len(a.liveLevels))
 
 	// Round-loop scratch, sized once per run from the (use, level) grid
-	// and the instance; a session's next run finds it warm.
-	a.batches, a.batchBuf = grid(a.batches, a.batchBuf, a.tUses, len(a.liveLevels))
-	a.defs, a.defBuf = grid(a.defs, a.defBuf, a.tUses, len(a.liveLevels))
+	// and the instance; a session's next run finds it warm. The builders
+	// keep forests over n vertices, so a new n drops them (and the
+	// sparsifiers that point into them) with the union subgraph.
 	if a.sub == nil || a.sub.N() != a.n {
 		a.sub = graph.New(a.n)
+		clear(a.batchBuf[:cap(a.batchBuf)])
+		clear(a.defBuf[:cap(a.defBuf)])
 	}
-	if a.ufScratch == nil || a.ufScratch.N() != a.n {
-		a.ufScratch = sparsify.NewScratch(a.n)
-	}
+	a.batches, a.batchBuf = grid(a.batches, a.batchBuf, a.tUses, len(a.liveLevels))
+	a.defs, a.defBuf = grid(a.defs, a.defBuf, a.tUses, len(a.liveLevels))
 	if a.scratch == nil {
 		a.scratch = newOracleScratch()
 	}
@@ -336,12 +331,14 @@ func resizeRows[T any](rows [][]T, n int) [][]T {
 }
 
 // grid carves an r×c grid of row views out of one flat buffer, reusing
-// both allocations across runs. Stale entries from a previous round or
-// run are left in place — every (row, col) cell is overwritten (or, for
-// builders, Reset) before it is read in each round — except that Reset
-// clears both buffers so samples do not outlive their run.
+// both allocations across runs. Entries from a previous round or run
+// are left in place — every (row, col) cell is overwritten (or, for
+// builders, Reset) before it is read in each round — and the cells
+// beyond the grid are cleared, so a run with fewer jobs does not keep
+// the rest alive.
 func grid[T any](rows [][]T, buf []T, r, c int) ([][]T, []T) {
 	if cap(buf) >= r*c {
+		clear(buf[r*c : cap(buf)])
 		buf = buf[:r*c]
 	} else {
 		buf = make([]T, r*c)
@@ -412,10 +409,9 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 				a.batches[q][slot] = b
 			}
 			if err := b.Reset(a.n, a.levelCount[k], a.gammaChi, sparsify.Config{
-				Xi:      a.prof.SparsifierXi,
-				K:       a.prof.SparsifierK,
-				Seed:    a.rng.Split(uint64(round*1000 + q*100 + k)).Uint64(),
-				Scratch: a.ufScratch,
+				Xi:   a.prof.SparsifierXi,
+				K:    a.prof.SparsifierK,
+				Seed: a.rng.Split(uint64(round*1000 + q*100 + k)).Uint64(),
 			}); err != nil {
 				return false, err
 			}
@@ -484,8 +480,8 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	// the job grid, each result landing in its own index-keyed slot —
 	// defBuf is the flat backing of the defs grid and job ji owns cell
 	// (q, slot) = (ji/L, ji%L) — so the merge order is job order for any
-	// worker count). Finish also hands every construction's forests back
-	// to the pool.
+	// worker count). Finish also retires every construction, forests
+	// included, into its builder for the next round.
 	parallel.Run(a.workers, len(a.jobs), func(ji int) {
 		a.defBuf[ji] = a.batches[a.jobs[ji].q][a.jobs[ji].slot].Finish()
 	})
@@ -583,13 +579,8 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 			state.Average(sigma, &mini.answer)
 		}
 	}
-	// Every sparsifier of the round is consumed: hand their pooled
-	// containers (items, indexes, refinement buffers) back for the next
-	// round's constructions. The freed words below are the same words a
-	// cold round frees — pooling never touches the accountant.
-	for _, d := range a.defBuf {
-		d.Release()
-	}
+	// Every sparsifier of the round is consumed. Its buffers stay with
+	// its builder for the next round, as capacity no accountant meters.
 	acct.Free(sampledTotal)
 
 	a.lambda = lambdaOf(src, scheme, state) // pass: λ re-evaluation

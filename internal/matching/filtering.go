@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -157,7 +158,9 @@ func filterCore(sweep func(f func(base int, edges []graph.Edge) bool), budget in
 			if c.survivors > budget {
 				c.prob = float64(budget) / float64(c.survivors)
 			}
-			c.sample = c.sample[:0]
+			// The sample holds about min(survivors, budget) edges:
+			// grow it to that once rather than by appends.
+			c.sample = slices.Grow(c.sample[:0], min(c.survivors, budget))
 			sampling = append(sampling, c)
 		}
 		if len(sampling) == 0 {

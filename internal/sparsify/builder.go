@@ -3,6 +3,8 @@ package sparsify
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/unionfind"
 )
 
 // DeferredBuilder is the streaming construction of the deferred
@@ -34,6 +36,14 @@ type DeferredBuilder struct {
 	// Finish reaches an edge's side data — and its local index, which
 	// levelOf hashes — by position rather than through a map.
 	slots []builderEdge
+	// Reuse across feeds: Finish retires each class's construction
+	// shell (spines and stored rows) to shells and its forests over n
+	// vertices to forests, which the next feed's classes draw from; d
+	// is the structure Finish emits, its buffers reused by the next
+	// Finish and RefineWith.
+	shells  []*construction
+	forests []*unionfind.UF
+	d       Deferred
 }
 
 // builderEdge is the per-stored-edge side data the construction core does
@@ -53,10 +63,12 @@ type builderEdge struct {
 // m (the count must be known up front: it fixes the subsampling depth,
 // exactly as NewDeferred derives it from its array length); chi >= 1 is
 // the promised distortion bound. A reused builder keeps its slot
-// buffer's and class table's capacity: a caller that runs one
+// buffer's and class table's capacity, its retired constructions and,
+// while n stays the same, their forests: a caller that runs one
 // construction per job per round (the solver's sampling pass) holds one
-// builder per job and stops reallocating the side data every round.
-// Call only after Finish (or on a builder that was never fed).
+// builder per job and stops reallocating every round. A builder left
+// mid-feed (an aborted pass) retires its unfinished constructions here,
+// so the next feed starts from empty forests either way.
 func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 	if chi < 1 {
 		return fmt.Errorf("sparsify: chi %v < 1", chi)
@@ -64,10 +76,12 @@ func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 	if m < 0 {
 		return fmt.Errorf("sparsify: negative edge count %d", m)
 	}
+	b.retire()
+	if n != b.n {
+		b.forests = nil // sized for another vertex count
+	}
 	b.n, b.m, b.chi = n, m, chi
 	b.cfg = deferredConfig(n, chi, cfg)
-	clear(b.byClass)
-	b.byClass = b.byClass[:0]
 	b.slots = b.slots[:0]
 	return nil
 }
@@ -105,31 +119,64 @@ func (b *DeferredBuilder) classConstruction(cl int) *construction {
 	}
 	c := b.byClass[i]
 	if c == nil {
-		c = newConstruction(b.n, b.m, withClassSeed(b.cfg, cl))
+		c = b.shell(cl)
+		c.reset(b.n, b.m, withClassSeed(b.cfg, cl), &b.forests)
 		b.byClass[i] = c
 	}
 	return c
 }
 
+// shell takes a retired construction shell for class cl: the class's
+// own from an earlier feed when there is one, whose rows already fit
+// the class, else the last one retired, else a new one.
+func (b *DeferredBuilder) shell(cl int) *construction {
+	j := slices.IndexFunc(b.shells, func(c *construction) bool { return c.class == cl })
+	if j < 0 {
+		j = len(b.shells) - 1
+	}
+	if j < 0 {
+		return &construction{class: cl}
+	}
+	c := b.shells[j]
+	b.shells = slices.Delete(b.shells, j, j+1)
+	c.class = cl
+	return c
+}
+
+// retire empties byClass into the builder's lists: each construction's
+// forests to forests and its shell, rows truncated, to shells.
+func (b *DeferredBuilder) retire() {
+	for _, c := range b.byClass {
+		if c == nil {
+			continue
+		}
+		for i, row := range c.ufs {
+			b.forests = append(b.forests, row...)
+			clear(row)
+			c.ufs[i] = row[:0]
+		}
+		for i := range c.stored {
+			c.stored[i] = c.stored[i][:0]
+		}
+		b.shells = append(b.shells, c)
+	}
+	clear(b.byClass)
+	b.byClass = b.byClass[:0]
+}
+
 // Finish emits the Deferred. The per-class item streams concatenate in
 // increasing class order — the order NewDeferred's sorted bucketByClass
 // produces — so the structure is identical to the array-fed construction
-// on the same input. When the builder was configured with a Scratch,
-// Finish draws the emitted items from the pool and retires every
-// construction (forests and shells) back to it on the way out: the
-// Deferred carries only its Items and needs no forest state, and the
-// caller hands the items back through Deferred.Release. The builder
-// must not be fed again until Reset.
+// on the same input. The Deferred carries only its Items and needs no
+// forest state, so Finish retires every construction for the next
+// feed. The returned structure is the builder's own: it is valid until
+// the builder's next Finish or Reset. The builder must not be fed again
+// until Reset.
 func (b *DeferredBuilder) Finish() *Deferred {
-	var scr *Scratch
-	if s := b.cfg.Scratch; s != nil && s.n == b.n {
-		scr = s
-	}
-	d := &Deferred{n: b.n, chi: b.chi, scr: scr}
-	if scr != nil {
-		d.items = scr.getItems(0)
-	}
-	for ci, sub := range b.byClass {
+	d := &b.d
+	d.n, d.chi = b.n, b.chi
+	d.items = d.items[:0]
+	for _, sub := range b.byClass {
 		if sub == nil {
 			continue
 		}
@@ -160,10 +207,8 @@ func (b *DeferredBuilder) Finish() *Deferred {
 				})
 			}
 		}
-		sub.retire()
-		b.byClass[ci] = nil
 	}
-	b.byClass = b.byClass[:0]
+	b.retire()
 	b.slots = b.slots[:0]
 	return d
 }

@@ -3,6 +3,7 @@ package sparsify
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -23,30 +24,10 @@ type Deferred struct {
 	chi   float64
 	items []Item // probabilities fixed at sampling time; Weight holds ς until refined
 
-	// scr is the pool the structure's containers return to on Release
-	// (set when built through a Scratch-configured DeferredBuilder; nil
-	// means plain heap ownership). refined retains the backing of the
-	// last RefineWith output so Release can reclaim it — the solver
-	// consumes each refinement before releasing the structure.
-	scr     *Scratch
-	refined []Item
-}
-
-// Release hands the structure's pooled containers (items and the last
-// refinement's backing) back to the Scratch it was built with. No-op without one. The Deferred — and any Sparsifier its
-// RefineWith produced — must not be used afterwards.
-func (d *Deferred) Release() {
-	if d.scr == nil {
-		return
-	}
-	if d.items != nil {
-		d.scr.putItems(d.items)
-		d.items = nil
-	}
-	if d.refined != nil {
-		d.scr.putItems(d.refined)
-		d.refined = nil
-	}
+	// revealed and refined are RefineWith's buffers, reused by its next
+	// call on the structure.
+	revealed []float64
+	refined  []Item
 }
 
 // NewDeferred samples the structure D from promise values sigma (indexed
@@ -158,43 +139,29 @@ func (d *Deferred) Items() []Item { return d.items }
 // Refine reveals the exact weights of the stored edges and returns the
 // final sparsifier. reveal is called only for stored edge indices; it
 // must return the true weight u_e. Edges whose revealed weight is zero
-// are dropped.
+// are dropped. The result is valid until d's next refinement.
 func (d *Deferred) Refine(reveal func(edgeIdx int) float64) *Sparsifier {
-	return d.RefineParallel(1, reveal)
+	return d.RefineWith(1, func(it Item) float64 { return reveal(it.EdgeIdx) })
 }
 
-// RefineParallel is Refine with the reveal calls sharded by item range
-// across workers (0 = GOMAXPROCS, 1 = sequential Refine). reveal must be
+// RefineWith is Refine with the reveal callback handed the whole stored
+// Item rather than just its local index, and the reveal calls sharded by
+// item range across workers (0 = GOMAXPROCS, 1 = sequential). The reveal
+// can use the endpoints (and the provisional promise value in Weight)
+// directly, so refinement needs no random access back into the input
+// stream — the out-of-core reveal path of the solver. reveal must be
 // safe for concurrent calls when workers != 1 — in the solver it is a
-// read-only evaluation of the frozen dual state. Output order matches
-// Refine exactly for any worker count.
-func (d *Deferred) RefineParallel(workers int, reveal func(edgeIdx int) float64) *Sparsifier {
-	return d.RefineWith(workers, func(it Item) float64 { return reveal(it.EdgeIdx) })
-}
-
-// RefineWith is RefineParallel with the reveal callback handed the whole
-// stored Item rather than just its local index: the reveal can use the
-// endpoints (and the provisional promise value in Weight) directly, so
-// refinement needs no random access back into the input stream — the
-// out-of-core reveal path of the solver.
+// read-only evaluation of the frozen dual state. Output order is the
+// same for any worker count. The returned sparsifier's Items are d's
+// own buffer: they are valid until the next RefineWith on d.
 func (d *Deferred) RefineWith(workers int, reveal func(it Item) float64) *Sparsifier {
-	var revealed []float64
-	if d.scr != nil {
-		revealed = d.scr.getF64s(len(d.items))
-	} else {
-		revealed = make([]float64, len(d.items))
-	}
+	revealed := slices.Grow(d.revealed[:0], len(d.items))[:len(d.items)]
 	parallel.ForEachShard(workers, len(d.items), func(_ int, sh parallel.Range) {
 		for i := sh.Lo; i < sh.Hi; i++ {
 			revealed[i] = reveal(d.items[i])
 		}
 	})
-	var items []Item
-	if d.scr != nil {
-		items = d.scr.getItems(len(d.items))
-	} else {
-		items = make([]Item, 0, len(d.items))
-	}
+	items := slices.Grow(d.refined[:0], len(d.items))
 	for i, it := range d.items {
 		if revealed[i] <= 0 {
 			continue
@@ -202,9 +169,6 @@ func (d *Deferred) RefineWith(workers int, reveal func(it Item) float64) *Sparsi
 		it.Weight = revealed[i] / it.Prob
 		items = append(items, it)
 	}
-	if d.scr != nil {
-		d.scr.putF64s(revealed)
-		d.refined = items // reclaimed by Release
-	}
+	d.revealed, d.refined = revealed, items
 	return &Sparsifier{N: d.n, Items: items}
 }

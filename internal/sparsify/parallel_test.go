@@ -60,7 +60,7 @@ func TestDeferredWorkersBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: stored items differ", workers)
 		}
 		a := seq.Refine(func(i int) float64 { return u[i] })
-		b := par.RefineParallel(workers, func(i int) float64 { return u[i] })
+		b := par.RefineWith(workers, func(it Item) float64 { return u[it.EdgeIdx] })
 		if !reflect.DeepEqual(a.Items, b.Items) {
 			t.Fatalf("workers=%d: refined sparsifiers differ", workers)
 		}

@@ -43,12 +43,6 @@ type Config struct {
 	// per-class randomness is seeded from the class id, and classes merge
 	// in increasing class order.
 	Workers int
-	// Scratch, when non-nil, supplies the constructions' union-find
-	// forests from a reusable pool sized for the same vertex count
-	// (callers releasing their constructions hand the forests back). A
-	// Reset forest equals a fresh one, so results are unchanged; only
-	// allocation traffic is.
-	Scratch *Scratch
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -99,52 +93,58 @@ func (s *Sparsifier) CutWeight(inSet []bool) float64 {
 // construction holds the per-level forest state shared by the plain and
 // deferred builds.
 type construction struct {
-	cfg     Config
-	n       int
-	numLv   int
-	levelOf func(edgeIdx int) int // geometric subsampling level of an edge
-	ufs     [][]*unionfind.UF     // [level][j], j < K
-	stored  [][]int               // [level] -> ids of the edges stored in forests
+	cfg    Config
+	n      int
+	numLv  int
+	hash   *xrand.PolyHash   // draws each edge's geometric subsampling level
+	ufs    [][]*unionfind.UF // [level][j], j < K
+	stored [][]int           // [level] -> ids of the edges stored in forests
+	// spare, when non-nil, is the owner's list of retired forests over n
+	// elements, which newForest draws from before allocating.
+	spare *[]*unionfind.UF
+	class int // the weight class a DeferredBuilder last armed it for
 }
 
 func newConstruction(n, m int, cfg Config) *construction {
+	c := new(construction)
+	c.reset(n, m, cfg, nil)
+	return c
+}
+
+// reset arms c for a fresh construction. A retired construction keeps
+// its spines and its empty rows' capacity; the hash is always rebuilt
+// from the seed, so a reused construction computes exactly what a fresh
+// one does.
+func (c *construction) reset(n, m int, cfg Config, spare *[]*unionfind.UF) {
 	numLv := 1
 	for v := 1; v < m; v <<= 1 {
 		numLv++
 	}
-	h := xrand.NewPolyHash(xrand.New(cfg.Seed), 2)
-	// A retired shell supplies the spines and the stored rows' capacity;
-	// the hash is always rebuilt from the seed, so a pooled construction
-	// computes exactly what a fresh one does.
-	var c *construction
-	if s := cfg.Scratch; s != nil && s.n == n {
-		c = s.getShell()
-	}
-	if c == nil {
-		c = &construction{}
-	}
 	c.cfg = cfg
 	c.n = n
 	c.numLv = numLv
-	c.levelOf = func(edgeIdx int) int {
-		return h.Level(uint64(edgeIdx)+1, numLv-1)
-	}
+	c.hash = xrand.NewPolyHash(xrand.New(cfg.Seed), 2)
 	c.ufs = respine(c.ufs, numLv)
 	c.stored = respine(c.stored, numLv)
+	c.spare = spare
 	// Forests are allocated lazily: forest j at level i exists only once
 	// some edge was rejected by forests 0..j-1 there. An unallocated
 	// forest is semantically a discrete forest (nothing connected), which
 	// is exactly the state it would be allocated in.
-	return c
 }
 
 // respine sizes a slice-of-slices spine to n rows, keeping surviving
-// rows' backing arrays (retired shells truncate them to length 0).
+// rows' backing arrays (retired constructions truncate them to length 0).
 func respine[T any](rows [][]T, n int) [][]T {
 	for len(rows) < n {
 		rows = append(rows, nil)
 	}
 	return rows[:n]
+}
+
+// levelOf returns an edge's geometric subsampling level.
+func (c *construction) levelOf(edgeIdx int) int {
+	return c.hash.Level(uint64(edgeIdx)+1, c.numLv-1)
 }
 
 // process streams one edge through every level it survives to, inserting
@@ -189,43 +189,19 @@ func (c *construction) process(edgeIdx, id int, u, v int32) bool {
 	return storedAny
 }
 
-// newForest allocates one spanning-forest structure, from the pool when
-// the construction was configured with one.
+// newForest returns a forest of n singleton sets: the owner's last
+// retired one, Reset in place (a Reset forest equals a fresh one), or a
+// new one.
 func (c *construction) newForest() *unionfind.UF {
-	if s := c.cfg.Scratch; s != nil && s.n == c.n {
-		return s.Get()
+	if c.spare != nil {
+		if last := len(*c.spare) - 1; last >= 0 {
+			uf := (*c.spare)[last]
+			*c.spare = (*c.spare)[:last]
+			uf.Reset()
+			return uf
+		}
 	}
 	return unionfind.New(c.n)
-}
-
-// release hands every allocated forest back to the configured pool.
-// Call only once the construction is fully consumed (criticalLevel
-// reads the forests during item emission).
-func (c *construction) release() {
-	s := c.cfg.Scratch
-	if s == nil || s.n != c.n {
-		return
-	}
-	for i, forests := range c.ufs {
-		s.Put(forests...)
-		c.ufs[i] = nil
-	}
-}
-
-// retire releases the forests and hands the construction shell itself
-// back to the pool for the next newConstruction. Call only once fully
-// consumed; the construction must not be used afterwards.
-func (c *construction) retire() {
-	c.release()
-	s := c.cfg.Scratch
-	if s == nil || s.n != c.n {
-		return
-	}
-	for i := range c.stored {
-		c.stored[i] = c.stored[i][:0]
-	}
-	c.levelOf = nil
-	s.putShell(c)
 }
 
 // criticalLevel returns i′(e): the smallest level at which the endpoints

@@ -172,6 +172,74 @@ func TestSolverReuseCancelledMatchesCold(t *testing.T) {
 	}
 }
 
+// cancelAfterEdge cancels its context once metered pass `at` (1-based)
+// has handed edge `after` on, so the engine ends that pass at the next
+// block boundary with the blocks before it consumed.
+type cancelAfterEdge struct {
+	stream.Source
+	at, after, passes int
+	cancel            context.CancelFunc
+}
+
+func (c *cancelAfterEdge) ForEach(f func(idx int, e graph.Edge) bool) {
+	c.passes++
+	if c.passes != c.at {
+		c.Source.ForEach(f)
+		return
+	}
+	c.Source.ForEach(func(idx int, e graph.Edge) bool {
+		ok := f(idx, e)
+		if idx == c.after {
+			c.cancel()
+		}
+		return ok
+	})
+}
+
+// TestSolverReuseAfterSamplingAbortMatchesCold pins the reuse of a
+// session's deferred builders after an abort inside round 1's sampling
+// pass (pass 4). The cancel lands once edge 2·BlockEdges is handed on,
+// so the pass has staged two full blocks into the builders and ends
+// with their constructions unfinished; the same Solver's next full
+// solve must equal a cold Solver's. Two forests per level and χ = 1
+// make the constructions sample (9 000 unit-weight edges against 2·199
+// forest edges per level and class), so leftover forest state would
+// change what they keep.
+func TestSolverReuseAfterSamplingAbortMatchesCold(t *testing.T) {
+	g := graph.GNM(200, 9000, graph.WeightConfig{}, 43)
+	prof := match.Practical(0.3)
+	prof.SparsifierK = 2
+	prof.ChiOverride = 1
+	opts := []match.Option{match.WithEps(0.3), match.WithProfile(prof), match.WithSeed(7), match.WithWorkers(1)}
+	newSolver := func() *match.Solver {
+		t.Helper()
+		s, err := match.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want, err := newSolver().Solve(context.Background(), stream.NewEdgeStream(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := newSolver()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	aborted, err := reused.Solve(ctx, &cancelAfterEdge{Source: stream.NewEdgeStream(g), at: 4, after: 2 * stream.BlockEdges, cancel: cancel})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if aborted.Stats.Passes != 4 {
+		t.Fatalf("aborted after %d passes, want 4 (inside round 1's sampling pass)", aborted.Stats.Passes)
+	}
+	got, err := reused.Solve(context.Background(), stream.NewEdgeStream(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "solve after a sampling-pass abort", want, got)
+}
+
 // drifted returns g with a fraction of edge weights nudged — the
 // "slowly drifting instance" regime warm starts target. The maximum
 // weight and capacities are preserved (the max-weight edges are never
