@@ -9,7 +9,8 @@ package match_test
 // worker counts of the historical 14-run corpus; each run also pins a
 // warm-started repeat (WithInitialDuals) and a Budget{Rounds: 2} trip.
 // The backend suite pins the same edge sequence behind all four stream
-// backends.
+// backends, and the lean-profile pin an instance whose sparsifier
+// constructions sample.
 
 import (
 	"context"
@@ -99,9 +100,12 @@ func TestSolvePinnedOnCorpus(t *testing.T) {
 // instance, for every backend and worker count.
 const backendDigest = "2c3d513f9849ad20"
 
-func TestSolvePinnedAcrossBackends(t *testing.T) {
-	// The same edge sequence behind all four backends, for sequential
-	// and sharded pipelines.
+// pinnedBackends returns the backend suite's instance (n 72, m 700,
+// uniform weights to 30, generator seed 21) behind all four stream
+// backends: in memory, an RBG1 file, the generator itself and two
+// concatenated halves.
+func pinnedBackends(t *testing.T) map[string]match.Source {
+	t.Helper()
 	spec := stream.GenSpec{N: 72, M: 700,
 		Weights: graph.WeightConfig{Mode: graph.UniformWeights, WMax: 30}, Seed: 21}
 	gen, err := stream.NewGen(spec)
@@ -117,7 +121,7 @@ func TestSolvePinnedAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer file.Close()
+	t.Cleanup(func() { file.Close() })
 	genFresh, err := stream.NewGen(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +139,18 @@ func TestSolvePinnedAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := map[string]match.Source{
+	return map[string]match.Source{
 		"memory":    stream.NewEdgeStream(g),
 		"file":      file,
 		"generator": genFresh,
 		"sharded":   concat,
 	}
+}
+
+func TestSolvePinnedAcrossBackends(t *testing.T) {
+	// The same edge sequence behind all four backends, for sequential
+	// and sharded pipelines.
+	backends := pinnedBackends(t)
 	for _, workers := range []int{1, 0} {
 		solver, err := match.New(match.WithSeed(9), match.WithWorkers(workers))
 		if err != nil {
@@ -154,6 +164,45 @@ func TestSolvePinnedAcrossBackends(t *testing.T) {
 			if got := jsonDigest(t, pub); got != backendDigest {
 				t.Errorf("%s workers=%d: digest %s, pinned %s", name, workers, got, backendDigest)
 			}
+		}
+	}
+}
+
+// leanDigests pins the cold, warm and Budget{Rounds: 2} solves of a
+// lean-profile instance: GNM(200, 9 000) with unit weights, two forests
+// per sparsifier and χ = 1 (eps 0.3, p 2, seed 7; workers 1 and 4). The
+// corpus runs the default profile, whose 24·⌈χ²⌉ forests a level keep
+// every edge at its sizes; here the constructions sample (9 000 edges
+// against 2·199 forest edges per level and class), so a change to what
+// a forest keeps changes these digests.
+var leanDigests = [3]string{"db0763c72e53d083", "c8d3a537af8287dd", "5031c3b768b0967c"}
+
+func TestSolvePinnedLeanProfile(t *testing.T) {
+	ctx := context.Background()
+	g := graph.GNM(200, 9000, graph.WeightConfig{}, 43)
+	prof := match.Practical(0.3)
+	prof.SparsifierK = 2
+	prof.ChiOverride = 1
+	for _, workers := range []int{1, 4} {
+		solver, err := match.New(match.WithEps(0.3), match.WithSpaceExponent(2), match.WithProfile(prof),
+			match.WithSeed(7), match.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := solver.Solve(ctx, stream.NewEdgeStream(g))
+		if err != nil {
+			t.Fatalf("cold: %v", err)
+		}
+		warm, err := solver.Solve(ctx, stream.NewEdgeStream(g), match.WithInitialDuals(cold))
+		if err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+		trip, err := solver.Solve(ctx, stream.NewEdgeStream(g), match.WithBudget(match.Budget{Rounds: 2}))
+		if !errors.Is(err, match.ErrBudgetExceeded) {
+			t.Fatalf("rounds budget: err = %v, want ErrBudgetExceeded", err)
+		}
+		if got := [3]string{jsonDigest(t, cold), jsonDigest(t, warm), jsonDigest(t, trip)}; got != leanDigests {
+			t.Errorf("workers=%d: digests %q, pinned %q", workers, got, leanDigests)
 		}
 	}
 }
