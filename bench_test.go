@@ -6,9 +6,10 @@ package repro
 // therefore re-derives every quantitative claim of the paper at CI
 // scale. Run cmd/matchbench for the full-scale tables.
 //
-// BenchmarkSolveOOC is the exception: one solve of the repository
-// benchmark's solve-ooc workload (perfbench/), for profiling what that
-// benchmark measures (`make bench-profile`).
+// BenchmarkSolveOOC and BenchmarkScanGreedy are the exceptions: one
+// solve each of the repository benchmark's solve-ooc and scan-greedy
+// workloads (perfbench/), for profiling what that benchmark measures
+// (`make bench-profile` profiles the first).
 
 import (
 	"context"
@@ -78,6 +79,41 @@ func BenchmarkSolveOOC(b *testing.B) {
 	prof.SparsifierK = 6
 	prof.ChiOverride = 1
 	opts := []match.Option{match.WithEps(0.3), match.WithSpaceExponent(2), match.WithWorkers(1), match.WithProfile(prof)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := match.New(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(context.Background(), src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScanGreedy solves scan-greedy's instance with its options:
+// n=65 536 and m=4 194 304 edges from stream.NewGen (seed 1) with
+// weights uniform in [1, 25], written as RBG2 and read back through the
+// mmap'd file source; greedy-augment with ε=0.3, p=2 and one worker.
+// Each iteration is a cold solver, as in the benchmark.
+func BenchmarkScanGreedy(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "scan-greedy.rbg")
+	gen, err := stream.NewGen(stream.GenSpec{N: 65536, M: 4 << 20,
+		Weights: graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := stream.WriteBinaryFile2(path, gen); err != nil {
+		b.Fatal(err)
+	}
+	src, err := stream.OpenBinary(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	opts := []match.Option{match.WithEps(0.3), match.WithSpaceExponent(2), match.WithWorkers(1),
+		match.WithAlgorithm("greedy-augment")}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

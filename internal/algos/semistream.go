@@ -2,6 +2,7 @@ package algos
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -28,8 +29,9 @@ type greedyAlg struct {
 	src           stream.Source
 	n             int
 	st            *semistream.GreedyState
-	cur           map[int]bool // matched edge-index set once augmenting
-	bits          []bool       // session-retained matched-vertex buffer
+	cur           []int                     // sorted matched edge indices once augmenting
+	bits          []bool                    // session-retained matched-vertex buffer
+	aug           semistream.AugmentScratch // session-retained augmentation state
 	weight        float64
 	earlyStopped  bool
 }
@@ -44,11 +46,10 @@ func (a *greedyAlg) Init(_ context.Context, run *engine.Run, src stream.Source) 
 }
 
 // Reset clears the per-run state for session reuse. The matched-vertex
-// bit buffer is retained (it is scratch), and so is augmentRounds (the
-// factory's configuration); the greedy state, its edge list and the
-// augmenting edge-index set are not — the previous run's Outcome owns
-// the matching, and a non-nil cur doubles as the "already augmenting"
-// signal Finish keys on.
+// bit buffer and the augmentation scratch are retained, and so is
+// augmentRounds (the factory's configuration); the greedy state and its
+// edge list are not — the previous run's Outcome owns the matching —
+// and cur, which points into the scratch, is dropped.
 func (a *greedyAlg) Reset() {
 	a.src = nil
 	a.n = 0
@@ -81,10 +82,7 @@ func (a *greedyAlg) Round(_ context.Context, run *engine.Run) (bool, error) {
 			a.earlyStopped = true
 			return true, nil
 		}
-		a.cur = make(map[int]bool, len(a.st.Matching().EdgeIdx))
-		for _, idx := range a.st.Matching().EdgeIdx {
-			a.cur[idx] = true
-		}
+		a.cur = a.st.Matching().EdgeIdx // stream order: ascending
 		return false, nil
 	}
 	if round > a.augmentRounds {
@@ -93,10 +91,11 @@ func (a *greedyAlg) Round(_ context.Context, run *engine.Run) (bool, error) {
 	if err := run.BeginRound(); err != nil {
 		return false, err
 	}
-	// The round's transient index structures (matchAt, freeTaken) are
+	// The round's transient index structures (matchPos, freeTaken) are
 	// O(n) central words on top of the live matching state.
 	run.Acct.Alloc(2 * a.n)
-	augmented, delta := semistream.AugmentRound(a.src, a.cur)
+	next, augmented, delta := semistream.AugmentRound(a.src, a.cur, &a.aug)
+	a.cur = next
 	run.Acct.Free(2 * a.n)
 	a.weight += delta
 	if err := run.Check(); err != nil {
@@ -111,12 +110,13 @@ func (a *greedyAlg) Round(_ context.Context, run *engine.Run) (bool, error) {
 
 // Finish reports the current matched set — feasible at every point, so
 // budget trips and cancellations hand back whatever the rounds so far
-// built.
+// built. An augmented set is copied out of the scratch the next run
+// reuses; an empty one is the greedy state's own (nil) edge list.
 func (a *greedyAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 	var m *matching.Matching
 	switch {
-	case a.cur != nil:
-		m = semistream.SortedMatching(a.cur)
+	case len(a.cur) > 0:
+		m = &matching.Matching{EdgeIdx: slices.Clone(a.cur)}
 	case a.st != nil:
 		m = a.st.Matching()
 	}

@@ -98,29 +98,31 @@ func OnePassGreedy(s stream.Source) *matching.Matching {
 func OnePassReplace(s stream.Source, gamma float64) *matching.Matching {
 	n := s.N()
 	matchEdge := make([]int, n) // edge index matched at v, or -1
+	mate := make([]int32, n)    // the other endpoint of v's matched edge
 	weightAt := make([]float64, n)
 	for i := range matchEdge {
 		matchEdge[i] = -1
 	}
-	inM := make(map[int]graph.Edge)
 	stream.ForEachBlocks(s, func(base int, edges []graph.Edge) bool {
 		for i := range edges {
-			idx, e := base+i, edges[i]
-			offerReplace(idx, e, matchEdge, weightAt, inM, gamma)
+			offerReplace(base+i, edges[i], matchEdge, mate, weightAt, gamma)
 		}
 		return true
 	})
 	out := &matching.Matching{}
-	//lint:ordered key collection, sorted immediately below
-	for idx := range inM {
-		out.EdgeIdx = append(out.EdgeIdx, idx)
+	for v, idx := range matchEdge {
+		if idx >= 0 && int32(v) < mate[v] {
+			out.EdgeIdx = append(out.EdgeIdx, idx)
+		}
 	}
 	slices.Sort(out.EdgeIdx)
 	return out
 }
 
-// offerReplace applies one edge of McGregor's replacement rule.
-func offerReplace(idx int, e graph.Edge, matchEdge []int, weightAt []float64, inM map[int]graph.Edge, gamma float64) {
+// offerReplace applies one edge of McGregor's replacement rule. An
+// evicted edge is unmatched at both its endpoints: the vertex it shares
+// with e and that vertex's mate.
+func offerReplace(idx int, e graph.Edge, matchEdge []int, mate []int32, weightAt []float64, gamma float64) {
 	cu, cv := matchEdge[e.U], matchEdge[e.V]
 	conflict := 0.0
 	if cu >= 0 {
@@ -131,18 +133,14 @@ func offerReplace(idx int, e graph.Edge, matchEdge []int, weightAt []float64, in
 	}
 	if e.W >= (1+gamma)*conflict {
 		if cu >= 0 {
-			old := inM[cu]
-			matchEdge[old.U], matchEdge[old.V] = -1, -1
-			delete(inM, cu)
+			matchEdge[e.U], matchEdge[mate[e.U]] = -1, -1
 		}
 		if cv >= 0 && cv != cu {
-			old := inM[cv]
-			matchEdge[old.U], matchEdge[old.V] = -1, -1
-			delete(inM, cv)
+			matchEdge[e.V], matchEdge[mate[e.V]] = -1, -1
 		}
 		matchEdge[e.U], matchEdge[e.V] = idx, idx
+		mate[e.U], mate[e.V] = e.V, e.U
 		weightAt[e.U], weightAt[e.V] = e.W, e.W
-		inM[idx] = e
 	}
 }
 
@@ -152,122 +150,154 @@ func offerReplace(idx int, e graph.Edge, matchEdge []int, weightAt []float64, in
 // Starting from a maximal matching this converges toward a 2/3
 // approximation of maximum cardinality.
 func ShortAugmentPasses(s stream.Source, m *matching.Matching, maxPasses int) *matching.Matching {
-	cur := map[int]bool{}
-	for _, idx := range m.EdgeIdx {
-		cur[idx] = true
-	}
+	cur := slices.Sorted(slices.Values(m.EdgeIdx))
+	var sc AugmentScratch
 	for pass := 0; pass < maxPasses; pass++ {
-		if augmented, _ := AugmentRound(s, cur); !augmented {
+		next, augmented, _ := AugmentRound(s, cur, &sc)
+		cur = next
+		if !augmented {
 			break
 		}
 	}
-	return SortedMatching(cur)
+	return &matching.Matching{EdgeIdx: cur}
 }
 
-// SortedMatching converts a matched edge-index set into a Matching with
-// deterministically ordered indices.
-func SortedMatching(cur map[int]bool) *matching.Matching {
-	out := &matching.Matching{}
-	//lint:ordered key collection, sorted immediately below
-	for idx := range cur {
-		out.EdgeIdx = append(out.EdgeIdx, idx)
-	}
-	slices.Sort(out.EdgeIdx)
-	return out
+// AugmentScratch is AugmentRound's O(n) state, which its caller keeps
+// across rounds (and a session's runs) so that a round allocates
+// nothing once the buffers have grown: per vertex, the position of its
+// matched edge in the round's sorted matched set and whether it was
+// used as a free end; per position, the matched edge and its candidate
+// wings; the round's new wing edges; and the two index slices that
+// successive rounds return in turn.
+type AugmentScratch struct {
+	matchPos  []int32 // vertex → position of its matched edge in cur, or -1
+	freeTaken []bool
+	wings     []wings // position → matched edge and candidate wings
+	added     []int
+	sets      [2][]int
+	flip      int
+}
+
+// wings is one matched edge's candidate length-3 augmentation: a wing
+// edge from a free vertex at each endpoint.
+type wings struct {
+	matched      graph.Edge
+	uWing, vWing int // edge indices, -1 if none
+	uFree, vFree int32
+	uW, vW       float64
+	applied      bool
 }
 
 // AugmentRound performs one round of length-3 augmentation over the
-// matched edge-index set cur, mutating it in place: two metered passes
-// (one to locate the matched edges, one to collect candidate wings),
-// then a deterministic vertex-disjoint resolution. It reports whether
-// any augmenting path was applied and the total matching-weight delta of
-// the applied augmentations. ShortAugmentPasses and the engine-driven
+// matched edge indices cur, sorted ascending, and returns the new
+// sorted set: two metered passes (one to locate the matched edges, one
+// to collect candidate wings), then a deterministic vertex-disjoint
+// resolution. It also reports whether any augmenting path was applied
+// and the total matching-weight delta of the applied augmentations.
+// The returned slice belongs to sc and stays valid until the round
+// after next, so it can be passed back as the next round's cur. cur
+// itself is only read. ShortAugmentPasses and the engine-driven
 // greedy-augment algorithm share this exact round.
-func AugmentRound(s stream.Source, cur map[int]bool) (bool, float64) {
+//
+// Every state is addressed by vertex or by position in cur: a
+// sequential sweep delivers blocks in index order, so pass 1 walks cur
+// with a cursor, and resolution walks positions in order, which is
+// ascending edge index.
+func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, float64) {
 	n := s.N()
-	matchAt := make([]int, n)
-	for i := range matchAt {
-		matchAt[i] = -1
+	sc.matchPos = resize(sc.matchPos, n)
+	for i := range sc.matchPos {
+		sc.matchPos[i] = -1
 	}
-	edgeOf := make(map[int]graph.Edge, len(cur))
+	sc.freeTaken = resize(sc.freeTaken, n)
+	clear(sc.freeTaken)
+	sc.wings = resize(sc.wings, len(cur))
+	matchPos, ws := sc.matchPos, sc.wings
+	// Pass 1: locate the matched edges. A pass that ends early (a
+	// cancelled sweep) locates a prefix of cur.
+	located := 0
 	stream.ForEachBlocks(s, func(base int, edges []graph.Edge) bool {
-		for i := range edges {
-			if idx := base + i; cur[idx] {
-				matchAt[edges[i].U] = idx
-				matchAt[edges[i].V] = idx
-				edgeOf[idx] = edges[i]
+		for end := base + len(edges); located < len(cur) && cur[located] < end; located++ {
+			ws[located] = wings{uWing: -1, vWing: -1}
+			if cur[located] < base {
+				continue // an index the sweep never delivered
 			}
+			e := edges[cur[located]-base]
+			matchPos[e.U], matchPos[e.V] = int32(located), int32(located)
+			ws[located].matched = e
 		}
 		return true
 	})
-	// Collect, per matched edge, one candidate wing at each endpoint:
-	// wing edges go from a free vertex to a matched endpoint.
-	type wings struct {
-		uWing, vWing int // edge indices, -1 if none
-		uFree, vFree int32
-		uW, vW       float64
-		matched      graph.Edge
-		matchedIdx   int
-	}
-	byMatched := map[int]*wings{}
-	freeTaken := make([]bool, n)
+	// Pass 2: collect, per matched edge, one candidate wing at each
+	// endpoint: wing edges go from a free vertex to a matched endpoint.
+	// A matched edge has both endpoints matched (a matching is
+	// vertex-disjoint and graph rejects self loops), so the both-matched
+	// skip passes over it.
 	stream.ForEachBlocks(s, func(base int, edges []graph.Edge) bool {
 		for i := range edges {
-			idx, e := base+i, edges[i]
-			if cur[idx] {
-				continue
-			}
-			fu, fv := matchAt[e.U] == -1, matchAt[e.V] == -1
-			if fu == fv {
+			e := &edges[i]
+			pu, pv := matchPos[e.U], matchPos[e.V]
+			if (pu < 0) == (pv < 0) {
 				continue // both free (matching not maximal) or both matched
 			}
-			free, anchored := e.U, e.V
-			if fv {
-				free, anchored = e.V, e.U
+			free, anchored, p := e.U, e.V, pv
+			if pv < 0 {
+				free, anchored, p = e.V, e.U, pu
 			}
-			mi := matchAt[anchored]
-			w := byMatched[mi]
-			if w == nil {
-				me := edgeOf[mi]
-				w = &wings{uWing: -1, vWing: -1, matched: me, matchedIdx: mi}
-				byMatched[mi] = w
-			}
+			w := &ws[p]
 			if anchored == w.matched.U && w.uWing == -1 {
-				w.uWing, w.uFree, w.uW = idx, free, e.W
+				w.uWing, w.uFree, w.uW = base+i, free, e.W
 			} else if anchored == w.matched.V && w.vWing == -1 {
-				w.vWing, w.vFree, w.vW = idx, free, e.W
+				w.vWing, w.vFree, w.vW = base+i, free, e.W
 			}
 		}
 		return true
 	})
 	// Resolve: an augmenting path needs wings at both endpoints with
-	// distinct free vertices not already used this round. Matched
-	// edges are visited in sorted index order — map iteration order
-	// would make the conflict resolution (and thus the result)
-	// nondeterministic run to run.
-	matchedIdxs := make([]int, 0, len(byMatched))
-	//lint:ordered key collection, sorted immediately below
-	for mi := range byMatched {
-		matchedIdxs = append(matchedIdxs, mi)
-	}
-	slices.Sort(matchedIdxs)
+	// distinct free vertices not already used this round. Matched edges
+	// are visited in position order, which is ascending index order.
 	augmented := false
 	delta := 0.0
-	for _, mi := range matchedIdxs {
-		w := byMatched[mi]
+	added := sc.added[:0]
+	for p := range ws[:located] {
+		w := &ws[p]
 		if w.uWing == -1 || w.vWing == -1 || w.uFree == w.vFree {
 			continue
 		}
-		if freeTaken[w.uFree] || freeTaken[w.vFree] {
+		if sc.freeTaken[w.uFree] || sc.freeTaken[w.vFree] {
 			continue
 		}
-		freeTaken[w.uFree] = true
-		freeTaken[w.vFree] = true
-		delete(cur, w.matchedIdx)
-		cur[w.uWing] = true
-		cur[w.vWing] = true
+		sc.freeTaken[w.uFree] = true
+		sc.freeTaken[w.vFree] = true
+		w.applied = true
+		added = append(added, w.uWing, w.vWing)
 		delta += w.uW + w.vW - w.matched.W
 		augmented = true
 	}
-	return augmented, delta
+	// The new set: cur without the applied matched edges, merged with
+	// the sorted wings that replace them.
+	slices.Sort(added)
+	next, j := sc.sets[sc.flip][:0], 0
+	for p, idx := range cur {
+		if p < located && ws[p].applied {
+			continue
+		}
+		for ; j < len(added) && added[j] < idx; j++ {
+			next = append(next, added[j])
+		}
+		next = append(next, idx)
+	}
+	next = append(next, added[j:]...)
+	sc.added, sc.sets[sc.flip] = added, next
+	sc.flip ^= 1
+	return next, augmented, delta
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short; the contents are the caller's to initialize.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
