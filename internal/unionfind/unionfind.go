@@ -4,23 +4,18 @@
 // checks in tests.
 package unionfind
 
-// UF is a disjoint-set forest over elements 0..n-1.
+// UF is a disjoint-set forest over elements 0..n-1. parent[x] holds x's
+// parent, or −1−rank when x is a root, so a forest is one int32 a
+// element and Union reads a root's rank from the word Find just loaded.
 type UF struct {
 	parent []int32
-	rank   []int8
 	comps  int
 }
 
 // New returns a union-find structure with n singleton sets.
 func New(n int) *UF {
-	u := &UF{
-		parent: make([]int32, n),
-		rank:   make([]int8, n),
-		comps:  n,
-	}
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-	}
+	u := &UF{parent: make([]int32, n), comps: n}
+	u.Reset()
 	return u
 }
 
@@ -33,11 +28,18 @@ func (u *UF) Components() int { return u.comps }
 // Find returns the canonical representative of x's set.
 func (u *UF) Find(x int) int {
 	p := int32(x)
-	for u.parent[p] != p {
-		u.parent[p] = u.parent[u.parent[p]] // path halving
-		p = u.parent[p]
+	for {
+		q := u.parent[p]
+		if q < 0 {
+			return int(p)
+		}
+		g := u.parent[q]
+		if g < 0 {
+			return int(q)
+		}
+		u.parent[p] = g // path halving
+		p = g
 	}
-	return int(p)
 }
 
 // Union merges the sets containing x and y and reports whether a merge
@@ -47,13 +49,14 @@ func (u *UF) Union(x, y int) bool {
 	if rx == ry {
 		return false
 	}
-	if u.rank[rx] < u.rank[ry] {
+	// A root's word is −1−rank: the higher rank is the lower word.
+	if u.parent[rx] > u.parent[ry] {
 		rx, ry = ry, rx
 	}
-	u.parent[ry] = int32(rx)
-	if u.rank[rx] == u.rank[ry] {
-		u.rank[rx]++
+	if u.parent[rx] == u.parent[ry] {
+		u.parent[rx]-- // rank + 1
 	}
+	u.parent[ry] = int32(rx)
 	u.comps--
 	return true
 }
@@ -64,9 +67,8 @@ func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 // Reset restores the structure to n singleton sets without reallocating.
 func (u *UF) Reset() {
 	for i := range u.parent {
-		u.parent[i] = int32(i)
+		u.parent[i] = -1
 	}
-	clear(u.rank)
 	u.comps = len(u.parent)
 }
 
