@@ -205,13 +205,16 @@ type wings struct {
 // ascending edge index.
 func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, float64) {
 	n := s.N()
-	sc.matchPos = resize(sc.matchPos, n)
+	sc.matchPos = resize(sc.matchPos, n, n)
 	for i := range sc.matchPos {
 		sc.matchPos[i] = -1
 	}
-	sc.freeTaken = resize(sc.freeTaken, n)
+	sc.freeTaken = resize(sc.freeTaken, n, n)
 	clear(sc.freeTaken)
-	sc.wings = resize(sc.wings, len(cur))
+	// A matching on n vertices has at most n/2 edges, so the
+	// per-position state and the sets are sized once for the rounds
+	// that grow cur.
+	sc.wings = resize(sc.wings, len(cur), n/2)
 	matchPos, ws := sc.matchPos, sc.wings
 	// Pass 1: locate the matched edges. A pass that ends early (a
 	// cancelled sweep) locates a prefix of cur.
@@ -277,7 +280,7 @@ func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, 
 	// The new set: cur without the applied matched edges, merged with
 	// the sorted wings that replace them.
 	slices.Sort(added)
-	next, j := sc.sets[sc.flip][:0], 0
+	next, j := slices.Grow(sc.sets[sc.flip][:0], max(len(cur)+len(added)/2, n/2)), 0
 	for p, idx := range cur {
 		if p < located && ws[p].applied {
 			continue
@@ -293,11 +296,12 @@ func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, 
 	return next, augmented, delta
 }
 
-// resize returns buf with length n, reallocating only when its capacity
-// is short; the contents are the caller's to initialize.
-func resize[T any](buf []T, n int) []T {
+// resize returns buf with length n, reallocating with capacity
+// max(n, hint) only when its capacity is short; the contents are the
+// caller's to initialize.
+func resize[T any](buf []T, n, hint int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, hint))
 	}
 	return buf[:n]
 }
