@@ -65,31 +65,11 @@ func BenchmarkESemiStream(b *testing.B) { runExperiment(b, "es") }
 // practical profile with 6 forests per sparsifier and χ=1. Each
 // iteration is a cold solver, as in the benchmark.
 func BenchmarkSolveOOC(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "solve-ooc.rbg")
 	g := graph.GNM(640, 80000, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 1)
-	if err := stream.WriteBinaryFile2(path, stream.NewEdgeStream(g)); err != nil {
-		b.Fatal(err)
-	}
-	src, err := stream.OpenBinary(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
 	prof := match.Practical(0.3)
 	prof.SparsifierK = 6
 	prof.ChiOverride = 1
-	opts := []match.Option{match.WithEps(0.3), match.WithSpaceExponent(2), match.WithWorkers(1), match.WithProfile(prof)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := match.New(opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Solve(context.Background(), src); err != nil {
-			b.Fatal(err)
-		}
-	}
+	solveColdFromRBG2(b, stream.NewEdgeStream(g), match.WithProfile(prof))
 }
 
 // BenchmarkScanGreedy solves scan-greedy's instance with its options:
@@ -98,13 +78,20 @@ func BenchmarkSolveOOC(b *testing.B) {
 // mmap'd file source; greedy-augment with ε=0.3, p=2 and one worker.
 // Each iteration is a cold solver, as in the benchmark.
 func BenchmarkScanGreedy(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "scan-greedy.rbg")
 	gen, err := stream.NewGen(stream.GenSpec{N: 65536, M: 4 << 20,
 		Weights: graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := stream.WriteBinaryFile2(path, gen); err != nil {
+	solveColdFromRBG2(b, gen, match.WithAlgorithm("greedy-augment"))
+}
+
+// solveColdFromRBG2 writes from as an RBG2 file, opens it through mmap
+// and times one cold Solver per iteration with ε=0.3, p=2, one worker
+// and the given options, as perfbench's batch workloads do.
+func solveColdFromRBG2(b *testing.B, from stream.Source, opts ...match.Option) {
+	path := filepath.Join(b.TempDir(), "instance.rbg")
+	if err := stream.WriteBinaryFile2(path, from); err != nil {
 		b.Fatal(err)
 	}
 	src, err := stream.OpenBinary(path)
@@ -112,8 +99,7 @@ func BenchmarkScanGreedy(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer src.Close()
-	opts := []match.Option{match.WithEps(0.3), match.WithSpaceExponent(2), match.WithWorkers(1),
-		match.WithAlgorithm("greedy-augment")}
+	opts = append([]match.Option{match.WithEps(0.3), match.WithSpaceExponent(2), match.WithWorkers(1)}, opts...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

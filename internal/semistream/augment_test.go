@@ -1,7 +1,7 @@
 package semistream
 
 // AugmentRound against the round it replaced. augmentRoundMap below is
-// that round verbatim, with its state in maps keyed by edge index; the
+// that round, with its state in maps keyed by edge index; the
 // index-addressed round must return the same set, the same augmented
 // flag and the same float bits of delta, round after round, on every
 // stream backend.

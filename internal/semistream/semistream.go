@@ -194,15 +194,15 @@ type wings struct {
 // to collect candidate wings), then a deterministic vertex-disjoint
 // resolution. It also reports whether any augmenting path was applied
 // and the total matching-weight delta of the applied augmentations.
-// The returned slice belongs to sc and stays valid until the round
-// after next, so it can be passed back as the next round's cur. cur
-// itself is only read. ShortAugmentPasses and the engine-driven
-// greedy-augment algorithm share this exact round.
+// The returned slice belongs to sc: the next round may read it as its
+// cur, and the round after that overwrites it. cur itself is only
+// read. ShortAugmentPasses and the engine-driven greedy-augment
+// algorithm share this exact round.
 //
-// Every state is addressed by vertex or by position in cur: a
-// sequential sweep delivers blocks in index order, so pass 1 walks cur
-// with a cursor, and resolution walks positions in order, which is
-// ascending edge index.
+// All state is addressed by vertex or by position in cur: a sequential
+// sweep delivers blocks in index order, so pass 1 walks cur with a
+// cursor, and resolution walks positions in order, which is ascending
+// edge index.
 func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, float64) {
 	n := s.N()
 	sc.matchPos = resize(sc.matchPos, n, n)
