@@ -145,8 +145,8 @@ func offerReplace(idx int, e graph.Edge, matchEdge []int, mate []int32, weightAt
 }
 
 // ShortAugmentPasses improves a matching by resolving vertex-disjoint
-// length-3 augmenting paths (free–matched–free), one extra pass per
-// round, up to maxPasses rounds or until no augmentation is found.
+// length-3 augmenting paths (free–matched–free), two passes per round,
+// up to maxPasses rounds or until no augmentation is found.
 // Starting from a maximal matching this converges toward a 2/3
 // approximation of maximum cardinality.
 func ShortAugmentPasses(s stream.Source, m *matching.Matching, maxPasses int) *matching.Matching {
@@ -185,7 +185,7 @@ type wings struct {
 	uWing, vWing int // edge indices, -1 if none
 	uFree, vFree int32
 	uW, vW       float64
-	applied      bool
+	applied      bool // replaced by its wings this round
 }
 
 // AugmentRound performs one round of length-3 augmentation over the
