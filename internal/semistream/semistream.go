@@ -62,12 +62,17 @@ func NewGreedyStateIn(n int, buf []bool) (*GreedyState, []bool) {
 }
 
 // Offer considers one stream edge and reports whether it was taken
-// (both endpoints free).
+// (both endpoints free). The first edge taken sizes the matched list to
+// a matching's n/2 edges, so it never grows, and an empty matching keeps
+// its nil list.
 func (g *GreedyState) Offer(idx int, e graph.Edge) bool {
 	if g.used[e.U] || g.used[e.V] {
 		return false
 	}
 	g.used[e.U], g.used[e.V] = true, true
+	if g.m.EdgeIdx == nil {
+		g.m.EdgeIdx = make([]int, 0, len(g.used)/2)
+	}
 	g.m.EdgeIdx = append(g.m.EdgeIdx, idx)
 	g.weight += e.W
 	return true

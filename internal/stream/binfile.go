@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"runtime"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -92,8 +94,8 @@ const (
 	// any value in [1, bin2MaxBlockLen]. It matches BlockEdges so
 	// decoded frames map one-to-one onto delivered blocks.
 	bin2BlockLen = BlockEdges
-	// bin2MaxBlockLen bounds the per-sweep decode scratch a hostile
-	// header can demand.
+	// bin2MaxBlockLen bounds the block buffers a hostile header can
+	// make a sweep decode into.
 	bin2MaxBlockLen = 1 << 18
 	// bin2MaxDict is the writer's cap on per-frame weight dictionaries.
 	// The wire format allows up to 255; past a few dozen distinct
@@ -240,7 +242,10 @@ func WriteBinaryFile(path string, src Source) error {
 // src). The edge order on the wire is exactly the stream order — the
 // codec compresses, it never reorders — so a round trip through RBG2
 // is bit-identical to the source.
-func WriteBinary2(w io.Writer, src Source) error {
+func WriteBinary2(w io.Writer, src Source) error { return writeBinary2(w, src, bin2BlockLen) }
+
+// writeBinary2 is WriteBinary2 with frames of blockLen edges.
+func writeBinary2(w io.Writer, src Source, blockLen int) error {
 	n, m := src.N(), src.Len()
 	flags := byte(0)
 	if hasCapacities(src) {
@@ -253,7 +258,7 @@ func WriteBinary2(w io.Writer, src Source) error {
 	header[5] = flags
 	binary.LittleEndian.PutUint64(header[8:], uint64(n))
 	binary.LittleEndian.PutUint64(header[16:], uint64(m))
-	binary.LittleEndian.PutUint32(header[24:], uint32(bin2BlockLen))
+	binary.LittleEndian.PutUint32(header[24:], uint32(blockLen))
 	if _, err := bw.Write(header); err != nil {
 		return err
 	}
@@ -264,9 +269,9 @@ func WriteBinary2(w io.Writer, src Source) error {
 		}
 		off += int64(4 * n)
 	}
-	numBlocks := (m + bin2BlockLen - 1) / bin2BlockLen
+	numBlocks := (m + blockLen - 1) / blockLen
 	frameOff := make([]int64, 0, numBlocks)
-	staged := make([]graph.Edge, 0, min(bin2BlockLen, m))
+	staged := make([]graph.Edge, 0, min(blockLen, m))
 	var payload []byte
 	var werr error
 	flush := func() bool {
@@ -292,10 +297,10 @@ func WriteBinary2(w io.Writer, src Source) error {
 	}
 	ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
 		for len(edges) > 0 {
-			k := min(bin2BlockLen-len(staged), len(edges))
+			k := min(blockLen-len(staged), len(edges))
 			staged = append(staged, edges[:k]...)
 			edges = edges[k:]
-			if len(staged) == bin2BlockLen && !flush() {
+			if len(staged) == blockLen && !flush() {
 				return false
 			}
 		}
@@ -427,7 +432,10 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // frame index are resident — plus, where the platform supports it, a
 // read-only mmap of the file, in which case passes are sequential
 // page-ins with no read syscalls at all (ReadAt is the fallback).
-// Sweeps are safe for concurrent use.
+// Sweeps are safe for concurrent use. A sequential sweep decodes blocks
+// ahead on idle cores (readBlocks) and still delivers them one at a
+// time in index order, so consumers see what an inline decode gives;
+// sharded sweeps decode inline, one read per shard.
 type FileSource struct {
 	sweeps
 	f       *os.File
@@ -445,6 +453,12 @@ type FileSource struct {
 	blockLen int
 	frameOff []int64 // RBG2 only
 	maxFrame int
+
+	// ring holds the block buffers sweeps decode into, kept across
+	// sweeps; a sweep that finds it taken by a concurrent one allocates
+	// its own.
+	ringMu sync.Mutex
+	ring   *decodeRing
 }
 
 var _ Source = (*FileSource)(nil)
@@ -503,7 +517,7 @@ func newFileSource(f *os.File, path string, opt OpenOptions) (*FileSource, error
 		return nil, err
 	}
 	src.path = path
-	src.ranged(src.Len, src.read)
+	src.ranged(src.Len, src.read, src.readShard)
 	if !opt.NoMmap {
 		// Best-effort: a failed map (platform without support, weird
 		// filesystem, empty file) silently keeps the ReadAt path.
@@ -562,7 +576,7 @@ func parseV1(f *os.File, size int64) (*FileSource, error) {
 		return nil, fmt.Errorf("stream: unsupported RBG1 version %d", header[4])
 	}
 	src := &FileSource{f: f, n: n, m: m, totalB: n, dataOff: 24, ver: 1,
-		blockLen: BlockEdges, maxFrame: BlockEdges * binRecordSize}
+		blockLen: BlockEdges, maxFrame: min(BlockEdges, m) * binRecordSize}
 	if header[5]&binFlagHasB != 0 {
 		if size < 24+int64(4)*int64(n) {
 			return nil, fmt.Errorf("stream: short capacity table: %d bytes", size)
@@ -646,8 +660,12 @@ func parseV2(f *os.File, size int64) (*FileSource, error) {
 	return src, nil
 }
 
-// Close releases the mapping (when present) and the underlying file.
+// Close releases the mapping (when present), the sweeps' block buffers
+// and the underlying file.
 func (s *FileSource) Close() error {
+	s.ringMu.Lock()
+	s.ring = nil
+	s.ringMu.Unlock()
 	if s.data != nil {
 		munmapFile(s.data)
 		s.data = nil
@@ -706,7 +724,8 @@ func (s *FileSource) checkEdge(e graph.Edge) error {
 }
 
 // decodeFrameInto reads and decodes RBG2 frame k into out (which must
-// have capacity for blockLen edges), returning the decoded edges.
+// have capacity for the frame's edges; min(blockLen, m) suffices),
+// returning the decoded edges.
 func (s *FileSource) decodeFrameInto(k int, raw []byte, out []graph.Edge) ([]graph.Edge, error) {
 	frameLen := int(s.frameOff[k+1] - s.frameOff[k])
 	buf, err := s.bytesAt(s.frameOff[k], frameLen, raw)
@@ -855,56 +874,225 @@ func packVarint(x uint64) uint64 {
 	return x&0x0000_0000_0fff_ffff | x>>4&0x00ff_ffff_f000_0000
 }
 
-// read decodes edges [lo, hi) in dense blocks into per-call scratch
-// (the backend's one read loop; safe for concurrent sweeps, and
-// callbacks must not retain the slice). Delivered blocks follow the
-// file's blocks — RBG2 frames map one-to-one onto them — clipped to
-// [lo, hi). On the mmap path the next block's bytes are advised ahead
-// of the decode, so a pass overlaps page-in with decoding.
+// maxReadAhead caps the decoders of one sequential sweep (readBlocks):
+// past a few, the sweep goroutine's own share of the decode and its
+// consumer set the pace.
+const maxReadAhead = 4
+
+// read is the sequential sweep's loop: edges [lo, hi) through readBlocks
+// with up to GOMAXPROCS decoders.
 func (s *FileSource) read(lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
-	scratch := make([]graph.Edge, s.blockLen)
-	var raw []byte
-	if s.data == nil {
-		raw = make([]byte, s.maxFrame)
+	return s.readBlocks(lo, hi, runtime.GOMAXPROCS(0), f)
+}
+
+// readShard is one shard's loop in a sharded sweep: the shards already
+// occupy the cores, so each decodes inline.
+func (s *FileSource) readShard(lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
+	return s.readBlocks(lo, hi, 1, f)
+}
+
+// decodeRing is the block buffers of one read: block j of the read's
+// range, counted from 0, is decoded into slot j mod 2d, where d is the
+// read's decoder count.
+type decodeRing [2 * maxReadAhead]ringSlot
+
+// ringSlot is one block buffer and the result of the last decode into
+// it.
+type ringSlot struct {
+	edges []graph.Edge // min(blockLen, m) edges, allocated on first use
+	raw   []byte       // the pread path's maxFrame bytes, likewise
+	blk   []graph.Edge // the decoded block, a window of edges
+	err   error        // or its *ReadError
+}
+
+// readBlocks decodes edges [lo, hi) in dense blocks and delivers them to
+// f in index order until f returns false, reporting whether it did not
+// (the backend's one read loop; callbacks must not retain the slice).
+// Delivered blocks follow the file's blocks — RBG2 frames map one-to-one
+// onto them — clipped to [lo, hi).
+//
+// The read's blocks are decoded by d = min(procs, blocks, maxReadAhead)
+// decoders: block j of the range goes to decoder j mod d and into ring
+// slot j mod 2d. Decoder 0 is the calling goroutine, which decodes its
+// blocks inline when it reaches them, as the whole loop does at d = 1,
+// where no goroutine starts. Decoders 1..d-1 are helper goroutines that
+// decode their blocks ahead, two at most (readAhead). Since 2d is a
+// multiple of d, slot j mod 2d always belongs to decoder j mod d: each
+// slot has one writer, so a block can never land in a slot while the
+// sweep still waits for that slot's earlier block. A helper never
+// panics; it leaves a decode error in the slot, and the calling
+// goroutine panics with that *ReadError when it reaches the block, as
+// the inline decode does, so a consumer that stops earlier never sees
+// it. However the read ends — f aborting, a *ReadError, a panic in f —
+// it stops the helpers and waits for them before it returns, so Close
+// may unmap the file as soon as a sweep is done.
+func (s *FileSource) readBlocks(lo, hi, procs int, f func(base int, edges []graph.Edge) bool) bool {
+	if lo >= hi {
+		return true
 	}
-	for k := lo / s.blockLen; k*s.blockLen < hi; k++ {
-		from, to := max(k*s.blockLen, lo), min((k+1)*s.blockLen, hi)
-		if s.data != nil && to < hi {
-			s.adviseNext(s.blockSpan(k + 1))
+	k0 := lo / s.blockLen
+	nb := (hi-1)/s.blockLen - k0 + 1
+	r := &blockRead{s: s, lo: lo, hi: hi, k0: k0, nb: nb, d: min(procs, nb, maxReadAhead), ring: s.takeRing()}
+	defer s.putRing(r.ring)
+	if r.d > 1 {
+		r.start()
+		defer r.stop()
+	}
+	for j := 0; j < nb; j++ {
+		h := j % r.d
+		var sl *ringSlot
+		if h == 0 {
+			sl = r.decode(j)
+		} else {
+			<-r.lanes[h].full
+			sl = &r.ring[j%(2*r.d)]
 		}
-		if !f(from, s.decodeBlock(k, from, to, raw, scratch)) {
+		if sl.err != nil {
+			panic(sl.err)
+		}
+		ok := f(max((k0+j)*s.blockLen, lo), sl.blk)
+		if h != 0 {
+			r.lanes[h].free <- struct{}{}
+		}
+		if !ok {
 			return false
 		}
 	}
 	return true
 }
 
+// blockRead is one readBlocks call: blocks k0..k0+nb-1 of the file,
+// clipped to [lo, hi), decoded by d decoders into ring.
+type blockRead struct {
+	s              *FileSource
+	lo, hi, k0, nb int
+	d              int
+	ring           *decodeRing
+
+	// Helper h hands its blocks over through lanes[h]; done tells the
+	// helpers to stop, and wg waits for them.
+	lanes [maxReadAhead]lane
+	done  chan struct{}
+	wg    sync.WaitGroup
+}
+
+// lane is one helper's hand-off with the sweep: the helper announces
+// each decoded block on full, in block order, and decodes into one of
+// its two slots only after taking a free token, of which the sweep
+// returns one each time it has delivered one of the helper's blocks.
+type lane struct{ full, free chan struct{} }
+
+// start starts helpers 1..d-1, each with both of its slots free.
+func (r *blockRead) start() {
+	r.done = make(chan struct{})
+	for h := 1; h < r.d; h++ {
+		// A lane's tokens count its helper's two slots, free or full,
+		// so neither channel ever holds more than two and no send
+		// blocks.
+		l := lane{full: make(chan struct{}, 2), free: make(chan struct{}, 2)}
+		l.free <- struct{}{}
+		l.free <- struct{}{}
+		r.lanes[h] = l
+		r.wg.Add(1)
+		go r.readAhead(h)
+	}
+}
+
+// stop tells the helpers to stop and waits until they have: a helper
+// finishes at most the block it is decoding.
+func (r *blockRead) stop() {
+	close(r.done)
+	r.wg.Wait()
+}
+
+// readAhead is helper h's loop: blocks h, h+d, h+2d, … of the read, each
+// decoded once the slot it goes to is free. It stops after a failed
+// decode, whose block the sweep will not deliver.
+func (r *blockRead) readAhead(h int) {
+	defer r.wg.Done()
+	l := r.lanes[h]
+	for j := h; j < r.nb; j += r.d {
+		select {
+		case <-l.free:
+		case <-r.done:
+			return
+		}
+		sl := r.decode(j)
+		l.full <- struct{}{}
+		if sl.err != nil {
+			return
+		}
+	}
+}
+
+// decode decodes block j of the read into its slot, j mod 2d, first
+// advising the kernel to page in block j+d, the next block of the same
+// decoder (at d = 1, the next block, as a pass has always done).
+func (r *blockRead) decode(j int) *ringSlot {
+	s := r.s
+	if s.data != nil && j+r.d < r.nb {
+		s.adviseNext(s.blockSpan(r.k0 + j + r.d))
+	}
+	sl := &r.ring[j%(2*r.d)]
+	if sl.edges == nil {
+		sl.edges = make([]graph.Edge, min(s.blockLen, s.m))
+		if s.data == nil {
+			sl.raw = make([]byte, s.maxFrame)
+		}
+	}
+	k := r.k0 + j
+	sl.blk, sl.err = s.decodeBlock(k, max(k*s.blockLen, r.lo), min((k+1)*s.blockLen, r.hi), sl.raw, sl.edges)
+	return sl
+}
+
+// takeRing borrows the source's block buffers, or new ones when a
+// concurrent sweep holds them.
+func (s *FileSource) takeRing() *decodeRing {
+	s.ringMu.Lock()
+	r := s.ring
+	s.ring = nil
+	s.ringMu.Unlock()
+	if r == nil {
+		r = new(decodeRing)
+	}
+	return r
+}
+
+// putRing returns a sweep's block buffers to the source, which keeps
+// one set.
+func (s *FileSource) putRing(r *decodeRing) {
+	s.ringMu.Lock()
+	if s.ring == nil {
+		s.ring = r
+	}
+	s.ringMu.Unlock()
+}
+
 // decodeBlock decodes edges [from, to) of block k into out. An I/O
-// failure or a corrupt record or frame panics with a typed *ReadError
-// (the sweep contract has no error return; the engine converts the
-// panic into an abort).
-func (s *FileSource) decodeBlock(k, from, to int, raw []byte, out []graph.Edge) []graph.Edge {
+// failure or a corrupt record or frame returns a *ReadError: the
+// frame's offset for RBG2, the record's for RBG1.
+func (s *FileSource) decodeBlock(k, from, to int, raw []byte, out []graph.Edge) ([]graph.Edge, error) {
 	if s.ver == 2 {
 		blk, err := s.decodeFrameInto(k, raw, out)
 		if err != nil {
-			panic(&ReadError{Path: s.path, Off: s.frameOff[k], Err: err})
+			return nil, &ReadError{Path: s.path, Off: s.frameOff[k], Err: err}
 		}
 		base := k * s.blockLen
-		return blk[from-base : to-base]
+		return blk[from-base : to-base], nil
 	}
 	off := s.dataOff + int64(from)*binRecordSize
 	rec, err := s.bytesAt(off, (to-from)*binRecordSize, raw)
 	if err != nil {
-		panic(&ReadError{Path: s.path, Off: off, Err: err})
+		return nil, &ReadError{Path: s.path, Off: off, Err: err}
 	}
 	blk := out[:to-from]
 	for i := range blk {
 		blk[i] = decodeRecord(rec[i*binRecordSize:])
 		if err := s.checkEdge(blk[i]); err != nil {
-			panic(&ReadError{Path: s.path, Off: off + int64(i)*binRecordSize, Err: err})
+			return nil, &ReadError{Path: s.path, Off: off + int64(i)*binRecordSize, Err: err}
 		}
 	}
-	return blk
+	return blk, nil
 }
 
 // blockSpan returns the byte range of block k.

@@ -67,7 +67,7 @@ func NewGen(spec GenSpec) (*GenSource, error) {
 	for v := 0; v < spec.N; v++ {
 		s.totalB += s.B(v)
 	}
-	s.ranged(s.Len, s.read)
+	s.ranged(s.Len, s.read, s.read)
 	return s, nil
 }
 
@@ -108,12 +108,12 @@ func (s *GenSource) drawEdge(r *xrand.RNG) graph.Edge {
 
 // read replays edges [lo, hi) in dense blocks (the backend's one read
 // loop). Replay blocks map one-to-one onto delivered blocks (BlockEdges
-// equals the replay granule), regenerated into per-call scratch, which
-// the callback must not retain. The first touched block's prefix is
-// regenerated and discarded (at most genBlockEdges wasted draws per
-// call).
+// equals the replay granule), regenerated into per-call scratch sized to
+// the largest block the range can deliver, which the callback must not
+// retain. The first touched block's prefix is regenerated and discarded
+// (at most genBlockEdges wasted draws per call).
 func (s *GenSource) read(lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
-	scratch := make([]graph.Edge, genBlockEdges)
+	scratch := make([]graph.Edge, min(genBlockEdges, hi-lo))
 	for b := lo / genBlockEdges; b*genBlockEdges < hi; b++ {
 		blockLo := b * genBlockEdges
 		emitLo := max(blockLo, lo)

@@ -100,11 +100,14 @@ func (s *sweeps) own(seq func(f func(base int, edges []graph.Edge) bool), par fu
 }
 
 // ranged sets the sweeps of a backend whose edges are [0, m()) and whose
-// one read loop, read, delivers any index range [lo, hi) in blocks and
-// reports false when f aborted. A sharded sweep splits the edges into
-// contiguous index ranges, one read per range.
-func (s *sweeps) ranged(m func() int, read func(lo, hi int, f func(base int, edges []graph.Edge) bool) bool) {
-	s.own(func(f func(base int, edges []graph.Edge) bool) { read(0, m(), f) },
+// read loops deliver any index range [lo, hi) in blocks in index order
+// and report false when f aborted. A sequential sweep is one seq call
+// over all the edges; a sharded sweep splits the edges into contiguous
+// index ranges, one read per range. A backend passes the same loop as
+// both unless its sequential sweep does more (FileSource's decodes
+// ahead on idle cores).
+func (s *sweeps) ranged(m func() int, seq, read func(lo, hi int, f func(base int, edges []graph.Edge) bool) bool) {
+	s.own(func(f func(base int, edges []graph.Edge) bool) { seq(0, m(), f) },
 		func(workers int, f func(base int, edges []graph.Edge)) {
 			parallel.ForEachShard(workers, m(), func(_ int, r parallel.Range) {
 				read(r.Lo, r.Hi, func(base int, edges []graph.Edge) bool {

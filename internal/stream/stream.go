@@ -34,7 +34,7 @@ var _ Source = (*EdgeStream)(nil)
 // afterwards.
 func NewEdgeStream(g *graph.Graph) *EdgeStream {
 	s := &EdgeStream{g: g}
-	s.ranged(s.Len, s.read)
+	s.ranged(s.Len, s.read, s.read)
 	return s
 }
 

@@ -26,9 +26,11 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithWorkers shards the per-edge/per-vertex work of every sampling
-// round across a worker pool: 0 = GOMAXPROCS, 1 = sequential. The Result
-// is bit-identical for every worker count — only wall-clock time
-// changes.
+// round across a worker pool: 0 = GOMAXPROCS, 1 = one worker, the
+// solving goroutine. It does not bound the cores a solve uses: a
+// file-backed source still decodes the blocks of each sequential pass
+// ahead on idle cores, up to GOMAXPROCS. The Result is bit-identical for
+// every worker count and core count — only wall-clock time changes.
 func WithWorkers(n int) Option {
 	return func(s *Solver) { s.opt.Workers = n }
 }
