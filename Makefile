@@ -89,12 +89,12 @@ bench-gate:
 	$(GO) run ./cmd/matchbench -compare $(BENCH_OLD) $(BENCH_NEW)
 
 # Allocation-profile smoke: the allocs/op benchmarks for the
-# allocation-flat paths — arena-fed bank builds and the batched
+# allocation-flat paths — bank rebuilds in place and the batched
 # field-update kernel in internal/sketch, session-reuse solves through
 # the facade — at -benchtime=1x so CI sees the counters without paying
 # a full benchmark run.
 bench-allocs:
-	$(GO) test -run='^$$' -bench='BenchmarkBankBuildArena|BenchmarkOneSparseUpdate|BenchmarkBankUpdateBlock' -benchmem -benchtime=1x ./internal/sketch/
+	$(GO) test -run='^$$' -bench='BenchmarkBankRebuild|BenchmarkOneSparseUpdate|BenchmarkBankUpdateBlock' -benchmem -benchtime=1x ./internal/sketch/
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./match/
 
 # Profile what the repository benchmark runs: five solves of

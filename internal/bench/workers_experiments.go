@@ -99,33 +99,31 @@ func E14Workers(cfg Config) Table {
 		return graph.GNMParallel(genN, genM, wc, cfg.Seed+401, w).Edges()
 	})
 
-	// Layer 2: incidence-sketch bank construction (internal/sketch). The
-	// builds draw their columns from one arena, recycling each trial's
-	// bank before the next build — the allocation-flat steady state a
-	// session reaches — while keeping two banks live: the current output
-	// and the last workers=1 one, which addRows retains as the DeepEqual
-	// baseline of the bit-identity column (releasing it would let the
-	// next build mutate the memory under the comparison).
+	// Layer 2: incidence-sketch bank construction (internal/sketch).
+	// Every build after a bank's first Resets it in place and refills
+	// it, the allocation-flat steady state a session reaches. Two banks
+	// take turns: the workers=1 one, which addRows keeps as the DeepEqual
+	// baseline of the bit-identity column, and one for the other worker
+	// counts, so no build writes under the comparison.
 	bankEdges := graph.GNMParallel(bankN, 8*bankN, graph.WeightConfig{}, cfg.Seed+403, 0).Edges()
 	spec := sketch.NewIncidenceSpec(xrand.New(cfg.Seed+405), bankN, bankReps, 12, 8)
-	bankArena := sketch.NewArena()
-	var bankBase, bankPrev *sketch.Bank
-	addRows("sketch-bank", bankN, len(bankEdges), func(w int) any {
-		if bankPrev != nil {
-			bankPrev.ReleaseTo(bankArena)
-			bankPrev = nil
-		}
-		if w == 1 && bankBase != nil {
-			bankBase.ReleaseTo(bankArena)
-			bankBase = nil
-		}
-		b := spec.BuildBankArena(bankEdges, w, bankArena)
-		if w == 1 {
-			bankBase = b
+	rebuild := func(b *sketch.Bank, w int) *sketch.Bank {
+		if b == nil {
+			b = spec.NewBank(w)
 		} else {
-			bankPrev = b
+			b.Reset(w)
 		}
+		b.AddEdges(bankEdges, w)
 		return b
+	}
+	var bankBase, bankCur *sketch.Bank
+	addRows("sketch-bank", bankN, len(bankEdges), func(w int) any {
+		if w == 1 {
+			bankBase = rebuild(bankBase, w)
+			return bankBase
+		}
+		bankCur = rebuild(bankCur, w)
+		return bankCur
 	})
 
 	// Layer 3: weighted sparsification across weight classes

@@ -76,14 +76,11 @@ type lp7Witness struct {
 	gamma float64
 }
 
-// runMicroOracle executes Algorithm 5 with a fresh scratch — the
-// direct entry point the tests use; the solver's oracle loop threads
-// its retained scratch through runMicroOracleScratch instead.
-func runMicroOracle(in microInput) microResult {
-	return runMicroOracleScratch(in, newOracleScratch())
-}
-
-func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
+// runMicroOracleScratch executes Algorithm 5 with the working buffers
+// of sc. A Case A or Case B answer's entries are written into dst's x or
+// z container, which the caller owns: the returned answer shares that
+// backing and is overwritten by the next call handed the same dst.
+func runMicroOracleScratch(in microInput, sc *oracleScratch, dst *oracleAnswer) microResult {
 	rt := in.rt
 	rows, zeta := rt.rows, in.zeta
 	// Per-(i,k) incident support weight s_{i,k} = Σ_j uˢ_{ijk} and the
@@ -166,12 +163,9 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		}
 	}
 	sc.viol = viol
-	// Case A (step 5): vertex violations pay. The answer container is
-	// lent from the scratch pool: the binary search in runMiniOracle
-	// holds several micro answers at once, and all of them die by the
-	// next MiniOracle call's reclaim.
+	// Case A (step 5): vertex violations pay.
 	if gammaV >= in.eps*gamma/24 {
-		res.answer.xEntries = sc.xents.getEmpty()
+		xs := dst.xEntries[:0]
 		for _, j := range viol {
 			i := posVerts[j]
 			ks := kstar[i]
@@ -182,10 +176,10 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 				} else {
 					val = gamma * in.wHat(pe.k) / gammaV
 				}
-				res.answer.xEntries = append(res.answer.xEntries, xEntry{v: i, k: pe.k, val: val})
+				xs = append(xs, xEntry{v: i, k: pe.k, val: val})
 			}
 		}
-		sc.xents.retain(res.answer.xEntries)
+		dst.xEntries, res.answer.xEntries = xs, xs
 		return res
 	}
 	// Step 9: raise ζ to ζ̄ = s_{i,k}/(2ϱ) on violating (i, k<=k*,
@@ -291,24 +285,24 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		perLevel = append(perLevel, ls)
 	}
 	// Case B (step 16): odd-set violations pay. (Note use of γ′.) The
-	// entry container is pooled; the member lists are NOT — addZSet
-	// retains them in the dual state, so sortedMembers allocates fresh.
+	// member lists are not reused: addZSet retains them in the dual
+	// state, so sortedMembers allocates each fresh.
 	if gammaOs >= in.eps*gammaP/24 && gammaOs > 0 {
-		res.answer.zEntries = sc.zents.getEmpty()
+		zs := dst.zEntries[:0]
 		for _, ls := range perLevel {
 			for si := range ls.sets {
 				members := make([]int32, len(ls.sets[si].Members))
 				for mi, m := range ls.sets[si].Members {
 					members[mi] = int32(m)
 				}
-				res.answer.zEntries = append(res.answer.zEntries, zEntry{
+				zs = append(zs, zEntry{
 					members: sortedMembers(members),
 					level:   ls.level,
 					val:     gammaP * in.wHat(ls.level) / gammaOs,
 				})
 			}
 		}
-		sc.zents.retain(res.answer.zEntries)
+		dst.zEntries, res.answer.zEntries = zs, zs
 		return res
 	}
 	// Part (i): nothing pays — the support certifies a large matching.

@@ -13,6 +13,12 @@ import (
 
 func unitWHat(k int) float64 { return math.Pow(1.25, float64(k)) }
 
+// runMicroOracle executes Algorithm 5 with a fresh scratch and answer
+// containers.
+func runMicroOracle(in microInput) microResult {
+	return runMicroOracleScratch(in, newOracleScratch(), new(oracleAnswer))
+}
+
 // microFromGraph builds a MicroOracle input over g's edges at one level.
 // zeta (nil = none set) is keyed by (vertex, level); its keys must be
 // rows of the support, as the MiniOracle's always are.

@@ -66,17 +66,14 @@ func (a *answerAccum) final() oracleAnswer {
 	return out
 }
 
-// runMiniOracle executes the inner loop for a support. sc supplies the
-// retained scratch of the sequential oracle loop; nil allocates a fresh
-// one (the cold path, bit-identical by the scratch contract).
+// runMiniOracle executes the inner loop for a support. Every buffer it
+// reuses belongs to sc, the solver's oracle scratch (tests pass
+// newOracleScratch()); the answer it returns lives in sc's final-answer
+// buffers and is dead by the next call.
 func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 	bOf func(v int) int, wHat func(k int) float64, nLevels, maxNorm int,
 	sc *oracleScratch) miniResult {
 
-	if sc == nil {
-		sc = newOracleScratch()
-	}
-	sc.beginMini()
 	res := miniResult{}
 	if len(edges) == 0 {
 		return res
@@ -85,11 +82,12 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 	rt := &sc.rt
 	rt.build(edges, nLevels, wHat)
 	rows := rt.rows
-	// Row values of an answer: (2x_i(k) + Σ_{ℓ<=k} Σ_{U∋i} z_{U,ℓ}) / 3ŵ_k.
-	// Each row's terms arrive in answer-entry order whatever order a
-	// vertex's rows are visited in, so the per-vertex ranges serve.
-	rowValues := func(ans *oracleAnswer) []float64 {
-		rv := sc.f64s.get(len(rows))
+	// Row values of an answer, written into rv:
+	// (2x_i(k) + Σ_{ℓ<=k} Σ_{U∋i} z_{U,ℓ}) / 3ŵ_k. Each row's terms
+	// arrive in answer-entry order whatever order a vertex's rows are
+	// visited in, so the per-vertex ranges serve.
+	rowValues := func(ans *oracleAnswer, rv []float64) []float64 {
+		rv = resizeZeroed(rv, len(rows))
 		for _, xe := range ans.xEntries {
 			if ri := rt.lookup(xe.v, xe.k); ri >= 0 {
 				rv[ri] += 2 * xe.val
@@ -134,68 +132,83 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		}
 		upsilon := (13.0 / 12) * zTqo
 		rho0 := 12 * usC / (13 * zTqo)
-		call := func(rho float64) (microResult, []float64, float64) {
+		// call runs the MicroOracle at ϱ into probe slot p, leaving the
+		// answer's row values in p.rv, and returns zᵀP_o x̃.
+		call := func(p *probe, rho float64) (microResult, float64) {
 			res.microCalls++
 			mr := runMicroOracleScratch(microInput{
 				edges: edges, rt: rt, zeta: zeta, zetaSet: zetaSet,
 				rho: rho, beta: beta, eps: eps,
 				bOf: bOf, wHat: wHat, nLevels: nLevels, maxNorm: maxNorm,
 				noOdd: prof.DisableOddSets,
-			}, sc)
-			rv := rowValues(&mr.answer)
+			}, sc, &p.buf)
+			p.rv = rowValues(&mr.answer, p.rv)
 			zPo := 0.0
 			for ri := range rows {
-				zPo += z[ri] * rv[ri]
+				zPo += z[ri] * p.rv[ri]
 			}
-			return mr, rv, zPo
+			return mr, zPo
 		}
 		rho1 := eps * usC / (16 * zTqo)
-		mr, rv, zPo := call(rho1)
+		mr, zPo := call(&sc.probes[0], rho1)
 		if mr.matchingWitness {
 			res.matchingWitness = true
 			return nil, false
 		}
 		if zPo <= upsilon {
 			pending = mr.answer
-			return rv, true
+			return sc.probes[0].rv, true
 		}
 		// Binary search: lo violates Eq 2 (zᵀP_o x > Υ), hi satisfies.
+		// loSlot and hiSlot are the probe slots holding the brackets
+		// (hiSlot is -1 until a probe satisfies Eq 2); each probe goes
+		// into a slot neither holds.
 		lo, hi := rho1, rho0
-		loAns, loRv, loZ := mr.answer, rv, zPo
+		loSlot, hiSlot := 0, -1
+		loAns, loZ := mr.answer, zPo
 		var hiAns oracleAnswer
-		var hiRv []float64
 		hiZ := 0.0
-		hiSet := false
+		free := func() int {
+			s := 0
+			for s == loSlot || s == hiSlot {
+				s++
+			}
+			return s
+		}
 		for step := 0; step < prof.BinSearchCap && hi-lo > eps*rho0/16; step++ {
-			mid := (lo + hi) / 2
-			m, mrv, mz := call(mid)
+			mid, slot := (lo+hi)/2, free()
+			m, mz := call(&sc.probes[slot], mid)
 			if m.matchingWitness {
 				res.matchingWitness = true
 				return nil, false
 			}
 			if mz <= upsilon {
-				hi, hiAns, hiRv, hiZ, hiSet = mid, m.answer, mrv, mz, true
+				hi, hiSlot, hiAns, hiZ = mid, slot, m.answer, mz
 			} else {
-				lo, loAns, loRv, loZ = mid, m.answer, mrv, mz
+				lo, loSlot, loAns, loZ = mid, slot, m.answer, mz
 			}
 		}
-		if !hiSet {
+		var hiRv []float64
+		if hiSlot >= 0 {
+			hiRv = sc.probes[hiSlot].rv
+		} else {
 			// ϱ0 makes x = 0 feasible for Eq 1; an all-zero answer
 			// trivially satisfies Eq 2.
-			m, mrv, mz := call(rho0)
+			slot := free()
+			m, mz := call(&sc.probes[slot], rho0)
 			if m.matchingWitness {
 				res.matchingWitness = true
 				return nil, false
 			}
-			hiAns, hiRv, hiZ = m.answer, mrv, mz
+			hiAns, hiRv, hiZ = m.answer, sc.probes[slot].rv, mz
 			if hiZ > upsilon {
 				// Still violating at ϱ0 (numerical corner); fall back to
 				// the zero answer.
-				hiAns = oracleAnswer{}
-				hiRv = sc.f64s.get(len(rows))
-				hiZ = 0
+				sc.zeroRv = resizeZeroed(sc.zeroRv, len(rows))
+				hiAns, hiRv, hiZ = oracleAnswer{}, sc.zeroRv, 0
 			}
 		}
+		loRv := sc.probes[loSlot].rv
 		// Convex combination with s1·Υ1 + s2·Υ2 = Υ.
 		den := loZ - hiZ
 		s1 := 0.0
@@ -210,15 +223,22 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		}
 		s2 := 1 - s1
 		pending = combineAnswers(&loAns, s1, &hiAns, s2, sc)
-		crv := sc.f64s.get(len(rows))
+		crv := resizeZeroed(sc.combRv, len(rows))
 		for ri := range rows {
 			crv[ri] = s1*loRv[ri] + s2*hiRv[ri]
 		}
+		sc.combRv = crv
 		return crv, true
 	}
 
-	// First oracle call provides the packing framework's initial x0.
-	firstRv, ok := oracle(uniform(len(rows), sc), 0)
+	// First oracle call provides the packing framework's initial x0:
+	// uniform multipliers.
+	ones := resizeZeroed(sc.ones, len(rows))
+	for i := range ones {
+		ones[i] = 1
+	}
+	sc.ones = ones
+	firstRv, ok := oracle(ones, 0)
 	if !ok {
 		return res
 	}
@@ -238,14 +258,6 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 	}
 	res.answer = accum.final()
 	return res
-}
-
-func uniform(n int, sc *oracleScratch) []float64 {
-	u := sc.f64s.get(n)
-	for i := range u {
-		u[i] = 1
-	}
-	return u
 }
 
 // combineAnswers returns s1·a + s2·b in the scratch's combination

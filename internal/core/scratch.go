@@ -3,29 +3,21 @@ package core
 import "repro/internal/oddset"
 
 // oracleScratch owns the retained working buffers of the sequential
-// refine-and-use loop: the P_o row table of runMiniOracle, the per-row
-// and per-vertex state and odd-set instance buffers of runMicroOracle,
-// and the answer containers the packing framework averages. One scratch
-// belongs to one solver and the oracle loop is sequential, so nothing
-// locks.
+// refine-and-use loop: the support refineBatch emits, the P_o row table
+// of runMiniOracle and the vectors and answers of its packing loop, and
+// the per-row, per-vertex and odd-set instance buffers of
+// runMicroOracleScratch. One scratch belongs to one solver, and the
+// oracle loop is sequential, so nothing locks.
 //
-// The aliasing rules that keep reuse sound:
-//
-//   - Pools with lent tracking (row-value vectors, answer containers)
-//     are reclaimed at the START of each runMiniOracle call. Everything
-//     handed out during the previous call is dead by then — the final
-//     answer is consumed by dualState.Average before the next use, and
-//     pack.Solve copies its initial rows instead of retaining them.
-//   - The row table is rebuilt at the start of each runMiniOracle call;
-//     the per-row and per-vertex slices (ζ, ζ̄, Pos, k*) are resized and
-//     overwritten by the packing-oracle invocation or MicroOracle call
-//     that owns them, the odd-set buffers per level.
-//   - Anything that lands in long-lived state is NEVER pooled: odd-set
-//     member lists (retained by dualState.addZSet) stay freshly
-//     allocated in sortedMembers, as do the LP7 witness fields.
-//
-// A nil scratch is legal everywhere and means "allocate fresh", which
-// is also how the tests drive the oracles directly.
+// Every buffer has one owner, a field below, and one writer at a time;
+// nothing is lent. A buffer is overwritten in place by the next call
+// that owns it, which is sound because whatever a call returns is
+// consumed before that call runs again: pack.Solve copies its initial
+// rows and folds each oracle's row values into its own before the next
+// oracle call, answerAccum copies each accepted answer, and
+// dualState.Average copies the final one. Odd-set member lists are the
+// exception that is never reused: dualState.addZSet keeps them, so
+// sortedMembers allocates each one fresh, as it does the LP7 witness.
 type oracleScratch struct {
 	// MiniOracle row table, rebuilt per call, and the ζ of the current
 	// packing-oracle invocation, per row.
@@ -41,12 +33,17 @@ type oracleScratch struct {
 	perLevel [][]supportEdge
 	support  []supportEdge
 
-	f64s  lentPool[float64] // row-value vectors (rv, crv, uniform)
-	xents lentPool[xEntry]  // answer containers; entries are value copies
-	zents lentPool[zEntry]  // (zEntry member pointers stay fresh)
+	// The ϱ search of one Oracle-P invocation holds at most three
+	// MicroOracle answers at once: its two brackets and the probe
+	// between them. Each probe goes into the slot neither bracket
+	// holds.
+	probes [3]probe
+	// Row values of the brackets' combination, the first call's uniform
+	// multipliers, and the zero answer's row values.
+	combRv, ones, zeroRv []float64
 
-	// answerAccum backing: one accumulator and one final answer live per
-	// MiniOracle call, so these are plain fields, not pools — growth
+	// answerAccum and combineAnswers backing: one accumulator, one final
+	// answer and one combination live per MiniOracle call, and growth
 	// across the packing iterations is retained.
 	accX, finX, combX []xEntry
 	accZ, finZ, combZ []zEntry
@@ -67,74 +64,15 @@ type oracleScratch struct {
 
 func newOracleScratch() *oracleScratch { return &oracleScratch{} }
 
-// beginMini resets the scratch for one runMiniOracle call: reclaim the
-// lent pools (the previous call's buffers are all dead, see above).
-func (sc *oracleScratch) beginMini() {
-	sc.f64s.reclaim()
-	sc.xents.reclaim()
-	sc.zents.reclaim()
+// probe is one slot of the ϱ search: the containers a MicroOracle call
+// writes its answer's entries into, and that answer's P_o row values.
+type probe struct {
+	buf oracleAnswer
+	rv  []float64
 }
 
 // posEntry is one positive-deficit level of a vertex (d_{i,k} > 0).
 type posEntry struct {
 	k int
 	d float64
-}
-
-// lentPool is a typed free-list with wholesale reclaim, scoped to the
-// oracle loop, where buffers turn over per call. get pops the most
-// recently freed buffer when it fits (within one MiniOracle call nearly
-// every request has the same length, so the last-freed buffer almost
-// always fits and the best-fit scan never runs), zeroes it to the
-// requested length, and records it as lent; getEmpty returns a
-// zero-length buffer for append-style use.
-type lentPool[T any] struct {
-	free [][]T
-	lent [][]T
-}
-
-func (p *lentPool[T]) get(n int) []T {
-	var buf []T
-	if last := len(p.free) - 1; last >= 0 && cap(p.free[last]) >= n {
-		buf = p.free[last][:n]
-		p.free = p.free[:last]
-		clear(buf)
-	} else {
-		best := -1
-		for i, b := range p.free {
-			if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			last := len(p.free) - 1
-			buf = p.free[best][:n]
-			p.free[best] = p.free[last]
-			p.free = p.free[:last]
-			clear(buf)
-		} else {
-			buf = make([]T, n)
-		}
-	}
-	p.lent = append(p.lent, buf)
-	return buf
-}
-
-func (p *lentPool[T]) getEmpty() []T {
-	return p.get(0)[:0]
-}
-
-// retain replaces the most recently lent header with buf, so append
-// growth past the pooled capacity is kept at reclaim. Must follow the
-// get that produced buf's original backing with no interleaving get on
-// the same pool.
-func (p *lentPool[T]) retain(buf []T) {
-	if last := len(p.lent) - 1; last >= 0 {
-		p.lent[last] = buf
-	}
-}
-
-func (p *lentPool[T]) reclaim() {
-	p.free = append(p.free, p.lent...)
-	p.lent = p.lent[:0]
 }

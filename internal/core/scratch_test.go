@@ -111,9 +111,10 @@ func answersEqual(a, b *oracleAnswer) bool {
 // TestMicroOracleScratchReuseBitIdentical drives the micro oracle
 // through heterogeneous inputs — different graphs, levels, and case
 // branches — twice each: cold (fresh scratch) and through one shared
-// scratch. Every pair must agree bit-for-bit.
+// scratch and answer containers. Every pair must agree bit-for-bit.
 func TestMicroOracleScratchReuseBitIdentical(t *testing.T) {
 	sc := newOracleScratch()
+	var dst oracleAnswer
 	cases := []struct {
 		g         *graph.Graph
 		level     int
@@ -128,7 +129,7 @@ func TestMicroOracleScratchReuseBitIdentical(t *testing.T) {
 	for ci, tc := range cases {
 		in := microFromGraph(tc.g, tc.level, 1, nil, tc.rho, tc.beta, 0.25)
 		cold := runMicroOracle(in)
-		warm := runMicroOracleScratch(in, sc)
+		warm := runMicroOracleScratch(in, sc, &dst)
 		if cold.matchingWitness != warm.matchingWitness {
 			t.Fatalf("case %d: witness %v != %v", ci, warm.matchingWitness, cold.matchingWitness)
 		}
@@ -144,7 +145,7 @@ func TestMicroOracleScratchReuseBitIdentical(t *testing.T) {
 // TestMiniOracleScratchReuseBitIdentical runs the full inner loop —
 // packing iterations, ϱ binary search, answer averaging — with a shared
 // scratch across supports of different shapes and checks each run
-// against a cold (nil-scratch) run.
+// against a cold (fresh-scratch) run.
 func TestMiniOracleScratchReuseBitIdentical(t *testing.T) {
 	prof := Practical(0.25)
 	bOf := func(int) int { return 1 }
@@ -160,7 +161,7 @@ func TestMiniOracleScratchReuseBitIdentical(t *testing.T) {
 			edges = append(edges, supportEdge{u: e.U, v: e.V, k: i % 2, w: 1, origIdx: i})
 		}
 		for _, beta := range []float64{0.5, 4, 50} {
-			cold := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, 2, 7, nil)
+			cold := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, 2, 7, newOracleScratch())
 			warm := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, 2, 7, sc)
 			if cold.matchingWitness != warm.matchingWitness ||
 				cold.microCalls != warm.microCalls || cold.packIters != warm.packIters {

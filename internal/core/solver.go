@@ -664,9 +664,6 @@ func refineBatch(defs []*sparsify.Deferred, liveLevels []int,
 	scheme *levels.Scheme, state *dualState, alpha, lambda float64,
 	stale bool, workers int, sc *oracleScratch) []supportEdge {
 
-	if sc == nil {
-		sc = newOracleScratch()
-	}
 	// The level fan-out is the outer parallelism; when there are fewer
 	// levels than workers (single weight class is common for unit
 	// weights) push the leftover pool down into the per-item reveals.

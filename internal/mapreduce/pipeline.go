@@ -71,7 +71,7 @@ func ConnectedComponentsMR(c *Cluster, g *graph.Graph, seed uint64) (*unionfind.
 	var uf *unionfind.UF
 	collectReducer := func(_ uint64, values []any, _ func(KV)) {
 		// Vertices with no edge keep the bank's zero sketches.
-		bank := spec.NewBank()
+		bank := spec.NewBank(1)
 		for _, val := range values {
 			cs := val.(ccSketch)
 			bank.SetVertex(int(cs.vertex), cs.rows)

@@ -53,10 +53,35 @@ func BenchmarkBankBuildWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				spec.BuildBankArena(edges, workers, nil)
+				spec.NewBank(workers).AddEdges(edges, workers)
 			}
 		})
 	}
+}
+
+// BenchmarkBankRebuild measures a new bank against one Reset and
+// refilled in place (the allocs/op columns are the point of the
+// comparison).
+func BenchmarkBankRebuild(b *testing.B) {
+	const n = 512
+	edges := ringEdges(n)
+	spec := NewIncidenceSpec(xrand.New(41), n, 10, 12, 8)
+
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spec.NewBank(1).AddEdges(edges, 1)
+		}
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		bank := spec.NewBank(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bank.Reset(1)
+			bank.AddEdges(edges, 1)
+		}
+	})
 }
 
 // BenchmarkOneSparseUpdate measures the per-cell update kernel: the
@@ -93,7 +118,7 @@ func BenchmarkBankUpdateBlock(b *testing.B) {
 	const n = 256
 	edges := ringEdges(n)
 	spec := NewIncidenceSpec(xrand.New(9), n, 6, 12, 8)
-	bank := spec.NewBank()
+	bank := spec.NewBank(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,7 +132,7 @@ func BenchmarkSpanningForest(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spec := NewIncidenceSpec(xrand.New(uint64(i)), 128, 10, 12, 8)
-		bank := spec.NewBank()
+		bank := spec.NewBank(1)
 		for v := 0; v < 127; v++ {
 			bank.AddEdge(int32(v), int32(v+1))
 		}

@@ -67,19 +67,6 @@ type Bank struct {
 	sketches [][]*L0 // [rep][vertex]
 }
 
-// NewBank returns a zeroed bank.
-func (spec *IncidenceSpec) NewBank() *Bank {
-	b := &Bank{spec: spec, sketches: make([][]*L0, spec.reps)}
-	for r := 0; r < spec.reps; r++ {
-		row := make([]*L0, spec.n)
-		for v := range row {
-			row[v] = spec.specs[r].NewL0()
-		}
-		b.sketches[r] = row
-	}
-	return b
-}
-
 // SetVertex installs vertex v's sketches, one per repetition, built
 // elsewhere from SpecAt (the per-vertex reducers of the MapReduce
 // pipeline of Section 4.2).
@@ -87,23 +74,6 @@ func (b *Bank) SetVertex(v int, rows []*L0) {
 	for r := range b.sketches {
 		b.sketches[r][v] = rows[r]
 	}
-}
-
-// ReleaseTo hands every sketch column back to the arena's free lists and
-// empties the bank. The bank must not be used afterwards; the next
-// arena-fed build of the same spec reuses the columns. Sequential —
-// release happens between builds, never inside a parallel region.
-func (b *Bank) ReleaseTo(a *Arena) {
-	for r, row := range b.sketches {
-		spec := b.spec.specs[r]
-		for _, s := range row {
-			if s != nil {
-				a.PutL0(spec, s)
-			}
-		}
-		clear(row)
-	}
-	b.sketches = nil
 }
 
 func (b *Bank) update(u, v int32, delta int64) {

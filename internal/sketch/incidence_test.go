@@ -10,7 +10,7 @@ import (
 func buildBank(t *testing.T, g *graph.Graph, seed uint64) *Bank {
 	t.Helper()
 	spec := NewIncidenceSpec(xrand.New(seed), g.N(), log2ceil(g.N())+3, 12, 8)
-	bank := spec.NewBank()
+	bank := spec.NewBank(1)
 	for _, e := range g.Edges() {
 		bank.AddEdge(e.U, e.V)
 	}
@@ -60,7 +60,7 @@ func TestInternalEdgesCancel(t *testing.T) {
 func TestEdgeDeletion(t *testing.T) {
 	g := graph.New(3)
 	spec := NewIncidenceSpec(xrand.New(24), 3, 4, 8, 8)
-	bank := spec.NewBank()
+	bank := spec.NewBank(1)
 	_ = g
 	bank.AddEdge(0, 1)
 	bank.AddEdge(1, 2)

@@ -150,7 +150,7 @@ func TestUpdateRawMatchesScalar(t *testing.T) {
 	// Bank: hoisted shared-z^key endpoint updates vs the legacy loop,
 	// including deletions.
 	ispec := NewIncidenceSpec(r.Split(3), 64, 4, 8, 6)
-	bankNew, bankOld := ispec.NewBank(), ispec.NewBank()
+	bankNew, bankOld := ispec.NewBank(1), ispec.NewBank(1)
 	for i := 0; i < 300; i++ {
 		u := int32(r.Intn(64))
 		v := int32(r.Intn(64))
@@ -190,7 +190,7 @@ func TestUpdateBlockMatchesScalar(t *testing.T) {
 	r := xrand.New(11)
 	edges := ringEdges(96)
 	ispec := NewIncidenceSpec(r.Split(3), 96, 4, 8, 6)
-	bankBlock, bankScalar := ispec.NewBank(), ispec.NewBank()
+	bankBlock, bankScalar := ispec.NewBank(1), ispec.NewBank(1)
 	bankBlock.AddEdgeBlock(edges)
 	for _, e := range edges {
 		bankScalar.AddEdge(e.U, e.V)
@@ -302,7 +302,7 @@ func TestUpdatePathsAllocationFlat(t *testing.T) {
 	lspec := NewL0Spec(r.Split(2), 20, 8, 6)
 	l0 := lspec.NewL0()
 	ispec := NewIncidenceSpec(r.Split(3), 64, 4, 8, 6)
-	bank := ispec.NewBank()
+	bank := ispec.NewBank(1)
 	edges := ringEdges(64)
 	keys, _ := randomUpdates(r.Split(4), 128)
 

@@ -15,23 +15,36 @@ import (
 // the sequential AddEdgeBlock produces, for any worker count —
 // per-vertex update order is edge order in both cases.
 
-// NewBankParallel returns a zeroed bank, allocating the per-vertex sketch
+// NewBank returns a zeroed bank, allocating the per-vertex sketch
 // columns across workers (0 = GOMAXPROCS, 1 = sequential). Allocation is
 // the dominant cost of a bank at Õ(polylog) words per (vertex,
 // repetition) pair, which is why it shards alongside the updates.
-func (spec *IncidenceSpec) NewBankParallel(workers int) *Bank {
+func (spec *IncidenceSpec) NewBank(workers int) *Bank {
 	b := &Bank{spec: spec, sketches: make([][]*L0, spec.reps)}
-	for r := 0; r < spec.reps; r++ {
+	for r := range b.sketches {
 		b.sketches[r] = make([]*L0, spec.n)
 	}
 	parallel.ForEachShard(workers, spec.n, func(_ int, sh parallel.Range) {
 		for v := sh.Lo; v < sh.Hi; v++ {
-			for r := 0; r < spec.reps; r++ {
+			for r := range b.sketches {
 				b.sketches[r][v] = spec.specs[r].NewL0()
 			}
 		}
 	})
 	return b
+}
+
+// Reset zeroes every column in place, sharded by vertex range like
+// NewBank, so that the bank can be refilled without allocating: a Reset
+// bank is in the state NewBank constructs.
+func (b *Bank) Reset(workers int) {
+	parallel.ForEachShard(workers, b.spec.n, func(_ int, sh parallel.Range) {
+		for v := sh.Lo; v < sh.Hi; v++ {
+			for r := range b.sketches {
+				b.sketches[r][v].Reset()
+			}
+		}
+	})
 }
 
 // AddEdges inserts every edge into the bank with the work sharded by
@@ -99,51 +112,4 @@ func (b *Bank) absorb(upds []bankUpd) {
 			b.sketches[r][u.v].updateRaw(keyMod, d, zk)
 		}
 	}
-}
-
-// NewBankParallelArena is NewBankParallel with the per-vertex columns
-// drawn from an arena (nil = plain allocation). The free lists are
-// pre-split into per-shard sub-arenas sequentially up front — exactly
-// the pre-split-RNG discipline of the parallel pipeline — so workers
-// never share a pool; leftovers drain back after the region. A pooled
-// column is Reset to the zero state a fresh one is constructed in, so
-// the bank is indistinguishable from a cold NewBankParallel bank.
-func (spec *IncidenceSpec) NewBankParallelArena(workers int, a *Arena) *Bank {
-	if a == nil {
-		return spec.NewBankParallel(workers)
-	}
-	b := &Bank{spec: spec, sketches: make([][]*L0, spec.reps)}
-	for r := 0; r < spec.reps; r++ {
-		b.sketches[r] = make([]*L0, spec.n)
-	}
-	shards := parallel.Shards(spec.n, parallel.Workers(workers))
-	counts := make([]int, len(shards))
-	subs := make([]*Arena, len(shards))
-	for si, sh := range shards {
-		counts[si] = sh.Hi - sh.Lo
-		subs[si] = a.Shard(si)
-	}
-	for r := 0; r < spec.reps; r++ {
-		a.PresplitL0(spec.specs[r], counts)
-	}
-	parallel.Run(workers, len(shards), func(si int) {
-		sh := shards[si]
-		for v := sh.Lo; v < sh.Hi; v++ {
-			for r := 0; r < spec.reps; r++ {
-				b.sketches[r][v] = subs[si].GetL0(spec.specs[r])
-			}
-		}
-	})
-	a.Drain()
-	return b
-}
-
-// BuildBankArena allocates a bank and inserts the edges, both sharded by
-// vertex range across workers — the one-round distributed construction
-// of Section 4.2 collapsed onto a shared-memory pool — with the column
-// allocations drawn from an arena (nil = plain allocation).
-func (spec *IncidenceSpec) BuildBankArena(edges []graph.Edge, workers int, a *Arena) *Bank {
-	b := spec.NewBankParallelArena(workers, a)
-	b.AddEdges(edges, workers)
-	return b
 }

@@ -27,12 +27,13 @@ func TestBankParallelBitIdentical(t *testing.T) {
 	spec := NewIncidenceSpec(xrand.New(7), n, 9, 12, 8)
 	edges := ringEdges(n)
 
-	seq := spec.NewBank()
+	seq := spec.NewBank(1)
 	for _, e := range edges {
 		seq.AddEdge(e.U, e.V)
 	}
 	for _, workers := range []int{1, 2, 4, 0} {
-		par := spec.BuildBankArena(edges, workers, nil)
+		par := spec.NewBank(workers)
+		par.AddEdges(edges, workers)
 		if !reflect.DeepEqual(seq.sketches, par.sketches) {
 			t.Fatalf("workers=%d: parallel bank state differs from sequential", workers)
 		}
@@ -46,7 +47,8 @@ func TestBankParallelSpanningForest(t *testing.T) {
 	for v := 0; v+1 < n; v++ {
 		edges = append(edges, graph.Edge{U: int32(v), V: int32(v + 1), W: 1})
 	}
-	bank := spec.BuildBankArena(edges, 4, nil)
+	bank := spec.NewBank(4)
+	bank.AddEdges(edges, 4)
 	forest, uf, err := bank.SpanningForest()
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +63,45 @@ func TestBankParallelSpanningForest(t *testing.T) {
 
 func TestAddEdgesRejectsSelfLoop(t *testing.T) {
 	spec := NewIncidenceSpec(xrand.New(3), 8, 2, 8, 4)
-	bank := spec.NewBankParallel(2)
+	bank := spec.NewBank(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on self loop")
 		}
 	}()
 	bank.AddEdges([]graph.Edge{{U: 3, V: 3, W: 1}}, 2)
+}
+
+// TestBankResetMatchesNew pins a rebuild in place against construction:
+// a bank that held other edges, Reset and refilled at workers 1, 2 and
+// 4, must equal a new bank filled with the same edges, and a sequential
+// Reset and refill must allocate nothing per column (a new bank
+// allocates several objects per (vertex, repetition) pair).
+func TestBankResetMatchesNew(t *testing.T) {
+	const n = 96
+	spec := NewIncidenceSpec(xrand.New(31), n, 6, 12, 8)
+	edges := ringEdges(n)
+	other := make([]graph.Edge, 0, n)
+	for v := 0; v < n; v++ {
+		other = append(other, graph.Edge{U: int32(v), V: int32((v + 2) % n), W: 1})
+	}
+	want := spec.NewBank(1)
+	want.AddEdges(edges, 1)
+	bank := spec.NewBank(1)
+	bank.AddEdges(other, 1)
+	for _, workers := range []int{1, 2, 4} {
+		bank.Reset(workers)
+		bank.AddEdges(edges, workers)
+		if !reflect.DeepEqual(want, bank) {
+			t.Fatalf("workers=%d: a Reset and refilled bank differs from a new bank", workers)
+		}
+		bank.AddEdges(other, workers)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		bank.Reset(1)
+		bank.AddEdges(edges, 1)
+	})
+	if allocs > 8 {
+		t.Fatalf("a Reset and refill allocates %.0f objects, want at most 8", allocs)
+	}
 }
