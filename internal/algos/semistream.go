@@ -61,7 +61,7 @@ func (a *greedyAlg) Reset() {
 
 // Round runs the greedy pass first, then one augmentation round per
 // driver round until no augmenting path is found or the cap is reached.
-func (a *greedyAlg) Round(_ context.Context, run *engine.Run) (bool, error) {
+func (a *greedyAlg) Round(ctx context.Context, run *engine.Run) (bool, error) {
 	round := run.Rounds()
 	if round == 0 {
 		if err := run.BeginRound(); err != nil {
@@ -94,7 +94,7 @@ func (a *greedyAlg) Round(_ context.Context, run *engine.Run) (bool, error) {
 	// The round's transient index structures (matchPos, freeTaken) are
 	// O(n) central words on top of the live matching state.
 	run.Acct.Alloc(2 * a.n)
-	next, augmented, delta := semistream.AugmentRound(a.src, a.cur, &a.aug)
+	next, augmented, delta := semistream.AugmentRound(ctx, a.src, a.cur, &a.aug)
 	a.cur = next
 	run.Acct.Free(2 * a.n)
 	a.weight += delta

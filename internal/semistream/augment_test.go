@@ -7,6 +7,7 @@ package semistream
 // stream backend.
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"slices"
@@ -182,7 +183,7 @@ func sameRound(t *testing.T, label string, ref map[int]bool, refSrc stream.Sourc
 	t.Helper()
 	wantAug, wantDelta := augmentRoundMap(refSrc, ref)
 	passes := src.Passes()
-	next, aug, delta := AugmentRound(src, cur, sc)
+	next, aug, delta := AugmentRound(context.Background(), src, cur, sc)
 	if got := src.Passes() - passes; got != 2 {
 		t.Fatalf("%s: round took %d passes, want 2", label, got)
 	}
@@ -277,18 +278,18 @@ func TestAugmentRoundReturnsScratchSets(t *testing.T) {
 	s := stream.NewEdgeStream(g)
 	var sc AugmentScratch
 	cur := []int{1, 3}
-	first, aug, delta := AugmentRound(s, cur, &sc)
+	first, aug, delta := AugmentRound(context.Background(), s, cur, &sc)
 	if !aug || delta != 1 || !slices.Equal(first, []int{0, 2, 3}) {
 		t.Fatalf("first round: %v %v %v", first, aug, delta)
 	}
 	if !slices.Equal(cur, []int{1, 3}) {
 		t.Fatalf("cur modified: %v", cur)
 	}
-	second, aug, _ := AugmentRound(s, first, &sc)
+	second, aug, _ := AugmentRound(context.Background(), s, first, &sc)
 	if aug || !slices.Equal(second, first) || !slices.Equal(first, []int{0, 2, 3}) {
 		t.Fatalf("second round: %v from %v (augmented %v)", second, first, aug)
 	}
-	third, _, _ := AugmentRound(s, second, &sc)
+	third, _, _ := AugmentRound(context.Background(), s, second, &sc)
 	if &third[0] != &first[0] {
 		t.Fatal("third round did not reuse the first round's set")
 	}

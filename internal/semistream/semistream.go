@@ -19,6 +19,7 @@
 package semistream
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/graph"
@@ -158,7 +159,7 @@ func ShortAugmentPasses(s stream.Source, m *matching.Matching, maxPasses int) *m
 	cur := slices.Sorted(slices.Values(m.EdgeIdx))
 	var sc AugmentScratch
 	for pass := 0; pass < maxPasses; pass++ {
-		next, augmented, _ := AugmentRound(s, cur, &sc)
+		next, augmented, _ := AugmentRound(context.Background(), s, cur, &sc)
 		cur = next
 		if !augmented {
 			break
@@ -204,11 +205,16 @@ type wings struct {
 // read. ShortAugmentPasses and the engine-driven greedy-augment
 // algorithm share this exact round.
 //
+// ctx is checked after each pass. When it is done, the round stops
+// there and returns cur unchanged, with no augmentation and a zero
+// delta, so a cancelled round's result does not depend on how far its
+// pass read.
+//
 // All state is addressed by vertex or by position in cur: a sequential
 // sweep delivers blocks in index order, so pass 1 walks cur with a
 // cursor, and resolution walks positions in order, which is ascending
 // edge index.
-func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, float64) {
+func AugmentRound(ctx context.Context, s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, float64) {
 	n := s.N()
 	sc.matchPos = resize(sc.matchPos, n, n)
 	for i := range sc.matchPos {
@@ -236,6 +242,9 @@ func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, 
 		}
 		return true
 	})
+	if ctx.Err() != nil {
+		return cur, false, 0
+	}
 	// Pass 2: collect, per matched edge, one candidate wing at each
 	// endpoint: wing edges go from a free vertex to a matched endpoint.
 	// A matched edge has both endpoints matched (a matching is
@@ -261,6 +270,9 @@ func AugmentRound(s stream.Source, cur []int, sc *AugmentScratch) ([]int, bool, 
 		}
 		return true
 	})
+	if ctx.Err() != nil {
+		return cur, false, 0
+	}
 	// Resolve: an augmenting path needs wings at both endpoints with
 	// distinct free vertices not already used this round. Matched edges
 	// are visited in position order, which is ascending index order.
