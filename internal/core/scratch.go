@@ -15,9 +15,9 @@ import "repro/internal/oddset"
 // consumed before that call runs again: pack.Solve copies its initial
 // rows and folds each oracle's row values into its own before the next
 // oracle call, answerAccum copies each accepted answer, and
-// dualState.Average copies the final one. Odd-set member lists are the
-// exception that is never reused: dualState.addZSet keeps them, so
-// sortedMembers allocates each one fresh, as it does the LP7 witness.
+// dualState.Average copies the final one. What outlives the loop is
+// never reused: odd-set member lists, which dualState.addZSet keeps, and
+// the LP7 witness are allocated fresh.
 type oracleScratch struct {
 	// MiniOracle row table, rebuilt per call, and the ζ of the current
 	// packing-oracle invocation, per row.

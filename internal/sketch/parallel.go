@@ -21,12 +21,12 @@ import (
 // repetition) pair, which is why it shards alongside the updates.
 func (spec *IncidenceSpec) NewBank(workers int) *Bank {
 	b := &Bank{spec: spec, sketches: make([][]*L0, spec.reps)}
-	for r := range b.sketches {
+	for r := 0; r < spec.reps; r++ {
 		b.sketches[r] = make([]*L0, spec.n)
 	}
 	parallel.ForEachShard(workers, spec.n, func(_ int, sh parallel.Range) {
 		for v := sh.Lo; v < sh.Hi; v++ {
-			for r := range b.sketches {
+			for r := 0; r < spec.reps; r++ {
 				b.sketches[r][v] = spec.specs[r].NewL0()
 			}
 		}
