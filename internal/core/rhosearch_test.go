@@ -12,9 +12,14 @@ import (
 )
 
 // rhoSearchDigest pins every runMiniOracle output of
-// TestMiniOracleRhoSearchPinned. It was recorded while each MicroOracle
-// answer of the ϱ search still had a buffer of its own.
+// TestMiniOracleRhoSearchPinned under Practical(0.25). It was recorded
+// while each MicroOracle answer of the ϱ search still had a buffer of its
+// own.
 const rhoSearchDigest = "45996dd0c97befdd"
+
+// rhoFallbackDigest pins the same supports' outputs with the search
+// capped at zero steps, where every rejected ϱ1 goes to the ϱ0 fallback.
+const rhoFallbackDigest = "85ac383872065ba2"
 
 // randomSupport draws a small support for the ϱ-search pin: 3–14
 // vertices, each pair an edge with probability 1/2, at one of 1–3
@@ -71,39 +76,54 @@ func writeMini(h hash.Hash64, r *miniResult) {
 
 // TestMiniOracleRhoSearchPinned runs random small supports through
 // runMiniOracle, each with a fresh scratch and again through one scratch
-// shared by every case, and pins a digest of all the outputs. A case
-// that ends without a witness and makes more MicroOracle calls than
-// packing iterations entered Lemma 10's ϱ search: at least one Oracle-P
-// invocation rejected ϱ1, probed between its brackets and returned their
-// combination. The test requires at least 100 such cases, so that a
-// probe overwriting a bracket it must keep changes the digest.
+// shared by every case, and pins a digest of all the outputs, under two
+// profiles. A case that ends without a witness and makes more
+// MicroOracle calls than packing iterations had some Oracle-P invocation
+// reject ϱ1. Under Practical(0.25) that invocation entered Lemma 10's ϱ
+// search: it probed between its brackets and returned their
+// combination. With BinSearchCap = 0, a value any Profile may set, the
+// search loop never runs, so the invocation called the MicroOracle at ϱ0
+// and combined that answer with ϱ1's. The test requires at least 100
+// such cases under each profile, so that a probe overwriting a bracket
+// it must keep, or a fallback that mixes up its slots, changes a digest.
 func TestMiniOracleRhoSearchPinned(t *testing.T) {
 	const cases = 2000
-	prof := Practical(0.25)
-	bOf := func(int) int { return 1 }
-	rng := xrand.New(0x3c0de)
-	shared := newOracleScratch()
-	all := fnv.New64a()
-	searched := 0
-	for c := 0; c < cases; c++ {
-		edges, nl, beta := randomSupport(rng)
-		cold := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, nl, prof.OddSetNormCap, newOracleScratch())
-		warm := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, nl, prof.OddSetNormCap, shared)
-		hc, hw := fnv.New64a(), fnv.New64a()
-		writeMini(hc, &cold)
-		writeMini(hw, &warm)
-		if hc.Sum64() != hw.Sum64() {
-			t.Fatalf("case %d: the shared scratch's result differs from a fresh scratch's", c)
+	noSearch := Practical(0.25)
+	noSearch.BinSearchCap = 0
+	for _, tc := range []struct {
+		name   string
+		prof   Profile
+		digest string
+	}{
+		{"Practical(0.25)", Practical(0.25), rhoSearchDigest},
+		{"BinSearchCap=0", noSearch, rhoFallbackDigest},
+	} {
+		prof := tc.prof
+		bOf := func(int) int { return 1 }
+		rng := xrand.New(0x3c0de)
+		shared := newOracleScratch()
+		all := fnv.New64a()
+		rejected := 0
+		for c := 0; c < cases; c++ {
+			edges, nl, beta := randomSupport(rng)
+			cold := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, nl, prof.OddSetNormCap, newOracleScratch())
+			warm := runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, nl, prof.OddSetNormCap, shared)
+			hc, hw := fnv.New64a(), fnv.New64a()
+			writeMini(hc, &cold)
+			writeMini(hw, &warm)
+			if hc.Sum64() != hw.Sum64() {
+				t.Fatalf("%s, case %d: the shared scratch's result differs from a fresh scratch's", tc.name, c)
+			}
+			writeMini(all, &cold)
+			if !cold.matchingWitness && cold.microCalls > cold.packIters {
+				rejected++
+			}
 		}
-		writeMini(all, &cold)
-		if !cold.matchingWitness && cold.microCalls > cold.packIters {
-			searched++
+		if rejected < 100 {
+			t.Fatalf("%s: %d of %d cases rejected ϱ1, want at least 100", tc.name, rejected, cases)
 		}
-	}
-	if searched < 100 {
-		t.Fatalf("%d of %d cases entered the ϱ search, want at least 100", searched, cases)
-	}
-	if got := fmt.Sprintf("%016x", all.Sum64()); got != rhoSearchDigest {
-		t.Errorf("digest %s, pinned %s (%d of %d cases searched)", got, rhoSearchDigest, searched, cases)
+		if got := fmt.Sprintf("%016x", all.Sum64()); got != tc.digest {
+			t.Errorf("%s: digest %s, pinned %s (%d of %d cases rejected ϱ1)", tc.name, got, tc.digest, rejected, cases)
+		}
 	}
 }

@@ -161,3 +161,8 @@ func unweighted(g *graph.Graph, cfg Config) *Sparsifier {
 	items := c.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
 	return &Sparsifier{N: g.N(), Items: items}
 }
+
+// graphSparsifier builds the weighted sparsifier of g.
+func graphSparsifier(g *graph.Graph, cfg Config) *Sparsifier {
+	return Weighted(g, cfg)
+}
