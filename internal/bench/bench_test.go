@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,10 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// Each experiment must run in quick mode and produce at least one row.
+// Each experiment must run in quick mode and produce at least one row,
+// and every cell of a column named "identical" (a bit-identity check
+// against the table's baseline) must read "yes", or "-" on the baseline
+// row itself.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -46,9 +50,14 @@ func TestAllExperimentsQuick(t *testing.T) {
 		if tab.ID == "" || tab.Title == "" || len(tab.Columns) == 0 {
 			t.Errorf("%s metadata incomplete", tab.ID)
 		}
+		identical := slices.Index(tab.Columns, "identical")
 		for _, row := range tab.Rows {
 			if len(row) != len(tab.Columns) {
 				t.Errorf("%s row width %d vs %d columns", tab.ID, len(row), len(tab.Columns))
+				continue
+			}
+			if identical >= 0 && row[identical] != "yes" && row[identical] != "-" {
+				t.Errorf("%s row %v: identical = %q", tab.ID, row, row[identical])
 			}
 		}
 	}

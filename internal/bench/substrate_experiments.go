@@ -45,7 +45,7 @@ func E7Sparsifier(cfg Config) Table {
 		dg, err := sparsify.NewDeferred(g.N(), func(i int) (int32, int32) {
 			e := g.Edge(i)
 			return e.U, e.V
-		}, g.M(), sigma, chi, sparsify.Config{Xi: xi, K: 8, Seed: cfg.Seed + 47, Workers: cfg.Workers})
+		}, g.M(), sigma, chi, sparsify.Config{Xi: xi, K: 8, Seed: cfg.Seed + 47})
 		if err != nil {
 			t.Note("chi=%g: %v", chi, err)
 			continue
@@ -76,7 +76,6 @@ func E7Sparsifier(cfg Config) Table {
 	}
 	t.Note("expected shape: max-cut-err stays bounded for all chi; stored grows ~chi^2, < m for small chi")
 	t.Note("base K fixed at 8 (deferred scales it by chi^2) to expose the sampling regime; the theory's K = O(log^2 n / xi^2) stores everything at this scale")
-	noteWorkers(&t, cfg)
 	return t
 }
 

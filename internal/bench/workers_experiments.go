@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sketch"
-	"repro/internal/sparsify"
 	"repro/internal/xrand"
 )
 
 // E14Workers — the parallel sharded pipeline (DESIGN.md, "Parallel
-// pipeline"): wall-clock scaling of the three sharded layers and the
-// full solver as the worker count grows, with a bit-identity check of
-// every parallel result against its Workers:1 baseline. This is the
+// pipeline"): wall-clock scaling of the two sharded layers and the full
+// solver as the worker count grows, with a bit-identity check of every
+// parallel result against its Workers:1 baseline. This is the
 // workers-scaling table of EXPERIMENTS.md.
 func E14Workers(cfg Config) Table {
 	t := Table{
@@ -32,12 +31,10 @@ func E14Workers(cfg Config) Table {
 	// instances; quick mode keeps CI fast.
 	genN, genM := 20000, 400000
 	bankN, bankReps := 1200, 10
-	spN := 480
 	solveN, solveM := 192, 1920
 	if cfg.Quick {
 		genN, genM = 2000, 20000
 		bankN, bankReps = 200, 6
-		spN = 140
 		solveN, solveM = 64, 512
 	}
 
@@ -126,15 +123,9 @@ func E14Workers(cfg Config) Table {
 		return bankCur
 	})
 
-	// Layer 3: weighted sparsification across weight classes
-	// (internal/sparsify). ExpWeights spans many powers-of-two classes,
-	// the per-class fan-out's parallelism source.
-	spG := graph.GNP(spN, 0.5, graph.WeightConfig{Mode: graph.ExpWeights, Scale: 2}, cfg.Seed+407)
-	addRows("sparsify-weighted", spN, spG.M(), func(w int) any {
-		return sparsify.Weighted(spG, sparsify.Config{Xi: 0.25, Seed: cfg.Seed + 409, Workers: w}).Items
-	})
-
-	// Full solver: every sampling round runs the sharded pipeline.
+	// Full solver: every sampling round runs the sharded pipeline, and
+	// its sparsifiers build one DeferredBuilder per (use, level) job
+	// across the pool.
 	solveG := graph.GNMParallel(solveN, solveM, wc, cfg.Seed+411, 0)
 	solveErrNoted := false
 	addRows("match-solve", solveN, solveM, func(w int) any {
@@ -151,6 +142,6 @@ func E14Workers(cfg Config) Table {
 
 	t.Note("expected shape: identical=yes everywhere; speedup > 1 at workers=4 on the sharded layers when GOMAXPROCS > 1")
 	t.Note("speedup is best-of-%d wall time vs the workers=1 baseline on the same instance (warmed heap, GC between trials)", trials)
-	t.Note("GOMAXPROCS=%d on this run — with a single scheduler thread speedups hover near 1 by construction", runtime.GOMAXPROCS(0))
+	t.Note("GOMAXPROCS=%d on this run; at 1, a single scheduler thread holds every speedup near 1 by construction", runtime.GOMAXPROCS(0))
 	return t
 }

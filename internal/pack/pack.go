@@ -53,8 +53,6 @@ type Options struct {
 	RhoPrime float64
 	// MaxIters caps oracle calls; 0 derives the theorem bound.
 	MaxIters int
-	// OnPhase instruments phase boundaries.
-	OnPhase func(iter int, lambdaP float64)
 	// OnAccept, if non-nil, is called after each accepted oracle answer
 	// with the step size σ′ used in x ← (1-σ′)x + σ′x̃, so callers can
 	// mirror the framework's averaging on their own representation of x̃.
@@ -105,9 +103,6 @@ func Solve(initRows []float64, oracle Oracle, opt Options) (Result, error) {
 		// The classical step uses α λ_t >= ln(m/δ)/δ relative to the
 		// *current* scale; σ' = δ/(4 α' ρ').
 		sigma := delta / (4 * alpha * opt.RhoPrime)
-		if opt.OnPhase != nil {
-			opt.OnPhase(iters, lambdaP)
-		}
 		phaseEnd := lambdaT / 2
 		if phaseEnd < target {
 			phaseEnd = target
@@ -136,9 +131,6 @@ func Solve(initRows []float64, oracle Oracle, opt Options) (Result, error) {
 			lambdaP = maxOf(rows)
 			iters++
 		}
-	}
-	if opt.OnPhase != nil {
-		opt.OnPhase(iters, lambdaP)
 	}
 	return Result{Rows: rows, LambdaP: lambdaP, Iters: iters, Status: Solved}, nil
 }

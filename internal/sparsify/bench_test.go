@@ -1,7 +1,6 @@
 package sparsify
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,23 +11,7 @@ func BenchmarkUnweightedSparsify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unweighted(g, Config{Xi: 0.25, Seed: uint64(i)})
-	}
-}
-
-// BenchmarkWeightedSparsifyWorkers measures the per-class parallel
-// construction at several worker counts on a many-class instance (the
-// workers-scaling row of EXPERIMENTS.md). Output is bit-identical across
-// sub-benchmarks.
-func BenchmarkWeightedSparsifyWorkers(b *testing.B) {
-	g := graph.GNP(400, 0.5, graph.WeightConfig{Mode: graph.ExpWeights, Scale: 2}, 3)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Weighted(g, Config{Xi: 0.25, Seed: 7, Workers: workers})
-			}
-		})
+		graphSparsifier(g, Config{Xi: 0.25, Seed: uint64(i)})
 	}
 }
 

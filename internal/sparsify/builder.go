@@ -7,24 +7,19 @@ import (
 	"repro/internal/unionfind"
 )
 
-// DeferredBuilder is the streaming construction of the deferred
-// cut-sparsifier: edges arrive one at a time with their promise value ς
-// and are pushed straight through the per-class leveled forest
-// constructions, so the builder's memory is the stored sample plus the
-// forest state — never the edge sequence itself. Feeding the builder the
-// same (localIdx, u, v, ς) sequence that NewDeferred receives via its
-// arrays produces a bit-identical Deferred (same per-class seeds, same
-// within-class processing order, same item emission order); the solver
-// relies on this to run its sampling round as one chunked pass over a
-// Source without materializing promise or endpoint arrays.
+// DeferredBuilder is the construction of the deferred cut-sparsifier:
+// edges arrive one at a time with their promise value ς and are pushed
+// straight through the per-class leveled forest constructions, so the
+// builder's memory is the stored sample plus the forest state — never
+// the edge sequence itself. The solver runs its sampling round as one
+// chunked pass over a Source this way, without materializing promise or
+// endpoint arrays; NewDeferred feeds it from arrays.
 //
-// Unlike NewDeferred, the builder also records each stored edge's
-// original stream index and weight, so the resulting Items carry enough
-// to drive refinement and the offline union step with no random access
-// back into the input.
+// The builder also records each stored edge's original stream index and
+// weight, so the resulting Items carry enough to drive refinement and
+// the offline union step with no random access back into the input.
 type DeferredBuilder struct {
 	n, m int
-	chi  float64
 	cfg  Config // defaults and chi² oversampling already applied
 	// byClass[i] is the construction of weight class classLo+i (nil
 	// while no edge of the class has arrived), so Finish walks the
@@ -60,11 +55,10 @@ type builderEdge struct {
 
 // Reset arms a builder (a zero DeferredBuilder or one already used) for
 // a streaming deferred construction over a local edge sequence of length
-// m (the count must be known up front: it fixes the subsampling depth,
-// exactly as NewDeferred derives it from its array length); chi >= 1 is
-// the promised distortion bound. A reused builder keeps its slot
-// buffer's and class table's capacity, its retired constructions and,
-// while n stays the same, their forests: a caller that runs one
+// m (the count must be known up front: it fixes the subsampling depth);
+// chi >= 1 is the promised distortion bound. A reused builder keeps its
+// slot buffer's and class table's capacity, its retired constructions
+// and, while n stays the same, their forests: a caller that runs one
 // construction per job per round (the solver's sampling pass) holds one
 // builder per job and stops reallocating every round. A builder left
 // mid-feed (an aborted pass) retires its unfinished constructions here,
@@ -80,7 +74,7 @@ func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 	if n != b.n {
 		b.forests = nil // sized for another vertex count
 	}
-	b.n, b.m, b.chi = n, m, chi
+	b.n, b.m = n, m
 	b.cfg = deferredConfig(n, chi, cfg)
 	b.slots = b.slots[:0]
 	return nil
@@ -91,7 +85,7 @@ func (b *DeferredBuilder) Reset(n, m int, chi float64, cfg Config) error {
 // across calls — it drives the subsampling hash); orig is its index in
 // the original stream and w its original weight, both retained only for
 // stored edges. Edges whose sigma has no weight class (zero, negative,
-// NaN or infinite) are dropped, as bucketByClass drops them.
+// NaN or infinite) carry no cut mass and are dropped.
 func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sigma float64) {
 	cl, ok := weightClass(sigma)
 	if !ok {
@@ -164,17 +158,20 @@ func (b *DeferredBuilder) retire() {
 	b.byClass = b.byClass[:0]
 }
 
-// Finish emits the Deferred. The per-class item streams concatenate in
-// increasing class order — the order NewDeferred's sorted bucketByClass
-// produces — so the structure is identical to the array-fed construction
-// on the same input. The Deferred carries only its Items and needs no
-// forest state, so Finish retires every construction for the next
-// feed. The returned structure is the builder's own: it is valid until
-// the builder's next Finish or Reset. The builder must not be fed again
-// until Reset.
+// Finish emits the Deferred (Algorithm 6 steps 10-15): an edge is output
+// iff its own subsampling level reaches its critical level i′, with
+// retention probability 2^(−i′). An edge whose subsampling level reaches
+// i′ necessarily entered a forest at level i′ (its endpoints are not
+// K-connected there), so the stored set always contains every output
+// candidate and the inverse-probability estimator is unbiased. The
+// per-class item streams concatenate in increasing class order. The
+// Deferred carries only its Items and needs no forest state, so Finish
+// retires every construction for the next feed. The returned structure
+// is the builder's own: it is valid until the builder's next Finish or
+// Reset. The builder must not be fed again until Reset.
 func (b *DeferredBuilder) Finish() *Deferred {
 	d := &b.d
-	d.n, d.chi = b.n, b.chi
+	d.n = b.n
 	d.items = d.items[:0]
 	for _, sub := range b.byClass {
 		if sub == nil {

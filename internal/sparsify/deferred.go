@@ -21,7 +21,6 @@ import (
 // batch of −ε⁻¹·log γ iterations (Theorem 3).
 type Deferred struct {
 	n     int
-	chi   float64
 	items []Item // probabilities fixed at sampling time; Weight holds ς until refined
 
 	// revealed and refined are RefineWith's buffers, reused by its next
@@ -31,75 +30,23 @@ type Deferred struct {
 }
 
 // NewDeferred samples the structure D from promise values sigma (indexed
-// like edges). chi ≥ 1 is the promised distortion bound. The edges slice
-// is only read for endpoints; weights used are sigma. With cfg.Workers
-// != 1 (including the zero value, which resolves to GOMAXPROCS)
-// edgeEndpoints may be called concurrently from multiple goroutines and
-// must be safe for that — a pure index lookup, as in every caller here.
-// The output is bit-identical for every worker count.
+// like edges) by feeding edges 0..m−1 to a DeferredBuilder. chi ≥ 1 is
+// the promised distortion bound. The edges are only read for endpoints;
+// weights used are sigma, and the items carry W = 0.
 func NewDeferred(n int, edgeEndpoints func(i int) (u, v int32), m int, sigma []float64, chi float64, cfg Config) (*Deferred, error) {
-	if chi < 1 {
-		return nil, fmt.Errorf("sparsify: chi %v < 1", chi)
+	var b DeferredBuilder
+	if err := b.Reset(n, m, chi, cfg); err != nil {
+		return nil, err
 	}
 	if len(sigma) != m {
 		return nil, fmt.Errorf("sparsify: %d promise values for %d edges", len(sigma), m)
 	}
-	cfg = deferredConfig(n, chi, cfg)
-
-	// Per weight class of sigma, run the leveled construction. Endpoint
-	// materialization shards by edge range; the per-class constructions
-	// run concurrently on cfg.Workers goroutines and merge in class
-	// order, so the structure is identical for every worker count.
-	type fakeEdge struct{ u, v int32 }
-	endpoints := make([]fakeEdge, m)
-	parallel.ForEachShard(cfg.Workers, m, func(_ int, sh parallel.Range) {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			u, v := edgeEndpoints(i)
-			endpoints[i] = fakeEdge{u, v}
-		}
-	})
-	classes := bucketByClass(m, func(i int) float64 { return sigma[i] }, cfg.Workers)
-	perClass := parallel.Map(cfg.Workers, len(classes), func(ci int) []Item {
-		grp := classes[ci]
-		sub := newConstruction(n, m, withClassSeed(cfg, grp.class))
-		for _, idx := range grp.idxs {
-			sub.process(idx, idx, endpoints[idx].u, endpoints[idx].v)
-		}
-		// finish needs a graph.Edge slice; synthesize on the fly.
-		seen := make(map[int]bool)
-		var items []Item
-		for i := 0; i < sub.numLv; i++ {
-			for _, idx := range sub.stored[i] {
-				if seen[idx] {
-					continue
-				}
-				seen[idx] = true
-				ep := endpoints[idx]
-				ipLv, ok := sub.criticalLevel(ep.u, ep.v)
-				if !ok {
-					continue
-				}
-				if sub.levelOf(idx) < ipLv {
-					continue
-				}
-				prob := retentionProb(ipLv)
-				items = append(items, Item{
-					EdgeIdx: idx,
-					Orig:    idx,
-					U:       ep.u,
-					V:       ep.v,
-					Weight:  sigma[idx], // provisional; replaced on Refine
-					Prob:    prob,
-				})
-			}
-		}
-		return items
-	})
-	d := &Deferred{n: n, chi: chi}
-	for _, its := range perClass {
-		d.items = append(d.items, its...)
+	for i := 0; i < m; i++ {
+		u, v := edgeEndpoints(i)
+		b.Add(i, u, v, 0, i, sigma[i])
 	}
-	return d, nil
+	d := *b.Finish() // a copy, so the builder's forests are not kept alive
+	return &d, nil
 }
 
 // deferredConfig resolves a deferred construction's configuration: fill

@@ -112,24 +112,31 @@ func TestDeferredExtremePromiseRange(t *testing.T) {
 
 func TestUnweightedSingleEdgeAndEmpty(t *testing.T) {
 	g := graph.New(3)
-	s := unweighted(g, Config{Xi: 0.25, Seed: 306})
+	s := graphSparsifier(g, Config{Xi: 0.25, Seed: 306})
 	if len(s.Items) != 0 {
 		t.Fatal("items from empty graph")
 	}
 	g.MustAddEdge(0, 1, 5)
-	s = unweighted(g, Config{Xi: 0.25, Seed: 307})
+	s = graphSparsifier(g, Config{Xi: 0.25, Seed: 307})
 	if len(s.Items) != 1 || s.Items[0].Weight != 5 || s.Items[0].Prob != 1 {
 		t.Fatalf("single edge mishandled: %+v", s.Items)
 	}
 }
 
 func TestWeightedZeroAndNegativeClassesDropped(t *testing.T) {
-	// bucketByClass must drop non-positive weights rather than panic.
-	classes := bucketByClass(1, func(i int) float64 {
-		return []float64{0}[i]
-	}, 1)
-	if len(classes) != 0 {
-		t.Fatalf("zero-weight edge classified: %v", classes)
+	// A promise no weight class holds carries no cut mass: Add stores
+	// nothing for it rather than panic, and a bridge with promise 1 is
+	// stored.
+	for _, sigma := range []float64{0, -1, math.NaN(), math.Inf(1), 1} {
+		b := freshBuilder(t, 2, 1, 1, Config{Seed: 1})
+		b.Add(0, 0, 1, 1, 0, sigma)
+		want := 0
+		if sigma == 1 {
+			want = 1
+		}
+		if got := b.Finish().Size(); got != want {
+			t.Fatalf("promise %v: %d items stored, want %d", sigma, got, want)
+		}
 	}
 }
 

@@ -78,7 +78,9 @@ func TestForestsNestAndProcessMatchesLinearScan(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 3, 6} {
 			cfg := Config{K: k, Seed: seed*100 + uint64(k)}
-			fast, slow := newConstruction(n, m, cfg), newConstruction(n, m, cfg)
+			fast, slow := new(construction), new(construction)
+			fast.reset(n, m, cfg, nil)
+			slow.reset(n, m, cfg, nil)
 			for i, e := range edges {
 				got := fast.process(i, i, e[0], e[1])
 				if want := processLinear(slow, i, i, e[0], e[1]); got != want {

@@ -19,10 +19,7 @@ package sparsify
 
 import (
 	"math"
-	"sort"
 
-	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/unionfind"
 	"repro/internal/xrand"
 )
@@ -37,12 +34,6 @@ type Config struct {
 	Xi float64
 	// Seed drives all sampling.
 	Seed uint64
-	// Workers shards the weight-class bucketing by edge range and runs
-	// the per-class constructions concurrently (0 = GOMAXPROCS, 1 =
-	// sequential). The output is bit-identical for every worker count:
-	// per-class randomness is seeded from the class id, and classes merge
-	// in increasing class order.
-	Workers int
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -72,7 +63,7 @@ type Sparsifier struct {
 // stored Items alone, with no random access back into the input stream.
 type Item struct {
 	EdgeIdx int     // index into the construction's local edge sequence
-	Orig    int     // index into the original source stream (== EdgeIdx unless built via DeferredBuilder)
+	Orig    int     // index into the original source stream (== EdgeIdx from NewDeferred)
 	U, V    int32   // endpoints
 	W       float64 // original edge weight (0 when the builder was not told it)
 	Weight  float64 // reweighted value (source weight / retention prob)
@@ -90,8 +81,8 @@ func (s *Sparsifier) CutWeight(inSet []bool) float64 {
 	return t
 }
 
-// construction holds the per-level forest state shared by the plain and
-// deferred builds.
+// construction holds the per-level forest state of one weight class of a
+// DeferredBuilder.
 type construction struct {
 	cfg    Config
 	n      int
@@ -103,12 +94,6 @@ type construction struct {
 	// elements, which newForest draws from before allocating.
 	spare *[]*unionfind.UF
 	class int // the weight class a DeferredBuilder last armed it for
-}
-
-func newConstruction(n, m int, cfg Config) *construction {
-	c := new(construction)
-	c.reset(n, m, cfg, nil)
-	return c
 }
 
 // reset arms c for a fresh construction. A retired construction keeps
@@ -149,10 +134,9 @@ func (c *construction) levelOf(edgeIdx int) int {
 
 // process streams one edge through every level it survives to, inserting
 // it into the first forest without a cycle (Algorithm 6 steps 5-8), and
-// records id in the stored row of every level that keeps it: the array
-// constructions pass the edge index itself, the streaming builder a slot
-// id. Reports whether the edge was stored at any level, so streaming
-// callers can retain side data for stored edges only.
+// records id, the builder's slot id for the edge, in the stored row of
+// every level that keeps it. Reports whether the edge was stored at any
+// level, so the builder retains side data for stored edges only.
 func (c *construction) process(edgeIdx, id int, u, v int32) bool {
 	lv := c.levelOf(edgeIdx)
 	storedAny := false
@@ -222,79 +206,11 @@ func (c *construction) criticalLevel(u, v int32) (int, bool) {
 	return 0, false
 }
 
-// finish emits the sparsifier items (Algorithm 6 steps 10-15): an edge is
-// output iff its own subsampling level reaches its critical level i′; the
-// weight is inverse-probability scaled. An edge whose subsampling level
-// reaches i′ necessarily entered a forest at level i′ (its endpoints are
-// not K-connected there), so the stored set always contains every output
-// candidate and the inverse-probability estimator is unbiased.
-func (c *construction) finish(edges []graph.Edge, weightOf func(edgeIdx int) float64) []Item {
-	seen := make(map[int]bool)
-	var items []Item
-	for i := 0; i < c.numLv; i++ {
-		for _, idx := range c.stored[i] {
-			if seen[idx] {
-				continue
-			}
-			seen[idx] = true
-			e := edges[idx]
-			ip, ok := c.criticalLevel(e.U, e.V)
-			if !ok {
-				continue
-			}
-			if c.levelOf(idx) < ip {
-				continue
-			}
-			prob := retentionProb(ip)
-			items = append(items, Item{
-				EdgeIdx: idx,
-				Orig:    idx,
-				U:       e.U,
-				V:       e.V,
-				W:       weightOf(idx),
-				Weight:  weightOf(idx) / prob,
-				Prob:    prob,
-			})
-		}
-	}
-	return items
-}
-
-// Weighted builds a sparsifier of a weighted graph by splitting edges
-// into powers-of-two weight classes, sparsifying each class, and taking
-// the union (the sum of sparsifiers of a partition is a sparsifier of the
-// whole — Lemma 17). Weights may span any positive range. Classes build
-// concurrently on cfg.Workers goroutines and merge in class order, so the
-// output is identical for every worker count.
-func Weighted(g *graph.Graph, cfg Config) *Sparsifier {
-	cfg = cfg.withDefaults(g.N())
-	classes := bucketByClass(g.M(), func(i int) float64 { return g.Edge(i).W }, cfg.Workers)
-	perClass := parallel.Map(cfg.Workers, len(classes), func(ci int) []Item {
-		grp := classes[ci]
-		sub := newConstruction(g.N(), g.M(), withClassSeed(cfg, grp.class))
-		for _, idx := range grp.idxs {
-			e := g.Edge(idx)
-			sub.process(idx, idx, e.U, e.V)
-		}
-		return sub.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
-	})
-	var items []Item
-	for _, its := range perClass {
-		items = append(items, its...)
-	}
-	return &Sparsifier{N: g.N(), Items: items}
-}
-
+// withClassSeed gives weight class class a seed of its own, so every
+// class's construction draws its own subsampling levels.
 func withClassSeed(cfg Config, class int) Config {
 	cfg.Seed = xrand.Mix64(cfg.Seed ^ (uint64(class)+1)*0x9e3779b97f4a7c15)
 	return cfg
-}
-
-// classGroup is one powers-of-two weight class with its edge indices in
-// increasing edge order.
-type classGroup struct {
-	class int
-	idxs  []int
 }
 
 // classGuard is the relative band around a power of two inside which
@@ -320,43 +236,4 @@ func weightClass(x float64) (int, bool) {
 		return 0, false
 	}
 	return int(math.Floor(math.Log2(x))), true
-}
-
-// bucketByClass groups edge indices by weightClass, sharding the scan by
-// edge range across workers. Shard-local lists concatenate in shard
-// order, so each class's index list comes out in increasing edge order —
-// exactly what a sequential scan produces for any shard partition — and
-// parallel edges (same endpoints, same class) keep their arrival order,
-// which makes their downstream weight sums deterministic. Classes are
-// returned sorted; edges without a class (zero weight: no cut mass) are
-// dropped.
-func bucketByClass(m int, weightOf func(int) float64, workers int) []classGroup {
-	shards := parallel.Shards(m, parallel.Workers(workers))
-	locals := parallel.Map(workers, len(shards), func(s int) map[int][]int {
-		local := make(map[int][]int)
-		for i := shards[s].Lo; i < shards[s].Hi; i++ {
-			if cl, ok := weightClass(weightOf(i)); ok {
-				local[cl] = append(local[cl], i)
-			}
-		}
-		return local
-	})
-	merged := make(map[int][]int)
-	for _, local := range locals {
-		//lint:ordered per-class append; shard order is fixed by the locals slice
-		for cl, idxs := range local {
-			merged[cl] = append(merged[cl], idxs...)
-		}
-	}
-	keys := make([]int, 0, len(merged))
-	//lint:ordered key collection, sorted immediately below
-	for cl := range merged {
-		keys = append(keys, cl)
-	}
-	sort.Ints(keys)
-	out := make([]classGroup, 0, len(keys))
-	for _, cl := range keys {
-		out = append(out, classGroup{class: cl, idxs: merged[cl]})
-	}
-	return out
 }

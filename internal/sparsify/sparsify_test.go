@@ -2,6 +2,7 @@ package sparsify
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -41,7 +42,7 @@ func maxCutError(g *graph.Graph, s *Sparsifier, trials int, seed uint64) float64
 
 func TestUnweightedPreservesCuts(t *testing.T) {
 	g := graph.GNM(120, 3000, graph.WeightConfig{Mode: graph.UnitWeights}, 31)
-	s := unweighted(g, Config{Xi: 0.25, Seed: 1})
+	s := graphSparsifier(g, Config{Xi: 0.25, Seed: 1})
 	if err := maxCutError(g, s, 60, 2); err > 0.35 {
 		t.Fatalf("max cut error %.3f exceeds tolerance", err)
 	}
@@ -49,7 +50,7 @@ func TestUnweightedPreservesCuts(t *testing.T) {
 
 func TestUnweightedShrinksDenseGraph(t *testing.T) {
 	g := graph.GNP(150, 0.6, graph.WeightConfig{}, 32)
-	s := unweighted(g, Config{Xi: 0.5, Seed: 3})
+	s := graphSparsifier(g, Config{Xi: 0.5, Seed: 3})
 	if len(s.Items) >= g.M() {
 		t.Fatalf("sparsifier (%d) not smaller than graph (%d)", len(s.Items), g.M())
 	}
@@ -63,7 +64,7 @@ func TestSparsifierKeepsSparseGraphExactly(t *testing.T) {
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(i, i/2, 1)
 	}
-	s := unweighted(g, Config{Xi: 0.25, Seed: 4})
+	s := graphSparsifier(g, Config{Xi: 0.25, Seed: 4})
 	if len(s.Items) != g.M() {
 		t.Fatalf("tree sparsifier has %d items, want %d", len(s.Items), g.M())
 	}
@@ -76,7 +77,7 @@ func TestSparsifierKeepsSparseGraphExactly(t *testing.T) {
 
 func TestWeightedPreservesCuts(t *testing.T) {
 	g := graph.GNM(100, 2500, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 1000}, 33)
-	s := Weighted(g, Config{Xi: 0.25, Seed: 5})
+	s := graphSparsifier(g, Config{Xi: 0.25, Seed: 5})
 	if err := maxCutError(g, s, 60, 6); err > 0.35 {
 		t.Fatalf("max weighted cut error %.3f", err)
 	}
@@ -92,7 +93,7 @@ func TestWeightedHandlesWideDynamicRange(t *testing.T) {
 			}
 		}
 	}
-	s := Weighted(g, Config{Xi: 0.25, Seed: 8})
+	s := graphSparsifier(g, Config{Xi: 0.25, Seed: 8})
 	if err := maxCutError(g, s, 40, 9); err > 0.35 {
 		t.Fatalf("wide-range cut error %.3f", err)
 	}
@@ -100,7 +101,7 @@ func TestWeightedHandlesWideDynamicRange(t *testing.T) {
 
 func TestSparsifierGraphRoundTrip(t *testing.T) {
 	g := graph.GNM(30, 200, graph.WeightConfig{}, 34)
-	s := unweighted(g, Config{Xi: 0.5, Seed: 10})
+	s := graphSparsifier(g, Config{Xi: 0.5, Seed: 10})
 	sg := graph.New(s.N)
 	for _, it := range s.Items {
 		sg.MustAddEdge(int(it.U), int(it.V), it.Weight)
@@ -130,7 +131,7 @@ func TestUnbiasedSingletonCuts(t *testing.T) {
 	sum := 0.0
 	const reps = 40
 	for rseed := uint64(0); rseed < reps; rseed++ {
-		s := unweighted(g, Config{Xi: 0.5, Seed: 100 + rseed})
+		s := graphSparsifier(g, Config{Xi: 0.5, Seed: 100 + rseed})
 		sum += s.CutWeight(mask)
 	}
 	mean := sum / reps
@@ -150,19 +151,28 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// unweighted builds a sparsifier of an unweighted (or uniformly weighted)
-// graph in a single pass over its edges.
-func unweighted(g *graph.Graph, cfg Config) *Sparsifier {
-	cfg = cfg.withDefaults(g.N())
-	c := newConstruction(g.N(), g.M(), cfg)
-	for idx, e := range g.Edges() {
-		c.process(idx, idx, e.U, e.V)
+// TestWeightedDeterministicAcrossRuns: class iteration used to follow
+// Go map order, which made item order vary run to run. It must be a pure
+// function of the seed.
+func TestWeightedDeterministicAcrossRuns(t *testing.T) {
+	g := graph.GNP(80, 0.4, graph.WeightConfig{Mode: graph.ExpWeights, Scale: 2}, 11)
+	a := graphSparsifier(g, Config{Xi: 0.25, Seed: 31})
+	b := graphSparsifier(g, Config{Xi: 0.25, Seed: 31})
+	if !reflect.DeepEqual(a.Items, b.Items) {
+		t.Fatal("same-seed runs produced different item orders")
 	}
-	items := c.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
-	return &Sparsifier{N: g.N(), Items: items}
 }
 
-// graphSparsifier builds the weighted sparsifier of g.
+// graphSparsifier builds g's cut sparsifier as a deferred one with exact
+// promises: χ = 1, each edge's promise its weight, refined by the
+// weights. The weight classes are its promise classes.
 func graphSparsifier(g *graph.Graph, cfg Config) *Sparsifier {
-	return Weighted(g, cfg)
+	var b DeferredBuilder
+	if err := b.Reset(g.N(), g.M(), 1, cfg); err != nil {
+		panic(err) // χ = 1 and m ≥ 0 are always accepted
+	}
+	for i, e := range g.Edges() {
+		b.Add(i, e.U, e.V, e.W, i, e.W)
+	}
+	return b.Finish().RefineWith(1, func(it Item) float64 { return it.W })
 }
