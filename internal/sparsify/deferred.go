@@ -31,8 +31,8 @@ type Deferred struct {
 
 // NewDeferred samples the structure D from promise values sigma (indexed
 // like edges) by feeding edges 0..m−1 to a DeferredBuilder. chi ≥ 1 is
-// the promised distortion bound. The edges are only read for endpoints;
-// weights used are sigma, and the items carry W = 0.
+// the promised distortion bound. edgeEndpoints(i) gives edge i's
+// endpoints; the weights used are sigma, and the items carry W = 0.
 func NewDeferred(n int, edgeEndpoints func(i int) (u, v int32), m int, sigma []float64, chi float64, cfg Config) (*Deferred, error) {
 	var b DeferredBuilder
 	if err := b.Reset(n, m, chi, cfg); err != nil {
