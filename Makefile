@@ -82,19 +82,19 @@ bench-json:
 
 # Bench diff: the newest capture's wall times against the previous
 # one, with REGRESSION flags. It only reports: the target exits 0
-# whatever it flags (an exact gate is ROADMAP item 7).
+# whatever it flags (an exact gate is ROADMAP item 10).
 BENCH_OLD ?= BENCH_pr9.json
 BENCH_NEW ?= BENCH_pr10.json
 bench-gate:
 	$(GO) run ./cmd/matchbench -compare $(BENCH_OLD) $(BENCH_NEW)
 
 # Allocation-profile smoke: the allocs/op benchmarks for the
-# allocation-flat paths — bank rebuilds in place and the batched
-# field-update kernel in internal/sketch, session-reuse solves through
-# the facade — at -benchtime=1x so CI sees the counters without paying
-# a full benchmark run.
+# allocation-flat paths — the batched field-update kernel in
+# internal/sketch, session-reuse solves through the facade — at
+# -benchtime=1x so CI sees the counters without paying a full benchmark
+# run.
 bench-allocs:
-	$(GO) test -run='^$$' -bench='BenchmarkBankRebuild|BenchmarkOneSparseUpdate|BenchmarkBankUpdateBlock' -benchmem -benchtime=1x ./internal/sketch/
+	$(GO) test -run='^$$' -bench='BenchmarkOneSparseUpdate' -benchmem -benchtime=1x ./internal/sketch/
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./match/
 
 # Profile what the repository benchmark runs: five solves of

@@ -1,6 +1,7 @@
-// Command matchbench runs the experiment suite (E1–E18, EA, ES of
-// DESIGN.md section 4) and prints one table per experiment. Each table
-// regenerates a quantitative claim or figure of Ahn–Guha (SPAA 2015).
+// Command matchbench runs the experiment suite (the tables of DESIGN.md
+// section 4; -h lists their ids) and prints one table per experiment.
+// Each table regenerates a quantitative claim or figure of Ahn–Guha
+// (SPAA 2015).
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 //	matchbench -workers 4      # shard the pipeline (0 = GOMAXPROCS)
 //	matchbench -json -rev abc  # also write BENCH_abc.json
 //	matchbench -compare BENCH_pr3.json BENCH_pr4.json
-//	matchbench -throughput     # serving layer only (E17: sessions, warm duals, Pool)
+//	matchbench -exp e17        # serving layer (sessions, warm duals, Pool)
 //	matchbench -exp e18        # HTTP serving layer (matchd) over a socket
 //
 // With -json the run is additionally captured as a machine-readable
@@ -60,14 +61,14 @@ type benchItem struct {
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink experiment sizes")
-	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
+	known := strings.Join(bench.IDs(), ",")
+	exps := flag.String("exp", "", "comma-separated experiment ids out of "+known+" (default: all)")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "pipeline workers (0 = GOMAXPROCS, 1 = sequential)")
 	jsonOut := flag.Bool("json", false, "also write a machine-readable BENCH_<rev>.json")
 	rev := flag.String("rev", "dev", "revision label for the JSON capture")
 	jsonPath := flag.String("jsonpath", "", "override the JSON capture path (default BENCH_<rev>.json)")
 	compare := flag.String("compare", "", "diff two BENCH captures: -compare OLD.json NEW.json (no experiments are run)")
-	throughput := flag.Bool("throughput", false, "run only the serving-throughput experiment (shorthand for -exp e17)")
 	flag.Parse()
 
 	if *compare != "" {
@@ -85,13 +86,6 @@ func main() {
 
 	cfg := bench.Config{Quick: *quick, Seed: *seed, Workers: *workers}
 	ids := bench.IDs()
-	if *throughput {
-		if *exps != "" {
-			fmt.Fprintln(os.Stderr, "-throughput and -exp are mutually exclusive")
-			os.Exit(2)
-		}
-		*exps = "e17"
-	}
 	if *exps != "" {
 		ids = ids[:0]
 		for _, id := range strings.Split(*exps, ",") {
@@ -100,7 +94,7 @@ func main() {
 				continue
 			}
 			if _, ok := bench.ByID(id); !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (e1..e18, ea, es)\n", id)
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", id, known)
 				os.Exit(2)
 			}
 			ids = append(ids, strings.ToLower(id))

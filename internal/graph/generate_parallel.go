@@ -5,28 +5,28 @@ import (
 	"repro/internal/xrand"
 )
 
-// Parallel synthetic generators for the large benchmark instances
-// (DESIGN.md, "Parallel pipeline"). Each generator is a deterministic
-// function of its parameters and seed: the target is split into shards
-// whose count depends only on the instance size, every shard draws from
-// its own pre-split RNG, and shard outputs merge in shard order. The
-// worker count changes wall-clock time only — GNMParallel(…, seed, 1) and
-// GNMParallel(…, seed, 8) build the same graph. The parallel generators
-// define their own (equally valid) distributions; they do not reproduce
-// the exact edge sequences of their sequential counterparts.
+// Sharded synthetic generation (DESIGN.md, "Parallel pipeline"). The
+// generator is a deterministic function of its parameters and seed: the
+// target is split into shards whose count depends only on the instance
+// size, every shard draws from its own pre-split RNG, and shard outputs
+// merge in shard order. The worker count changes wall-clock time only —
+// BipartiteParallel(…, seed, 1) and BipartiteParallel(…, seed, 8) build
+// the same graph. It defines its own (equally valid) distribution; it
+// does not reproduce the exact edge sequence of the sequential
+// Bipartite.
 
-// gnmShardTarget is the edges-per-shard granule of GNMParallel and
-// BipartiteParallel. It is a constant so the shard decomposition — and
-// therefore the output — never depends on the worker count.
+// gnmShardTarget is the edges-per-shard granule of BipartiteParallel. It
+// is a constant so the shard decomposition — and therefore the output —
+// never depends on the worker count.
 const gnmShardTarget = 1 << 13
 
-// sampledSimpleParallel is the shared engine of GNMParallel and
-// BipartiteParallel: split the m-edge target into size-derived shard
-// quotas, rejection-sample each shard's quota with its pre-split RNG
-// (sample draws a candidate pair or ok=false to retry), merge in shard
-// order dropping the rare cross-shard duplicates, and top up the
-// shortfall sequentially from a reserved child RNG. Deterministic in
-// (n, m, wc, seed, sample) for any worker count.
+// sampledSimpleParallel is the engine of BipartiteParallel: split the
+// m-edge target into size-derived shard quotas, rejection-sample each
+// shard's quota with its pre-split RNG (sample draws a candidate pair or
+// ok=false to retry), merge in shard order dropping the rare cross-shard
+// duplicates, and top up the shortfall sequentially from a reserved
+// child RNG. Deterministic in (n, m, wc, seed, sample) for any worker
+// count.
 func sampledSimpleParallel(n, m int, wc WeightConfig, seed uint64, workers int,
 	sample func(r *xrand.RNG) (u, v int32, ok bool)) *Graph {
 
@@ -85,26 +85,9 @@ func sampledSimpleParallel(n, m int, wc WeightConfig, seed uint64, workers int,
 	return g
 }
 
-// GNMParallel returns a uniform-ish random simple graph with n vertices
-// and m distinct edges (m capped at n*(n-1)/2), generated by sharded
-// workers.
-func GNMParallel(n, m int, wc WeightConfig, seed uint64, workers int) *Graph {
-	if maxM := n * (n - 1) / 2; m > maxM {
-		m = maxM
-	}
-	return sampledSimpleParallel(n, m, wc, seed, workers, func(r *xrand.RNG) (int32, int32, bool) {
-		u := r.Intn(n)
-		v := r.Intn(n)
-		if u == v {
-			return 0, 0, false
-		}
-		return int32(u), int32(v), true
-	})
-}
-
 // BipartiteParallel returns a random bipartite graph with sides of size
-// nl and nr (vertices 0..nl-1 on the left) and m distinct edges, built
-// with the same sharded scheme as GNMParallel.
+// nl and nr (vertices 0..nl-1 on the left) and m distinct edges (m
+// capped at nl*nr), built by sharded workers.
 //
 //lint:deadexport cross-package fixture: the pinned match and core corpora generate their bipartite instance with it
 func BipartiteParallel(nl, nr, m int, wc WeightConfig, seed uint64, workers int) *Graph {

@@ -27,41 +27,15 @@ func assertSimple(t *testing.T, g *Graph) {
 	}
 }
 
-func TestGNMParallelWorkerInvariant(t *testing.T) {
-	wc := WeightConfig{Mode: UniformWeights, WMax: 40}
-	base := GNMParallel(500, 20000, wc, 77, 1)
-	for _, workers := range []int{2, 4, 0} {
-		g := GNMParallel(500, 20000, wc, 77, workers)
-		if !graphsEqual(base, g) {
-			t.Fatalf("workers=%d produced a different graph", workers)
-		}
-	}
-	if base.M() != 20000 {
-		t.Fatalf("m = %d, want 20000", base.M())
-	}
-	assertSimple(t, base)
-}
-
-func TestGNMParallelSeedsDiffer(t *testing.T) {
-	wc := WeightConfig{}
-	a := GNMParallel(200, 3000, wc, 1, 4)
-	b := GNMParallel(200, 3000, wc, 2, 4)
-	if graphsEqual(a, b) {
-		t.Fatal("different seeds produced identical graphs")
-	}
-}
-
-func TestGNMParallelCapsAtCompleteGraph(t *testing.T) {
-	g := GNMParallel(12, 10000, WeightConfig{}, 5, 4)
-	if want := 12 * 11 / 2; g.M() != want {
-		t.Fatalf("m = %d, want complete %d", g.M(), want)
-	}
+// assertBipartite fails unless g is simple and every edge joins the left
+// side 0..nl-1 to the right side.
+func assertBipartite(t *testing.T, g *Graph, nl int) {
+	t.Helper()
 	assertSimple(t, g)
-}
-
-func TestGNMParallelEmpty(t *testing.T) {
-	if g := GNMParallel(10, 0, WeightConfig{}, 1, 4); g.M() != 0 {
-		t.Fatalf("m = %d, want 0", g.M())
+	for _, e := range g.Edges() {
+		if min(e.U, e.V) >= int32(nl) || max(e.U, e.V) < int32(nl) {
+			t.Fatalf("edge {%d,%d} not bipartite", e.U, e.V)
+		}
 	}
 }
 
@@ -77,14 +51,36 @@ func TestBipartiteParallelWorkerInvariant(t *testing.T) {
 	if base.M() != 9000 {
 		t.Fatalf("m = %d", base.M())
 	}
-	assertSimple(t, base)
-	for _, e := range base.Edges() {
-		lo, hi := e.U, e.V
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo >= 150 || hi < 150 {
-			t.Fatalf("edge {%d,%d} not bipartite", e.U, e.V)
-		}
+	assertBipartite(t, base, 150)
+}
+
+// TestBipartiteParallelGuards checks the generator's guards: an empty
+// side gives no edges, a target above nl·nr gives the complete bipartite
+// graph, and a second seed gives a different graph.
+func TestBipartiteParallelGuards(t *testing.T) {
+	cases := []struct {
+		name      string
+		nl, nr, m int
+		wantM     int
+	}{
+		{"empty-left", 0, 20, 50, 0},
+		{"empty-right", 20, 0, 50, 0},
+		{"capped", 6, 7, 1000, 42},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := BipartiteParallel(c.nl, c.nr, c.m, WeightConfig{}, 5, 4)
+			if g.N() != c.nl+c.nr || g.M() != c.wantM {
+				t.Fatalf("n = %d, m = %d, want %d and %d", g.N(), g.M(), c.nl+c.nr, c.wantM)
+			}
+			assertBipartite(t, g, c.nl)
+		})
+	}
+	t.Run("seeds-differ", func(t *testing.T) {
+		a := BipartiteParallel(150, 250, 3000, WeightConfig{}, 1, 4)
+		b := BipartiteParallel(150, 250, 3000, WeightConfig{}, 2, 4)
+		if graphsEqual(a, b) {
+			t.Fatal("different seeds produced identical graphs")
+		}
+	})
 }

@@ -70,12 +70,14 @@ func ConnectedComponentsMR(c *Cluster, g *graph.Graph, seed uint64) (*unionfind.
 	collectMapper := func(in KV, emit func(KV)) { emit(KV{Key: 1, Value: in.Value}) }
 	var uf *unionfind.UF
 	collectReducer := func(_ uint64, values []any, _ func(KV)) {
-		// Vertices with no edge keep the bank's zero sketches.
-		bank := spec.NewBank(1)
+		// A vertex with no edge sent no row; NewBank gives its nil
+		// column zeroed sketches.
+		cols := make([][]*sketch.L0, n)
 		for _, val := range values {
 			cs := val.(ccSketch)
-			bank.SetVertex(int(cs.vertex), cs.rows)
+			cols[cs.vertex] = cs.rows
 		}
+		bank := spec.NewBank(cols)
 		// Boruvka over merged component sketches, one repetition per
 		// round. Running out of repetitions leaves the components found
 		// so far, so the error is dropped.

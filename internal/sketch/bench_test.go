@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/xrand"
@@ -41,49 +40,6 @@ func BenchmarkSSparseRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkBankBuildWorkers measures the sharded bank construction at
-// several worker counts on a largish instance (the workers-scaling row of
-// EXPERIMENTS.md). The output is bit-identical across sub-benchmarks; only
-// wall-clock changes.
-func BenchmarkBankBuildWorkers(b *testing.B) {
-	const n = 512
-	edges := ringEdges(n)
-	spec := NewIncidenceSpec(xrand.New(5), n, 10, 12, 8)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				spec.NewBank(workers).AddEdges(edges, workers)
-			}
-		})
-	}
-}
-
-// BenchmarkBankRebuild measures a new bank against one Reset and
-// refilled in place (the allocs/op columns are the point of the
-// comparison).
-func BenchmarkBankRebuild(b *testing.B) {
-	const n = 512
-	edges := ringEdges(n)
-	spec := NewIncidenceSpec(xrand.New(41), n, 10, 12, 8)
-
-	b.Run("new", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			spec.NewBank(1).AddEdges(edges, 1)
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		bank := spec.NewBank(1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bank.Reset(1)
-			bank.AddEdges(edges, 1)
-		}
-	})
-}
-
 // BenchmarkOneSparseUpdate measures the per-cell update kernel: the
 // legacy scalar path pays a full square-and-multiply powm per cell,
 // the hoisted path one window-table Pow plus the two-mulm updateRaw —
@@ -110,29 +66,13 @@ func BenchmarkOneSparseUpdate(b *testing.B) {
 	})
 }
 
-// BenchmarkBankUpdateBlock measures the bank-level block absorb in the
-// steady state: one bank, blocks of edges inserted through the hoisted
-// kernel. Zero allocs/op — asserted by TestUpdatePathsAllocationFlat
-// and visible in the make bench-allocs CI step.
-func BenchmarkBankUpdateBlock(b *testing.B) {
-	const n = 256
-	edges := ringEdges(n)
-	spec := NewIncidenceSpec(xrand.New(9), n, 6, 12, 8)
-	bank := spec.NewBank(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.AddEdgeBlock(edges)
-	}
-}
-
 func BenchmarkSpanningForest(b *testing.B) {
 	// Build once per iteration: bank construction dominates and is the
 	// realistic cost of the MR pipeline.
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spec := NewIncidenceSpec(xrand.New(uint64(i)), 128, 10, 12, 8)
-		bank := spec.NewBank(1)
+		bank := newBank(spec)
 		for v := 0; v < 127; v++ {
 			bank.AddEdge(int32(v), int32(v+1))
 		}

@@ -1,9 +1,9 @@
 package sketch
 
 // Fixed-base windowed exponentiation for fingerprint bases (DESIGN.md
-// §15). Every cell of an SSparse, every level of an L0, and the two
-// endpoint rows of an incidence-bank update share one fingerprint base
-// z, and the update path needs z^key per (key, delta) — previously a
+// §15). Every cell of an SSparse and every level of an L0 share one
+// fingerprint base z, and the update path needs z^key per (key, delta)
+// — previously a
 // full square-and-multiply (~2·61 mulm) per *cell*. A 4-bit-window
 // table of powers of z collapses that to at most one table lookup and
 // one mulm per non-zero exponent digit (≤ 15 multiplies for the ≤

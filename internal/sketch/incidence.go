@@ -61,50 +61,34 @@ func log2ceil(n int) int {
 	return l
 }
 
-// Bank holds one sketch per (repetition, vertex).
+// Bank holds one sketch per (vertex, repetition).
 type Bank struct {
-	spec     *IncidenceSpec
-	sketches [][]*L0 // [rep][vertex]
+	spec *IncidenceSpec
+	cols [][]*L0 // [vertex][rep]
 }
 
-// SetVertex installs vertex v's sketches, one per repetition, built
-// elsewhere from SpecAt (the per-vertex reducers of the MapReduce
-// pipeline of Section 4.2).
-func (b *Bank) SetVertex(v int, rows []*L0) {
-	for r := range b.sketches {
-		b.sketches[r][v] = rows[r]
+// NewBank assembles a bank from per-vertex columns: cols[v] holds vertex
+// v's samplers, one per repetition, each built from SpecAt (the
+// per-vertex reducers of the MapReduce pipeline of Section 4.2). A nil
+// column, the column of a vertex with no incident edge, gets zeroed
+// samplers. The bank keeps cols and the samplers in it.
+func (spec *IncidenceSpec) NewBank(cols [][]*L0) *Bank {
+	if len(cols) != spec.n {
+		panic("sketch: a bank needs one column per vertex")
 	}
-}
-
-func (b *Bank) update(u, v int32, delta int64) {
-	if u == v {
-		panic("sketch: self loop")
+	for v, col := range cols {
+		if col == nil {
+			col = make([]*L0, spec.reps)
+			for r := range col {
+				col[r] = spec.specs[r].NewL0()
+			}
+			cols[v] = col
+		}
+		if len(col) != spec.reps {
+			panic("sketch: a bank column needs one sampler per repetition")
+		}
 	}
-	key := graph.KeyOf(u, v)
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	// Hoist the per-edge invariants: the key reduction and the two field
-	// deltas are shared across every repetition, and within a repetition
-	// the lo and hi endpoint sketches share the fingerprint base, so one
-	// window-table z^key serves both.
-	keyMod := key % prime
-	dLo := toField(delta)
-	dHi := toField(-delta)
-	for r := range b.sketches {
-		zk := b.spec.specs[r].sspec.zpow.Pow(key)
-		b.sketches[r][lo].updateRaw(keyMod, dLo, zk)
-		b.sketches[r][hi].updateRaw(keyMod, dHi, zk)
-	}
-}
-
-// AddEdgeBlock inserts a block of edges into every repetition, one
-// hoisted bank update per edge. Panics on self loops.
-func (b *Bank) AddEdgeBlock(edges []graph.Edge) {
-	for i := range edges {
-		b.update(edges[i].U, edges[i].V, 1)
-	}
+	return &Bank{spec: spec, cols: cols}
 }
 
 // MergeCut clones and merges the sketches of the vertex set at the given
@@ -113,9 +97,9 @@ func (b *Bank) MergeCut(rep int, set []int) *L0 {
 	if len(set) == 0 {
 		panic("sketch: empty set")
 	}
-	acc := b.sketches[rep][set[0]].Clone()
+	acc := b.cols[set[0]][rep].Clone()
 	for _, v := range set[1:] {
-		acc.Merge(b.sketches[rep][v])
+		acc.Merge(b.cols[v][rep])
 	}
 	return acc
 }

@@ -14,8 +14,8 @@ import (
 // exact, so z^key — and every sketch word downstream of it — is the
 // same uint64 however it is computed. These tests pin that equality at
 // every layer: the window table vs powm, the hoisted cell kernel vs the
-// legacy per-cell Update, block vs scalar entry points, and bank builds
-// across stream backends and worker counts.
+// legacy per-cell Update, and UpdateRows, the reducers' entry point, vs
+// per-row and per-endpoint scalar updates.
 
 func TestFpPowMatchesPowm(t *testing.T) {
 	r := xrand.New(42)
@@ -73,7 +73,7 @@ func legacyL0Update(s *L0, key uint64, delta int64) {
 	}
 }
 
-// legacyBankUpdate is the pre-kernel Bank.update: per-repetition,
+// legacyBankUpdate is the pre-kernel bank update: per-repetition,
 // per-endpoint legacy L0 updates.
 func legacyBankUpdate(b *Bank, u, v int32, delta int64) {
 	key := graph.KeyOf(u, v)
@@ -81,9 +81,9 @@ func legacyBankUpdate(b *Bank, u, v int32, delta int64) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	for r := range b.sketches {
-		legacyL0Update(b.sketches[r][lo], key, delta)
-		legacyL0Update(b.sketches[r][hi], key, -delta)
+	for r := range b.cols[lo] {
+		legacyL0Update(b.cols[lo][r], key, delta)
+		legacyL0Update(b.cols[hi][r], key, -delta)
 	}
 }
 
@@ -147,10 +147,10 @@ func TestUpdateRawMatchesScalar(t *testing.T) {
 		}
 	}
 
-	// Bank: hoisted shared-z^key endpoint updates vs the legacy loop,
+	// Bank: endpoint updates through UpdateRows vs the legacy loop,
 	// including deletions.
 	ispec := NewIncidenceSpec(r.Split(3), 64, 4, 8, 6)
-	bankNew, bankOld := ispec.NewBank(1), ispec.NewBank(1)
+	bankNew, bankOld := newBank(ispec), newBank(ispec)
 	for i := 0; i < 300; i++ {
 		u := int32(r.Intn(64))
 		v := int32(r.Intn(64))
@@ -164,7 +164,7 @@ func TestUpdateRawMatchesScalar(t *testing.T) {
 		bankNew.update(u, v, delta)
 		legacyBankUpdate(bankOld, u, v, delta)
 	}
-	if !reflect.DeepEqual(bankNew.sketches, bankOld.sketches) {
+	if !reflect.DeepEqual(bankNew.cols, bankOld.cols) {
 		t.Fatal("Bank kernel path diverged from legacy per-endpoint path")
 	}
 
@@ -183,20 +183,6 @@ func TestUpdateRawMatchesScalar(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, rowsOld) {
 		t.Fatal("UpdateRows diverged from per-row legacy updates")
-	}
-}
-
-func TestUpdateBlockMatchesScalar(t *testing.T) {
-	r := xrand.New(11)
-	edges := ringEdges(96)
-	ispec := NewIncidenceSpec(r.Split(3), 96, 4, 8, 6)
-	bankBlock, bankScalar := ispec.NewBank(1), ispec.NewBank(1)
-	bankBlock.AddEdgeBlock(edges)
-	for _, e := range edges {
-		bankScalar.AddEdge(e.U, e.V)
-	}
-	if !reflect.DeepEqual(bankBlock.sketches, bankScalar.sketches) {
-		t.Fatal("Bank.AddEdgeBlock diverged from per-edge AddEdge")
 	}
 }
 
@@ -302,8 +288,10 @@ func TestUpdatePathsAllocationFlat(t *testing.T) {
 	lspec := NewL0Spec(r.Split(2), 20, 8, 6)
 	l0 := lspec.NewL0()
 	ispec := NewIncidenceSpec(r.Split(3), 64, 4, 8, 6)
-	bank := ispec.NewBank(1)
-	edges := ringEdges(64)
+	rows := make([]*L0, ispec.reps)
+	for rep := range rows {
+		rows[rep] = ispec.SpecAt(rep).NewL0()
+	}
 	keys, _ := randomUpdates(r.Split(4), 128)
 
 	cases := []struct {
@@ -312,8 +300,7 @@ func TestUpdatePathsAllocationFlat(t *testing.T) {
 	}{
 		{"SSparse.Update", func() { sk.Update(keys[0], 1) }},
 		{"L0.Update", func() { l0.Update(keys[1], 1) }},
-		{"Bank.AddEdge", func() { bank.AddEdge(0, 1) }},
-		{"Bank.AddEdgeBlock", func() { bank.AddEdgeBlock(edges) }},
+		{"UpdateRows", func() { UpdateRows(rows, keys[2], -1) }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(10, c.fn); allocs != 0 {

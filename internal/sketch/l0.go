@@ -80,14 +80,6 @@ func UpdateRows(rows []*L0, key uint64, delta int64) {
 	}
 }
 
-// Reset zeroes the sampler in place for reuse, keeping every level's
-// allocation.
-func (s *L0) Reset() {
-	for _, lv := range s.levels {
-		lv.Reset()
-	}
-}
-
 // Merge absorbs another sampler from the same spec.
 func (s *L0) Merge(o *L0) {
 	if s.spec != o.spec {

@@ -52,15 +52,6 @@ func (spec *SSparseSpec) NewSSparse() *SSparse {
 	return &SSparse{spec: spec, cells: cells}
 }
 
-// Reset zeroes the sketch in place — every cell back to the empty
-// OneSparse of the spec's fingerprint base — so the allocation can be
-// reused for a fresh implicit vector.
-func (sk *SSparse) Reset() {
-	for i := range sk.cells {
-		sk.cells[i] = NewOneSparse(sk.spec.z)
-	}
-}
-
 // Update adds delta at key: the per-(key, delta) invariants — the key
 // reduction, the field delta and z^key — are computed once and shared
 // by every row's cell through updateRaw.
