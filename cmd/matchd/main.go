@@ -7,7 +7,6 @@
 //	matchd -addr :8470                         # serve with defaults
 //	matchd -pool 4 -queue 128 -eps 0.2         # a bigger fleet, tighter ε
 //	matchd -max-rounds 50                      # cap every job's rounds
-//	matchd -bench -clients 8 -jobs 40          # in-process load benchmark
 //
 // The API (all JSON; see the README walkthrough):
 //
@@ -24,32 +23,20 @@
 // jobs are "done" with the best-so-far matching and the tripped axis
 // in the body. SIGINT/SIGTERM drain gracefully: running jobs finish,
 // queued jobs are failed cleanly, then the process exits.
-//
-// -bench starts an in-process server, drives it with concurrent
-// clients mixing all three job kinds (inline edges, generator specs,
-// an RBG1 upload) plus a warm-repeat stream, and prints end-to-end
-// throughput and latency percentiles — the standalone twin of
-// matchbench experiment E18.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/serve"
-	"repro/internal/stream"
 	"repro/match"
 )
 
@@ -73,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxRounds := fs.Int("max-rounds", 0, "default per-job round budget (0 = unlimited)")
 	maxWords := fs.Int("max-words", 0, "default per-job central-space budget in words (0 = unlimited)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-	bench := fs.Bool("bench", false, "run the in-process load benchmark instead of serving")
-	clients := fs.Int("clients", 4, "bench: concurrent clients")
-	jobs := fs.Int("jobs", 25, "bench: jobs per client")
-	benchJSON := fs.Bool("json", false, "bench: machine-readable output")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -106,11 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *bench {
-		defer s.Close()
-		return runBench(s, *clients, *jobs, *benchJSON, stdout, stderr)
-	}
-
 	httpServer := &http.Server{Addr: *addr, Handler: s.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -132,97 +110,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 	httpServer.Shutdown(shutdownCtx)
 	s.Close()
 	fmt.Fprintln(stdout, "matchd: drained")
-	return 0
-}
-
-// benchSpecs is the job mix the load benchmark drives: the three wire
-// kinds over distinct instances plus a repeated spec that exercises
-// the warm-dual path.
-func benchSpecs() ([]serve.JobSpec, error) {
-	g := graph.GNM(64, 512, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 50}, 11)
-	edges := serve.SourceSpec{Kind: "edges", N: g.N()}
-	for _, e := range g.Edges() {
-		edges.Edges = append(edges.Edges, []float64{float64(e.U), float64(e.V), e.W})
-	}
-	var buf bytes.Buffer
-	if err := stream.WriteBinary(&buf, stream.NewEdgeStream(
-		graph.GNM(64, 512, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 50}, 12))); err != nil {
-		return nil, err
-	}
-	warm := serve.SourceSpec{Kind: "gen", N: 64, M: 512, Weights: "uniform", WMax: 50, Seed: 13}
-	return []serve.JobSpec{
-		{Tenant: "edges", Source: edges},
-		{Tenant: "gen", Source: serve.SourceSpec{Kind: "gen", N: 64, M: 512, Weights: "uniform", WMax: 50, Seed: 14}},
-		{Tenant: "rbg1", Source: serve.SourceSpec{Kind: "rbg1", DataBase64: base64.StdEncoding.EncodeToString(buf.Bytes())}},
-		{Tenant: "warm", Source: warm},
-		{Tenant: "warm", Source: warm},
-	}, nil
-}
-
-// loopback is an ephemeral localhost listener for the bench server.
-type loopback struct {
-	listener net.Listener
-	url      string
-}
-
-func newLoopback() (*loopback, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	return &loopback{listener: ln, url: "http://" + ln.Addr().String()}, nil
-}
-
-// runBench serves in-process over a loopback listener and reports the
-// same numbers experiment E18 captures.
-func runBench(s *serve.Server, clients, jobs int, asJSON bool, stdout, stderr io.Writer) int {
-	specs, err := benchSpecs()
-	if err != nil {
-		fmt.Fprintf(stderr, "matchd: building bench specs: %v\n", err)
-		return 1
-	}
-	ln, err := newLoopback()
-	if err != nil {
-		fmt.Fprintf(stderr, "matchd: %v\n", err)
-		return 1
-	}
-	httpServer := &http.Server{Handler: s.Handler()}
-	go httpServer.Serve(ln.listener)
-	defer httpServer.Close()
-
-	stats, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:       ln.url,
-		Clients:       clients,
-		JobsPerClient: jobs,
-		Specs:         specs,
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "matchd: load run: %v\n", err)
-		return 1
-	}
-	if asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Jobs         int     `json:"jobs"`
-			Failed       int     `json:"failed"`
-			Retries429   int     `json:"retries429"`
-			WallMS       float64 `json:"wallMs"`
-			SolvesPerSec float64 `json:"solvesPerSec"`
-			P50MS        float64 `json:"p50Ms"`
-			P95MS        float64 `json:"p95Ms"`
-			P99MS        float64 `json:"p99Ms"`
-		}{stats.Jobs, stats.Failed, stats.Retries429,
-			float64(stats.Wall.Microseconds()) / 1000, stats.SolvesPerSec,
-			float64(stats.P50.Microseconds()) / 1000,
-			float64(stats.P95.Microseconds()) / 1000,
-			float64(stats.P99.Microseconds()) / 1000})
-		return 0
-	}
-	fmt.Fprintf(stdout, "matchd bench: %d jobs (%d failed, %d retries after 429) in %v\n",
-		stats.Jobs, stats.Failed, stats.Retries429, stats.Wall.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "  throughput %.1f solves/s, latency p50 %v p95 %v p99 %v\n",
-		stats.SolvesPerSec, stats.P50.Round(time.Microsecond),
-		stats.P95.Round(time.Microsecond), stats.P99.Round(time.Microsecond))
 	return 0
 }

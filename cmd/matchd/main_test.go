@@ -2,35 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
-
-// TestBenchJSON runs the in-process load benchmark end to end and pins
-// the machine-readable document matchbench E18 consumes.
-func TestBenchJSON(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-bench", "-json", "-clients", "2", "-jobs", "3", "-pool", "2"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %s", code, errb.String())
-	}
-	var doc struct {
-		Jobs         int     `json:"jobs"`
-		Failed       int     `json:"failed"`
-		SolvesPerSec float64 `json:"solvesPerSec"`
-		P99MS        float64 `json:"p99Ms"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("decoding bench output: %v\n%s", err, out.String())
-	}
-	if doc.Jobs != 6 || doc.Failed != 0 {
-		t.Errorf("jobs = %d failed = %d, want 6/0", doc.Jobs, doc.Failed)
-	}
-	if doc.SolvesPerSec <= 0 || doc.P99MS <= 0 {
-		t.Errorf("degenerate stats: %+v", doc)
-	}
-}
 
 // TestBadFlagsAndConfig pins the exit-code contract: usage errors exit
 // 2, configuration the solver rejects exits 1.
@@ -40,7 +14,7 @@ func TestBadFlagsAndConfig(t *testing.T) {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 	errb.Reset()
-	if code := run([]string{"-eps", "0.9", "-bench"}, &out, &errb); code != 1 {
+	if code := run([]string{"-eps", "0.9"}, &out, &errb); code != 1 {
 		t.Errorf("invalid eps: exit %d, want 1", code)
 	}
 	if !strings.Contains(errb.String(), "eps") {

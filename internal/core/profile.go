@@ -36,11 +36,6 @@ type Profile struct {
 	// InnerIterCap caps packing iterations per MiniOracle call
 	// (0 = theorem bound).
 	InnerIterCap int
-	// UsesPerRoundScale scales the ε⁻¹·ln γ deferred-sparsifier uses per
-	// sampling round.
-	UsesPerRoundScale float64
-	// MaxRoundsScale scales the O(p/ε) round budget.
-	MaxRoundsScale float64
 	// BinSearchCap bounds the Lemma 10 binary search depth.
 	BinSearchCap int
 	// SparsifierXi is the cut accuracy of the deferred sparsifiers
@@ -86,8 +81,6 @@ func Faithful(eps float64) Profile {
 		OuterRho:          6,
 		InnerRhoEps:       8,
 		InnerIterCap:      0, // theorem bound
-		UsesPerRoundScale: 1,
-		MaxRoundsScale:    1,
 		BinSearchCap:      64,
 		SparsifierXi:      eps / 16,
 		OfflineExactLimit: 600,
@@ -105,8 +98,6 @@ func Practical(eps float64) Profile {
 		OuterRho:          6,
 		InnerRhoEps:       2,
 		InnerIterCap:      24,
-		UsesPerRoundScale: 1,
-		MaxRoundsScale:    1,
 		BinSearchCap:      16,
 		SparsifierXi:      math.Max(eps/4, 0.1),
 		SparsifierK:       24,

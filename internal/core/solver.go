@@ -268,13 +268,13 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	if a.prof.ChiOverride > 0 {
 		a.gammaChi = a.prof.ChiOverride
 	}
-	a.tUses = int(math.Ceil(a.prof.UsesPerRoundScale * math.Log(a.gammaChi) / a.eps))
+	a.tUses = int(math.Ceil(math.Log(a.gammaChi) / a.eps))
 	if a.tUses < 1 {
 		a.tUses = 1
 	}
 	a.maxRounds = a.opt.MaxRounds
 	if a.maxRounds == 0 {
-		a.maxRounds = int(math.Ceil(a.prof.MaxRoundsScale*3*a.opt.P/a.eps)) + 1
+		a.maxRounds = int(math.Ceil(3*a.opt.P/a.eps)) + 1
 	}
 	a.lambda = lambdaOf(src, scheme, a.state) // pass: initial λ evaluation
 	if err := run.Check(); err != nil {

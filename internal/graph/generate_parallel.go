@@ -94,9 +94,6 @@ func BipartiteParallel(nl, nr, m int, wc WeightConfig, seed uint64, workers int)
 	if maxM := nl * nr; m > maxM {
 		m = maxM
 	}
-	if nl == 0 || nr == 0 {
-		m = 0
-	}
 	return sampledSimpleParallel(nl+nr, m, wc, seed, workers, func(r *xrand.RNG) (int32, int32, bool) {
 		return int32(r.Intn(nl)), int32(nl + r.Intn(nr)), true
 	})

@@ -1,9 +1,10 @@
 // Backpressure and drain semantics: a full admission queue answers 429
-// with Retry-After over the wire, Close mid-queue finishes every job
-// the pool already holds while failing the still-queued ones with a
-// clean server-closed error, and a closed server answers 503. The
-// tests freeze the fleet with gated sources (metered passes block on a
-// channel) so the queue topology is observable at a known state.
+// with Retry-After over the wire, a queued job's wait is its queueMs,
+// Close mid-queue finishes the running jobs while failing the queued
+// ones with a clean server-closed error, and a closed server answers
+// 503. The tests freeze the fleet with gated sources (metered passes
+// block on a channel) so the queue topology is observable at a known
+// state.
 
 package serve
 
@@ -66,7 +67,7 @@ func gatedJob(s *Server, gate <-chan struct{}, seed uint64) *job {
 	return j
 }
 
-// waitFor polls until ok returns true (the dispatcher moves jobs
+// waitFor polls until ok returns true (the workers take jobs
 // asynchronously, so topology assertions must wait for a settle).
 func waitFor(t *testing.T, what string, ok func() bool) {
 	t.Helper()
@@ -80,12 +81,16 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 }
 
 // fillServer freezes a PoolSize-1, QueueLimit-2 server at its exact
-// capacity: 1 job in flight, 4 in the pool's own queue, 1 held by the
-// blocked dispatcher, 2 in the admission queue — 8 admitted jobs, the
-// 9th must bounce. Returns the jobs in admission order.
-func fillServer(t *testing.T, s *Server, gate <-chan struct{}) []*job {
+// capacity: 1 job running on the worker and 2 in the admission queue —
+// 3 admitted jobs, the 4th must bounce. Returns the jobs in admission
+// order and the gate's opener, which the test's cleanup also calls so
+// a failed check cannot leave Close waiting on a frozen fleet.
+func fillServer(t *testing.T, s *Server) ([]*job, func()) {
 	t.Helper()
-	const capacity = 8 // 1 in flight + 4 pool queue + 1 dispatcher-held + 2 admission queue
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
+	const capacity = 3 // 1 running + 2 admission queue
 	jobs := make([]*job, 0, capacity)
 	for i := 0; i < capacity; i++ {
 		j := gatedJob(s, gate, uint64(i))
@@ -93,24 +98,24 @@ func fillServer(t *testing.T, s *Server, gate <-chan struct{}) []*job {
 			t.Fatalf("job %d bounced with %d %+v before capacity", i, code, errDoc)
 		}
 		jobs = append(jobs, j)
-		if i < capacity-2 {
-			// The first six jobs land in the pool (or on the blocked
-			// dispatcher); wait for the pickup so the admission queue
-			// is empty when the last two arrive to occupy it.
-			waitFor(t, "dispatcher pickup", func() bool { return len(s.queue) == 0 })
+		if i == 0 {
+			// Wait until the worker has taken the first job (and is past
+			// the drain check), so the last two occupy the queue and a
+			// Close cannot misclassify the first as still-queued.
+			waitFor(t, "worker pickup", func() bool {
+				return j.snapshot().Status == stateRunning && s.pool.Stats().InFlight == 1
+			})
 		}
 	}
-	waitFor(t, "saturated fleet", func() bool {
-		ps := s.pool.Stats()
-		return ps.InFlight == 1 && ps.Queued == 4 && len(s.queue) == 2
-	})
-	// The dispatcher holds job 5 blocked on the pool; wait until it is
-	// past the drain check (marked running), so a Close racing the
-	// dispatcher cannot misclassify it as still-queued.
-	waitFor(t, "dispatcher-held job running", func() bool {
-		return jobs[5].snapshot().Status == stateRunning
-	})
-	return jobs
+	if len(s.queue) != 2 {
+		t.Fatalf("admission queue holds %d jobs, want 2", len(s.queue))
+	}
+	for i, j := range jobs[1:] {
+		if st := j.snapshot(); st.Status != stateQueued {
+			t.Fatalf("job %d behind the running one reads %s, want %s", 1+i, st.Status, stateQueued)
+		}
+	}
+	return jobs, open
 }
 
 // TestBackpressure429 pins admission control over the wire: at
@@ -118,8 +123,7 @@ func fillServer(t *testing.T, s *Server, gate <-chan struct{}) []*job {
 // once the fleet drains the same submission is accepted.
 func TestBackpressure429(t *testing.T) {
 	s, ts := startServer(t, Config{PoolSize: 1, QueueLimit: 2, RetryAfter: 3 * time.Second})
-	gate := make(chan struct{})
-	jobs := fillServer(t, s, gate)
+	jobs, open := fillServer(t, s)
 
 	spec := JobSpec{Source: genSpec(99)}
 	code, body := postJSON(t, ts.URL+"/v1/jobs", spec)
@@ -150,7 +154,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Errorf("metrics missing rejected counter:\n%s", mbody)
 	}
 
-	close(gate)
+	open()
 	for i, j := range jobs {
 		if st, err := j.wait(t.Context()); err != nil || st.Status != stateDone {
 			t.Fatalf("gated job %d ended %s (err %v), want done", i, st.Status, err)
@@ -161,14 +165,36 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsInFlight pins the drain contract: jobs the pool
-// already holds (in flight, pool-queued, dispatcher-held) finish with
-// queryable results; jobs still in the admission queue fail with the
-// server-closed error; submissions during and after the drain get 503.
+// TestQueueWaitIsQueueMs pins where a job waits: a job queued behind a
+// running one stays queued until a worker takes it, and the whole wait
+// lands in its queueMs, not in its solve time.
+func TestQueueWaitIsQueueMs(t *testing.T) {
+	s, _ := startServer(t, Config{PoolSize: 1, QueueLimit: 2})
+	jobs, open := fillServer(t, s)
+
+	held := time.Now()
+	time.Sleep(50 * time.Millisecond)
+	hold := time.Since(held)
+	if st := jobs[1].snapshot(); st.Status != stateQueued {
+		t.Fatalf("second job reads %s after a %v hold, want %s", st.Status, hold, stateQueued)
+	}
+	open()
+	st, err := jobs[1].wait(t.Context())
+	if err != nil || st.Status != stateDone {
+		t.Fatalf("second job ended %s (err %v), want done", st.Status, err)
+	}
+	if want := float64(hold.Microseconds()) / 1000; st.QueueMS < want {
+		t.Errorf("second job's queueMs = %.3f, want at least the %.3f ms hold", st.QueueMS, want)
+	}
+}
+
+// TestCloseDrainsInFlight pins the drain contract: the running job
+// finishes with a queryable result; jobs still in the admission queue
+// fail with the server-closed error; submissions during and after the
+// drain get 503.
 func TestCloseDrainsInFlight(t *testing.T) {
 	s, ts := startServer(t, Config{PoolSize: 1, QueueLimit: 2})
-	gate := make(chan struct{})
-	jobs := fillServer(t, s, gate)
+	jobs, open := fillServer(t, s)
 
 	closed := make(chan struct{})
 	go func() {
@@ -183,25 +209,22 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		t.Fatalf("submission mid-drain: HTTP %d, body %s", code, body)
 	}
 
-	close(gate)
+	open()
 	select {
 	case <-closed:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close never returned after the gate opened")
 	}
 
-	// Admission order was j0..j7: the pool held j0..j5, the admission
-	// queue held j6 and j7.
-	for i, j := range jobs[:6] {
-		st := j.snapshot()
-		if st.Status != stateDone || st.Result == nil {
-			t.Errorf("pool-held job %d: status %s result %v, want done with result", i, st.Status, st.Result)
-		}
+	// Admission order was j0..j2: the worker ran j0, the admission
+	// queue held j1 and j2.
+	if st := jobs[0].snapshot(); st.Status != stateDone || st.Result == nil {
+		t.Errorf("running job: status %s result %v, want done with result", st.Status, st.Result)
 	}
-	for i, j := range jobs[6:] {
+	for i, j := range jobs[1:] {
 		st := j.snapshot()
 		if st.Status != stateFailed || st.Error == nil || st.Error.Code != "server_closed" {
-			t.Errorf("queued job %d: status %s error %+v, want failed server_closed", 6+i, st.Status, st.Error)
+			t.Errorf("queued job %d: status %s error %+v, want failed server_closed", 1+i, st.Status, st.Error)
 		}
 	}
 

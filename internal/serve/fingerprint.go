@@ -100,7 +100,7 @@ func fingerprintSource(src match.Source, algo string, eps float64) (fpKey, error
 }
 
 // warmCache is the bounded fingerprint → completed-result map the
-// dispatcher consults. Eviction is FIFO by insertion: the serving
+// workers consult. Eviction is FIFO by insertion: the serving
 // workload this exists for (the same instances recurring) refreshes
 // entries by re-inserting them on every completed solve, so plain FIFO
 // behaves like LRU without the bookkeeping. The cached *match.Result is

@@ -243,7 +243,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.render(w, gauges{
 		queueDepth:   len(s.queue),
 		poolSessions: ps.Sessions,
-		poolQueued:   ps.Queued,
 		poolInFlight: ps.InFlight,
 		warmEntries:  warmEntries,
 	})

@@ -226,20 +226,14 @@ func (s *Server) buildJob(ctx context.Context, spec *JobSpec) (*job, *ErrorDoc) 
 	return j, nil
 }
 
-// validateJob runs the combined option set through match.New so every
-// configuration error surfaces as a 400 at admission, never as a failed
-// job later.
+// validateJob runs the combined option set through match.New, which
+// carries all the validation rules, so every configuration error
+// surfaces as a 400 at admission, never as a failed job later.
 func (s *Server) validateJob(j *job) error {
 	opts := append(append([]match.Option{}, s.cfg.Options...), j.opts...)
 	opts = append(opts, match.WithBudget(j.budget))
-	_, err := s.probeSolver(opts)
+	_, err := match.New(opts...)
 	return err
-}
-
-// probeSolver exists as a seam for validateJob; match.New carries all
-// the validation rules.
-func (s *Server) probeSolver(opts []match.Option) (*match.Solver, error) {
-	return match.New(opts...)
 }
 
 // tenantCap resolves the budget cap for a tenant: its TenantBudgets
@@ -400,7 +394,8 @@ func (j *job) OnRound(ev match.RoundEvent) {
 	j.cond.Broadcast()
 }
 
-// markRunning transitions queued → running at dispatch time.
+// markRunning transitions queued → running when a worker takes the
+// job: its queue wait ends and its solve time starts here.
 func (j *job) markRunning() {
 	j.mu.Lock()
 	j.state = stateRunning
@@ -409,7 +404,7 @@ func (j *job) markRunning() {
 	j.cond.Broadcast()
 }
 
-// setWarmHit records that the dispatcher seeded this job from the
+// setWarmHit records that the job's worker seeded it from the
 // fingerprint cache.
 func (j *job) setWarmHit() {
 	j.mu.Lock()
@@ -437,7 +432,7 @@ func (j *job) finish(res *match.Result, err error) {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.state, j.solveStatus = stateFailed, solveCanceled
 		j.errDoc = &ErrorDoc{Code: "canceled", Message: err.Error()}
-	case errors.Is(err, ErrServerClosed) || errors.Is(err, match.ErrPoolClosed):
+	case errors.Is(err, ErrServerClosed):
 		j.state, j.solveStatus = stateFailed, solveFailed
 		j.errDoc = &ErrorDoc{Code: "server_closed", Message: ErrServerClosed.Error()}
 	case errors.Is(err, match.ErrUnsupported):

@@ -1,10 +1,10 @@
-// The load driver: the client half of experiment E18 and of
-// `matchd -bench`. It hammers a running server's synchronous solve
-// endpoint with concurrent clients, honors the server's backpressure
-// (429 + Retry-After means sleep and retry, exactly what a well-behaved
-// caller does), and reports end-to-end throughput and latency
-// percentiles — the module's first heavy-traffic numbers measured
-// through a socket rather than a function call.
+// The load driver: the client half of experiment E18. It hammers a
+// running server's synchronous solve endpoint with concurrent clients,
+// honors the server's backpressure (429 + Retry-After means sleep and
+// retry, exactly what a well-behaved caller does), and reports
+// end-to-end throughput and latency percentiles — the module's first
+// heavy-traffic numbers measured through a socket rather than a
+// function call.
 
 package serve
 

@@ -124,7 +124,6 @@ func (m *metrics) p99Locked() float64 {
 type gauges struct {
 	queueDepth   int
 	poolSessions int
-	poolQueued   int
 	poolInFlight int
 	warmEntries  int
 }
@@ -158,7 +157,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 
 	gauge("matchd_queue_depth", "Jobs waiting in the admission queue.", float64(g.queueDepth))
 	gauge("matchd_pool_sessions", "Solve sessions in the fleet.", float64(g.poolSessions))
-	gauge("matchd_pool_queue_depth", "Jobs accepted by the pool, waiting for a session.", float64(g.poolQueued))
 	gauge("matchd_pool_inflight", "Solves currently running on a session.", float64(g.poolInFlight))
 	gauge("matchd_warm_cache_entries", "Dual snapshots held by the fingerprint cache.", float64(g.warmEntries))
 	gauge("matchd_solve_seconds_p99", "99th-percentile solve wall time over the recent window.", m.p99Locked())

@@ -1,19 +1,23 @@
 // Package serve is the network serving layer over match.Pool: the
-// HTTP/JSON front end command matchd mounts. It turns the in-process
-// serving fleet of PR 5 into something callers reach over a socket —
-// the paper's "heavy traffic" posture — while keeping the protocol
-// layer deliberately thin: the wire codec (job.go) is separated from
-// the handlers (handlers.go), which are separated from the queueing and
-// solving machinery (this file), so a second protocol (gRPC) can reuse
-// everything below the handlers.
+// HTTP/JSON front end command matchd mounts. It puts the in-process
+// serving fleet behind a socket — the paper's "heavy traffic" posture —
+// while keeping the protocol layer deliberately thin: the wire codec
+// (job.go) is separated from the handlers (handlers.go), which are
+// separated from the queueing and solving machinery (this file), so a
+// second protocol (gRPC) can reuse everything below the handlers.
 //
 // The serving pipeline is:
 //
-//	handler → admit (bounded FIFO queue, 429 + Retry-After when deep)
-//	        → dispatcher (single goroutine: strict FIFO into the pool,
-//	          per-tenant budget clamping, warm-dual fingerprint lookup)
-//	        → match.Pool (fixed fleet of reusable solve sessions)
-//	        → awaiter (result classification, warm-dual store, metrics)
+//	handler → admit (bounded FIFO queue, 429 + Retry-After when full)
+//	        → PoolSize workers, each carrying one job at a time:
+//	          warm-dual fingerprint lookup, the solve on match.Pool
+//	          (a fixed fleet of reusable solve sessions), result
+//	          classification, warm-dual store, metrics
+//
+// A job waits in the admission queue and nowhere else: a worker takes
+// the oldest job only once it has finished the last one, so at most
+// QueueLimit jobs wait while PoolSize run, and no job waits in the pool
+// for a session.
 //
 // Every job's per-round Observer events are retained on the job and
 // replayable, so the SSE stream (GET /v1/jobs/{id}/events) delivers the
@@ -38,17 +42,19 @@ import (
 
 // ErrServerClosed is the error jobs still queued in the admission queue
 // are answered with when the server drains: their solve never started
-// and never will. Jobs already handed to the pool finish normally.
+// and never will. Jobs a worker has already started finish normally.
 var ErrServerClosed = errors.New("serve: server closed before the job ran")
 
 // Config parameterizes a Server. The zero value is runnable: two
 // sessions, a 64-deep admission queue, default solver options, warm
 // cache on.
 type Config struct {
-	// PoolSize is the number of solve sessions in the fleet (default 2).
+	// PoolSize is the number of solve sessions in the fleet, and of the
+	// workers that carry jobs to them (default 2).
 	PoolSize int
 	// QueueLimit bounds the admission queue: jobs beyond it are rejected
-	// with 429 + Retry-After instead of queued (default 64).
+	// with 429 + Retry-After instead of queued (default 64). A server
+	// holds at most QueueLimit + PoolSize jobs.
 	QueueLimit int
 	// Options is the base solver configuration every session is built
 	// with (match.New options). Per-job spec fields override per job.
@@ -64,14 +70,15 @@ type Config struct {
 	WarmCacheSize int
 	// RetryAfter is the hint sent with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// JobHistory bounds how many finished jobs remain queryable before
-	// the oldest are evicted (default 1024).
-	JobHistory int
 }
 
-// Server is one serving instance: an admission queue, a dispatcher, a
-// match.Pool fleet, a warm-dual cache and a metrics registry behind an
-// http.Handler. Create with New, mount Handler, stop with Close.
+// jobHistory bounds how many finished jobs remain queryable before the
+// oldest are evicted.
+const jobHistory = 1024
+
+// Server is one serving instance: an admission queue, PoolSize workers,
+// a match.Pool fleet, a warm-dual cache and a metrics registry behind
+// an http.Handler. Create with New, mount Handler, stop with Close.
 type Server struct {
 	cfg         Config
 	defaultEps  float64
@@ -89,12 +96,11 @@ type Server struct {
 	done    []string // finished job ids in completion order, for history eviction
 	seq     int64
 
-	draining       atomic.Bool
-	dispatcherDone chan struct{}
-	awaitWG        sync.WaitGroup
+	draining atomic.Bool
+	workers  sync.WaitGroup
 }
 
-// New builds and starts a Server (its dispatcher goroutine runs until
+// New builds and starts a Server (its PoolSize workers run until
 // Close). The configuration is validated the same way match.New
 // validates solver options.
 func New(cfg Config) (*Server, error) {
@@ -110,9 +116,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.JobHistory <= 0 {
-		cfg.JobHistory = 1024
-	}
 	probe, err := match.New(cfg.Options...)
 	if err != nil {
 		return nil, err
@@ -122,20 +125,22 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:            cfg,
-		defaultEps:     probe.Eps(),
-		defaultAlgo:    probe.Algorithm(),
-		pool:           pool,
-		queue:          make(chan *job, cfg.QueueLimit),
-		metrics:        newMetrics(),
-		jobs:           make(map[string]*job),
-		dispatcherDone: make(chan struct{}),
+		cfg:         cfg,
+		defaultEps:  probe.Eps(),
+		defaultAlgo: probe.Algorithm(),
+		pool:        pool,
+		queue:       make(chan *job, cfg.QueueLimit),
+		metrics:     newMetrics(),
+		jobs:        make(map[string]*job),
 	}
 	if cfg.WarmCacheSize > 0 {
 		s.warm = newWarmCache(cfg.WarmCacheSize)
 	}
 	s.mux = s.routes()
-	go s.dispatch()
+	s.workers.Add(cfg.PoolSize)
+	for i := 0; i < cfg.PoolSize; i++ {
+		go s.work()
+	}
 	return s, nil
 }
 
@@ -144,10 +149,10 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the server: no further job is admitted (submissions get
-// 503), jobs already handed to the pool — in flight or in the pool's
-// own queue — finish and keep their results queryable, and jobs still
-// in the admission queue are failed with ErrServerClosed. Close returns
-// once the fleet has drained; it is idempotent.
+// 503), the jobs the workers are running finish and keep their results
+// queryable, and every job still in the admission queue is failed with
+// ErrServerClosed. Close returns once the workers have stopped and the
+// fleet is closed; it is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -158,9 +163,8 @@ func (s *Server) Close() {
 		s.pending.Wait()
 		close(s.queue)
 	}
-	<-s.dispatcherDone
+	s.workers.Wait()
 	s.pool.Close()
-	s.awaitWG.Wait()
 }
 
 // admit registers the job and enqueues it, applying admission control:
@@ -203,14 +207,14 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// dispatch is the single dispatcher goroutine: strict FIFO from the
-// admission queue into the pool (one serialized Submit preserves
-// arrival order even when the pool's own queue is saturated — blocking
-// here IS the backpressure that keeps the admission queue deep enough
-// for 429s to fire). During a drain it fails the remaining queued jobs
-// instead of submitting them.
-func (s *Server) dispatch() {
-	defer close(s.dispatcherDone)
+// work is one of the PoolSize workers. It takes the oldest admitted
+// job, runs it on the fleet, does its bookkeeping and retires it, and
+// only then takes the next: the admission queue is the one place a job
+// waits, and a result reaches the warm cache before its worker looks up
+// another job's seed. During a drain it fails each job it takes
+// instead.
+func (s *Server) work() {
+	defer s.workers.Done()
 	for j := range s.queue {
 		if s.draining.Load() {
 			j.finish(nil, ErrServerClosed)
@@ -218,9 +222,19 @@ func (s *Server) dispatch() {
 			continue
 		}
 		j.markRunning()
-		ch := s.pool.Submit(j.ctx, j.src, s.jobExtras(j)...)
-		s.awaitWG.Add(1)
-		go s.await(j, ch)
+		r := <-s.pool.Submit(j.ctx, j.src, s.jobExtras(j)...)
+		if j.warmEligible && s.warm != nil && r.Err == nil && r.Result != nil {
+			s.warm.put(j.fp, r.Result)
+		}
+		j.finish(r.Result, r.Err)
+		j.mu.Lock()
+		status, wall := j.solveStatus, j.doneAt.Sub(j.startedAt).Seconds()
+		if j.budgetErr != nil {
+			s.metrics.tripped(string(j.budgetErr.Axis))
+		}
+		j.mu.Unlock()
+		s.metrics.solved(status, wall)
+		s.retire(j.id)
 	}
 }
 
@@ -247,32 +261,13 @@ func (s *Server) jobExtras(j *job) []match.Option {
 	return extra
 }
 
-// await consumes one pool result: classifies it onto the job, feeds the
-// warm cache and the metrics, and evicts old history.
-func (s *Server) await(j *job, ch <-chan match.JobResult) {
-	defer s.awaitWG.Done()
-	r := <-ch
-	if j.warmEligible && s.warm != nil && r.Err == nil && r.Result != nil {
-		s.warm.put(j.fp, r.Result)
-	}
-	j.finish(r.Result, r.Err)
-	j.mu.Lock()
-	status, wall := j.solveStatus, j.doneAt.Sub(j.startedAt).Seconds()
-	if j.budgetErr != nil {
-		s.metrics.tripped(string(j.budgetErr.Axis))
-	}
-	j.mu.Unlock()
-	s.metrics.solved(status, wall)
-	s.retire(j.id)
-}
-
 // retire records a finished job for history eviction and drops the
-// oldest finished jobs beyond the configured bound.
+// oldest finished jobs beyond jobHistory.
 func (s *Server) retire(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done = append(s.done, id)
-	for len(s.done) > s.cfg.JobHistory {
+	for len(s.done) > jobHistory {
 		delete(s.jobs, s.done[0])
 		s.done = s.done[1:]
 	}
