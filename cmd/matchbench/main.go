@@ -12,7 +12,7 @@
 //	matchbench -workers 4      # shard the pipeline (0 = GOMAXPROCS)
 //	matchbench -json -rev abc  # also write BENCH_abc.json
 //	matchbench -compare BENCH_pr3.json BENCH_pr4.json
-//	matchbench -exp e17        # serving layer (sessions, warm duals, Pool)
+//	matchbench -exp e17        # session reuse and warm duals
 //	matchbench -exp e18        # HTTP serving layer (matchd) over a socket
 //
 // With -json the run is additionally captured as a machine-readable

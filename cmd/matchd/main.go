@@ -1,8 +1,8 @@
 // Command matchd serves the dual-primal matching solver over HTTP: a
-// fixed fleet of reusable solve sessions (match.Pool) behind a JSON
-// API with admission control, per-tenant budgets, per-round SSE event
-// streams, warm-dual reuse across fingerprint-identical instances and
-// Prometheus metrics.
+// fixed fleet of workers, each owning one reusable solve session (a
+// match.Solver), behind a JSON API with admission control, per-tenant
+// budgets, per-round SSE event streams, warm-dual reuse across
+// fingerprint-identical instances and Prometheus metrics.
 //
 //	matchd -addr :8470                         # serve with defaults
 //	matchd -pool 4 -queue 128 -eps 0.2         # a bigger fleet, tighter ε

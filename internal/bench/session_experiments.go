@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"runtime"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -30,26 +29,23 @@ func allocsPerRun(runs int, warmup int, fn func(i int)) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// E17Throughput measures the session/pool serving layer: repeat-solve
-// allocations through one reused (and, for the dual-primal solver,
-// warm-started) session versus the construct-per-call cold baseline,
-// and fleet throughput through match.Pool with J concurrent jobs × R
-// repeat-solves per configuration. The alloc ratio stacks two effects:
+// E17Throughput measures session reuse: repeat-solve allocations
+// through one reused (and, for the dual-primal solver, warm-started)
+// session versus the construct-per-call cold baseline. E18 measures
+// fleet throughput, over a socket. The alloc ratio stacks two effects:
 // the session's retained scratch (dual-state table, the builder grid
 // with its forests) removes the rebuild, and the chained warm duals
 // end a repeat solve in one round, which removes most of the work.
 func E17Throughput(cfg Config) Table {
 	t := Table{
 		ID:    "E17",
-		Title: "serving throughput: session reuse, warm-started duals, match.Pool",
+		Title: "session reuse and warm-started duals",
 		Columns: []string{"algo", "family", "n", "m", "allocs/solve cold", "allocs/solve reused",
-			"alloc ratio", "pool jobs", "pool solves", "solves/s"},
+			"alloc ratio"},
 	}
 	n, m, repeats := 64, 512, 6
-	poolJobs, poolRepeats := 3, 4
 	if cfg.Quick {
 		n, m, repeats = 40, 240, 4
-		poolRepeats = 2
 	}
 	type family struct {
 		name string
@@ -98,34 +94,10 @@ func E17Throughput(cfg Config) Table {
 				}
 				prev = res
 			})
-			ratio := cold / reused
-
-			// Fleet throughput: J sessions, J×R jobs through the queue.
-			pool, err := match.NewPool(poolJobs, opts...)
-			if err != nil {
-				panic(err)
-			}
-			solves := poolJobs * poolRepeats
-			start := time.Now()
-			chans := make([]<-chan match.JobResult, 0, solves)
-			for j := 0; j < solves; j++ {
-				chans = append(chans, pool.Submit(ctx, src))
-			}
-			for _, ch := range chans {
-				if r := <-ch; r.Err != nil {
-					panic(r.Err)
-				}
-			}
-			wall := time.Since(start)
-			pool.Close()
-			perSec := float64(solves) / wall.Seconds()
-
-			t.AddRow(algo, fam.name, d(fam.g.N()), d(fam.g.M()),
-				f(cold), f(reused), fr(ratio), d(poolJobs), d(solves), f(perSec))
+			t.AddRow(algo, fam.name, d(fam.g.N()), d(fam.g.M()), f(cold), f(reused), fr(cold/reused))
 		}
 	}
 	t.Note("cold = match.New + Solve per call; reused = one Solver (cached session), dual-primal chained through WithInitialDuals")
-	t.Note("allocs measured AllocsPerRun-style at GOMAXPROCS(1); pool rows share the configured worker budget across %d sessions", poolJobs)
-	noteWorkers(&t, cfg)
+	t.Note("allocs measured AllocsPerRun-style at GOMAXPROCS(1), one worker per solve")
 	return t
 }

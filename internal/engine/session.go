@@ -16,8 +16,8 @@ import (
 // meter: retained capacity is never live words.
 //
 // A Session is not safe for concurrent use — it is one algorithm
-// instance. Run many instances in flight by holding many sessions (the
-// public repro/match.Pool does exactly that).
+// instance. Run many instances in flight by holding many sessions (one
+// repro/match.Solver per goroutine, as the matchd fleet does).
 type Session struct {
 	alg  Algorithm
 	runs int

@@ -103,7 +103,7 @@ func fillServer(t *testing.T, s *Server) ([]*job, func()) {
 			// the drain check), so the last two occupy the queue and a
 			// Close cannot misclassify the first as still-queued.
 			waitFor(t, "worker pickup", func() bool {
-				return j.snapshot().Status == stateRunning && s.pool.Stats().InFlight == 1
+				return j.snapshot().Status == stateRunning && s.inFlight.Load() == 1
 			})
 		}
 	}
@@ -143,15 +143,22 @@ func TestBackpressure429(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "3" {
 		t.Errorf("Retry-After = %q, want \"3\"", got)
 	}
-	// Both rejections are visible on the metrics surface.
+	// The metrics surface shows both rejections, the frozen queue and
+	// the one solve in flight.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "matchd_jobs_rejected_total 2") {
-		t.Errorf("metrics missing rejected counter:\n%s", mbody)
+	for _, want := range []string{
+		"matchd_jobs_rejected_total 2",
+		"matchd_queue_depth 2",
+		"matchd_pool_inflight 1",
+	} {
+		if !strings.Contains(string(mbody), want) {
+			t.Errorf("metrics missing %q:\n%s", want, mbody)
+		}
 	}
 
 	open()
@@ -167,7 +174,8 @@ func TestBackpressure429(t *testing.T) {
 
 // TestQueueWaitIsQueueMs pins where a job waits: a job queued behind a
 // running one stays queued until a worker takes it, and the whole wait
-// lands in its queueMs, not in its solve time.
+// lands in its queueMs, not in its solve time. Queued jobs start in
+// admission order: the third starts only after the second is done.
 func TestQueueWaitIsQueueMs(t *testing.T) {
 	s, _ := startServer(t, Config{PoolSize: 1, QueueLimit: 2})
 	jobs, open := fillServer(t, s)
@@ -185,6 +193,18 @@ func TestQueueWaitIsQueueMs(t *testing.T) {
 	}
 	if want := float64(hold.Microseconds()) / 1000; st.QueueMS < want {
 		t.Errorf("second job's queueMs = %.3f, want at least the %.3f ms hold", st.QueueMS, want)
+	}
+	if st, err := jobs[2].wait(t.Context()); err != nil || st.Status != stateDone {
+		t.Fatalf("third job ended %s (err %v), want done", st.Status, err)
+	}
+	jobs[1].mu.Lock()
+	secondDone := jobs[1].doneAt
+	jobs[1].mu.Unlock()
+	jobs[2].mu.Lock()
+	thirdStarted := jobs[2].startedAt
+	jobs[2].mu.Unlock()
+	if thirdStarted.Before(secondDone) {
+		t.Errorf("third job started %v before the second finished", secondDone.Sub(thirdStarted))
 	}
 }
 
@@ -238,8 +258,9 @@ func TestCloseDrainsInFlight(t *testing.T) {
 }
 
 // TestSyncSolveCancel pins that a synchronous caller walking away
-// cancels its solve: the job fails with the canceled code and the
-// canceled outcome is counted, not the ok one.
+// cancels its solve: the job fails with the canceled code and, since
+// its context ended while it was queued, it is never solved, so it
+// keeps no result and reads 0 rounds.
 func TestSyncSolveCancel(t *testing.T) {
 	s, ts := startServer(t, Config{PoolSize: 1})
 	gate := make(chan struct{})
@@ -247,7 +268,7 @@ func TestSyncSolveCancel(t *testing.T) {
 	if _, errDoc := s.admit(j); errDoc != nil {
 		t.Fatalf("admit: %+v", errDoc)
 	}
-	waitFor(t, "gated job in flight", func() bool { return s.pool.Stats().InFlight == 1 })
+	waitFor(t, "gated job in flight", func() bool { return s.inFlight.Load() == 1 })
 
 	ctx, cancel := context.WithCancel(t.Context())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve",
@@ -268,16 +289,21 @@ func TestSyncSolveCancel(t *testing.T) {
 	waitFor(t, "second job admitted", func() bool { return s.lookup("j-000002") != nil })
 	cancel()
 	<-done
-	// The canceled job still waits behind the gated one for a session;
-	// open the gate so the pool reaches it and observes the dead context.
+	// The canceled job still waits behind the gated one in the admission
+	// queue; open the gate so the worker reaches it and observes the dead
+	// context.
 	close(gate)
 	sync := s.lookup("j-000002")
 	waitFor(t, "canceled job terminal", func() bool {
 		st := sync.snapshot()
 		return st.Status == stateFailed
 	})
-	if st := sync.snapshot(); st.Error == nil || st.Error.Code != "canceled" {
+	st := sync.snapshot()
+	if st.Error == nil || st.Error.Code != "canceled" {
 		t.Errorf("canceled job error = %+v, want code canceled", st.Error)
+	}
+	if st.Result != nil || st.Rounds != 0 {
+		t.Errorf("canceled job kept a result (%v) and %d rounds, want none and 0", st.Result != nil, st.Rounds)
 	}
 }
 

@@ -239,11 +239,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.warm != nil {
 		warmEntries = s.warm.size()
 	}
-	ps := s.pool.Stats()
 	s.metrics.render(w, gauges{
 		queueDepth:   len(s.queue),
-		poolSessions: ps.Sessions,
-		poolInFlight: ps.InFlight,
+		poolSessions: s.cfg.PoolSize,
+		poolInFlight: int(s.inFlight.Load()),
 		warmEntries:  warmEntries,
 	})
 }

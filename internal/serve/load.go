@@ -46,11 +46,10 @@ type LoadStats struct {
 	Failed int
 	// Retries429 counts backpressure rejections that were retried.
 	Retries429 int
-	// Wall is the whole run's duration; SolvesPerSec is Jobs / Wall.
-	Wall         time.Duration
+	// SolvesPerSec is Jobs over the whole run's wall time.
 	SolvesPerSec float64
-	// P50, P95, P99 are latency percentiles over completed jobs.
-	P50, P95, P99 time.Duration
+	// P50 and P99 are latency percentiles over completed jobs.
+	P50, P99 time.Duration
 }
 
 // RunLoad drives cfg.Clients concurrent clients against the server's
@@ -100,7 +99,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadStats, error) {
 		}(c)
 	}
 	wg.Wait()
-	stats := LoadStats{Wall: time.Since(start)}
+	wall := time.Since(start)
+	var stats LoadStats
 	var all []time.Duration
 	for _, t := range tallies {
 		all = append(all, t.latencies...)
@@ -108,12 +108,11 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadStats, error) {
 		stats.Retries429 += t.retries
 	}
 	stats.Jobs = len(all)
-	if stats.Wall > 0 {
-		stats.SolvesPerSec = float64(stats.Jobs) / stats.Wall.Seconds()
+	if wall > 0 {
+		stats.SolvesPerSec = float64(stats.Jobs) / wall.Seconds()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	stats.P50 = percentile(all, 0.50)
-	stats.P95 = percentile(all, 0.95)
 	stats.P99 = percentile(all, 0.99)
 	if stats.Jobs == 0 {
 		return stats, fmt.Errorf("serve: all %d jobs failed", stats.Failed)

@@ -1,23 +1,23 @@
-// Package serve is the network serving layer over match.Pool: the
-// HTTP/JSON front end command matchd mounts. It puts the in-process
-// serving fleet behind a socket — the paper's "heavy traffic" posture —
-// while keeping the protocol layer deliberately thin: the wire codec
-// (job.go) is separated from the handlers (handlers.go), which are
-// separated from the queueing and solving machinery (this file), so a
-// second protocol (gRPC) can reuse everything below the handlers.
+// Package serve is the network serving layer over the match solver:
+// the HTTP/JSON front end command matchd mounts. It puts a fleet of
+// reusable solve sessions behind a socket — the paper's "heavy
+// traffic" posture — while keeping the protocol layer deliberately
+// thin: the wire codec (job.go) is separated from the handlers
+// (handlers.go), which are separated from the queueing and solving
+// machinery (this file), so a second protocol (gRPC) can reuse
+// everything below the handlers.
 //
 // The serving pipeline is:
 //
 //	handler → admit (bounded FIFO queue, 429 + Retry-After when full)
-//	        → PoolSize workers, each carrying one job at a time:
-//	          warm-dual fingerprint lookup, the solve on match.Pool
-//	          (a fixed fleet of reusable solve sessions), result
+//	        → PoolSize workers, each owning one match.Solver (a reusable
+//	          solve session) and carrying one job at a time:
+//	          warm-dual fingerprint lookup, the solve, result
 //	          classification, warm-dual store, metrics
 //
 // A job waits in the admission queue and nowhere else: a worker takes
 // the oldest job only once it has finished the last one, so at most
-// QueueLimit jobs wait while PoolSize run, and no job waits in the pool
-// for a session.
+// QueueLimit jobs wait while PoolSize run.
 //
 // Every job's per-round Observer events are retained on the job and
 // replayable, so the SSE stream (GET /v1/jobs/{id}/events) delivers the
@@ -33,10 +33,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/match"
 )
 
@@ -49,15 +51,17 @@ var ErrServerClosed = errors.New("serve: server closed before the job ran")
 // sessions, a 64-deep admission queue, default solver options, warm
 // cache on.
 type Config struct {
-	// PoolSize is the number of solve sessions in the fleet, and of the
-	// workers that carry jobs to them (default 2).
+	// PoolSize is the number of workers in the fleet, each owning one
+	// solve session (default 2).
 	PoolSize int
 	// QueueLimit bounds the admission queue: jobs beyond it are rejected
 	// with 429 + Retry-After instead of queued (default 64). A server
 	// holds at most QueueLimit + PoolSize jobs.
 	QueueLimit int
 	// Options is the base solver configuration every session is built
-	// with (match.New options). Per-job spec fields override per job.
+	// with (match.New options). WithWorkers is the fleet's worker budget
+	// (0 = GOMAXPROCS): each session gets an equal share, at least 1.
+	// Per-job spec fields override per job.
 	Options []match.Option
 	// DefaultBudget caps every job's resource budget when its tenant has
 	// no entry in TenantBudgets; zero axes are uncapped.
@@ -76,18 +80,19 @@ type Config struct {
 // oldest are evicted.
 const jobHistory = 1024
 
-// Server is one serving instance: an admission queue, PoolSize workers,
-// a match.Pool fleet, a warm-dual cache and a metrics registry behind
-// an http.Handler. Create with New, mount Handler, stop with Close.
+// Server is one serving instance: an admission queue, PoolSize workers
+// with a solve session each, a warm-dual cache and a metrics registry
+// behind an http.Handler. Create with New, mount Handler, stop with
+// Close.
 type Server struct {
 	cfg         Config
 	defaultEps  float64
 	defaultAlgo string
-	pool        *match.Pool
 	mux         *http.ServeMux
 	queue       chan *job
 	metrics     *metrics
 	warm        *warmCache
+	inFlight    atomic.Int64 // solves running on a worker's session
 
 	mu      sync.Mutex
 	closed  bool
@@ -120,15 +125,18 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := match.NewPool(cfg.PoolSize, cfg.Options...)
-	if err != nil {
-		return nil, err
+	per := max(1, parallel.Workers(probe.Workers())/cfg.PoolSize)
+	opts := append(slices.Clip(cfg.Options), match.WithWorkers(per))
+	solvers := make([]*match.Solver, cfg.PoolSize)
+	for i := range solvers {
+		if solvers[i], err = match.New(opts...); err != nil {
+			return nil, err
+		}
 	}
 	s := &Server{
 		cfg:         cfg,
 		defaultEps:  probe.Eps(),
 		defaultAlgo: probe.Algorithm(),
-		pool:        pool,
 		queue:       make(chan *job, cfg.QueueLimit),
 		metrics:     newMetrics(),
 		jobs:        make(map[string]*job),
@@ -138,8 +146,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = s.routes()
 	s.workers.Add(cfg.PoolSize)
-	for i := 0; i < cfg.PoolSize; i++ {
-		go s.work()
+	for _, solver := range solvers {
+		go s.work(solver)
 	}
 	return s, nil
 }
@@ -151,8 +159,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Close drains the server: no further job is admitted (submissions get
 // 503), the jobs the workers are running finish and keep their results
 // queryable, and every job still in the admission queue is failed with
-// ErrServerClosed. Close returns once the workers have stopped and the
-// fleet is closed; it is idempotent.
+// ErrServerClosed. Close returns once the workers have stopped; it is
+// idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -164,7 +172,6 @@ func (s *Server) Close() {
 		close(s.queue)
 	}
 	s.workers.Wait()
-	s.pool.Close()
 }
 
 // admit registers the job and enqueues it, applying admission control:
@@ -207,13 +214,14 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// work is one of the PoolSize workers. It takes the oldest admitted
-// job, runs it on the fleet, does its bookkeeping and retires it, and
-// only then takes the next: the admission queue is the one place a job
-// waits, and a result reaches the warm cache before its worker looks up
-// another job's seed. During a drain it fails each job it takes
-// instead.
-func (s *Server) work() {
+// work is one of the PoolSize workers, solving on its own session. It
+// takes the oldest admitted job, solves it, does its bookkeeping and
+// retires it, and only then takes the next: the admission queue is the
+// one place a job waits, and a result reaches the warm cache before its
+// worker looks up another job's seed. A job whose context ended while
+// it was queued is answered with the context's error without a solve.
+// During a drain the worker fails each job it takes instead.
+func (s *Server) work(solver *match.Solver) {
 	defer s.workers.Done()
 	for j := range s.queue {
 		if s.draining.Load() {
@@ -222,11 +230,18 @@ func (s *Server) work() {
 			continue
 		}
 		j.markRunning()
-		r := <-s.pool.Submit(j.ctx, j.src, s.jobExtras(j)...)
-		if j.warmEligible && s.warm != nil && r.Err == nil && r.Result != nil {
-			s.warm.put(j.fp, r.Result)
+		extra := s.jobExtras(j)
+		var res *match.Result
+		err := j.ctx.Err()
+		if err == nil {
+			s.inFlight.Add(1)
+			res, err = solver.Solve(j.ctx, j.src, extra...)
+			s.inFlight.Add(-1)
 		}
-		j.finish(r.Result, r.Err)
+		if j.warmEligible && s.warm != nil && err == nil && res != nil {
+			s.warm.put(j.fp, res)
+		}
+		j.finish(res, err)
 		j.mu.Lock()
 		status, wall := j.solveStatus, j.doneAt.Sub(j.startedAt).Seconds()
 		if j.budgetErr != nil {
@@ -238,7 +253,7 @@ func (s *Server) work() {
 	}
 }
 
-// jobExtras assembles the per-job options handed to Pool.Submit: the
+// jobExtras assembles the per-job options of a job's Solve call: the
 // clamped budget, the job itself as the Observer (it retains every
 // RoundEvent for the SSE stream), and — when the fingerprint cache
 // holds a completed solve of the identical instance — the warm-dual

@@ -483,6 +483,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"matchd_solve_seconds_p99",
 		"matchd_queue_depth 0",
 		"matchd_pool_sessions 2",
+		"matchd_pool_inflight 0",
 		`matchd_budget_trips_total{axis="rounds"} 0`,
 	} {
 		if !strings.Contains(text, want) {

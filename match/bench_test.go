@@ -1,11 +1,10 @@
 package match_test
 
 // Allocation benchmarks for the session lifecycle: cold
-// construct-per-call solves, reused-session solves, warm-started repeat
-// solves, and pool-served solves. CI runs these with -benchtime=1x as
-// an allocation smoke — a regression that re-introduces per-solve
-// rebuild cost shows up as an allocs/op jump here before it shows up in
-// E17.
+// construct-per-call solves, reused-session solves and warm-started
+// repeat solves. CI runs these with -benchtime=1x as an allocation
+// smoke — a regression that re-introduces per-solve rebuild cost shows
+// up as an allocs/op jump here before it shows up in E17.
 
 import (
 	"context"
@@ -77,25 +76,5 @@ func BenchmarkSolveWarmRepeat(b *testing.B) {
 			b.Fatal(err)
 		}
 		prev = res
-	}
-}
-
-func BenchmarkPoolSolve(b *testing.B) {
-	src := stream.NewEdgeStream(benchGraph())
-	ctx := context.Background()
-	pool, err := match.NewPool(2, benchOpts()...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	if r := <-pool.Submit(ctx, src); r.Err != nil { // session warm-up
-		b.Fatal(r.Err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := <-pool.Submit(ctx, src); r.Err != nil {
-			b.Fatal(r.Err)
-		}
 	}
 }

@@ -123,36 +123,6 @@ func ExampleWithInitialDuals() {
 	// solve 3: weight 356.98 in 1 rounds (warm=true)
 }
 
-func ExampleNewPool() {
-	// A Pool is a fixed-size fleet of solve sessions behind one FIFO
-	// queue: Submit returns immediately with a result channel, jobs are
-	// served in arrival order, and each worker's session is reused from
-	// job to job. Close drains gracefully.
-	pool, err := match.NewPool(2, match.WithSeed(5), match.WithWorkers(1))
-	if err != nil {
-		fmt.Println("pool:", err)
-		return
-	}
-	defer pool.Close()
-	ctx := context.Background()
-	jobs := []<-chan match.JobResult{
-		pool.Submit(ctx, stream.NewEdgeStream(exampleGraph())),
-		pool.Submit(ctx, stream.NewEdgeStream(exampleGraph()),
-			match.WithBudget(match.Budget{Rounds: 2})), // per-job budget
-	}
-	for i, ch := range jobs {
-		r := <-ch
-		if r.Err != nil && !errors.Is(r.Err, match.ErrBudgetExceeded) {
-			fmt.Println("job", i, "failed:", r.Err)
-			continue
-		}
-		fmt.Printf("job %d: weight %.2f in %d rounds\n", i, r.Result.Weight, r.Result.Stats.SamplingRounds)
-	}
-	// Output:
-	// job 0: weight 356.98 in 25 rounds
-	// job 1: weight 356.98 in 2 rounds
-}
-
 func ExampleAlgorithms() {
 	for _, info := range match.Algorithms() {
 		fmt.Printf("%s (%s)\n", info.Name, info.Model)

@@ -49,12 +49,9 @@
 // previous solve's working memory with bit-identical results, and
 // WithInitialDuals warm-starts a solve from a prior solution so
 // repeats on the same or drifting instances converge in fewer rounds.
-// Pool runs a fixed-size fleet of sessions behind a FIFO queue for
-// many instances in flight:
-//
-//	pool, _ := match.NewPool(4, match.WithEps(0.3))
-//	defer pool.Close()
-//	r := <-pool.Submit(ctx, src) // r.Result, r.Err
+// For many instances in flight, give each goroutine its own Solver:
+// each then keeps its own session. Command matchd serves such a fleet
+// over HTTP.
 package match
 
 import (
@@ -107,8 +104,8 @@ var ErrInvalidOption = errors.New("match: invalid option")
 // serves one solve at a time and concurrent callers transparently fall
 // back to a fresh throwaway session (same results, cold allocation
 // cost). For a fleet of sessions serving many instances concurrently,
-// use a Pool. The configured Observer is shared across concurrent
-// solves and must tolerate that.
+// hold one Solver per goroutine. The configured Observer is shared
+// across concurrent solves and must tolerate that.
 type Solver struct {
 	opt    core.Options
 	budget Budget
@@ -172,8 +169,8 @@ func (s *Solver) validate() error {
 // Eps returns the configured accuracy target.
 func (s *Solver) Eps() float64 { return s.opt.Eps }
 
-// Budget returns the configured resource budget (zero value when none).
-func (s *Solver) Budget() Budget { return s.budget }
+// Workers returns the configured worker count (0 = GOMAXPROCS).
+func (s *Solver) Workers() int { return s.opt.Workers }
 
 // Algorithm returns the name of the algorithm this Solver runs.
 func (s *Solver) Algorithm() string { return s.algo }

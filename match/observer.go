@@ -16,14 +16,8 @@ type Observer interface {
 	OnRound(RoundEvent)
 }
 
-// ObserverFunc adapts a plain function to the Observer interface.
-type ObserverFunc func(RoundEvent)
-
-// OnRound implements Observer.
-func (f ObserverFunc) OnRound(ev RoundEvent) { f(ev) }
-
-// TraceObserver accumulates the per-round λ/β trajectory — a drop-in
-// replacement for reading the old trace slices off Stats.
+// TraceObserver accumulates every RoundEvent of a solve: the per-round
+// λ/β trajectory and the meters at each round.
 type TraceObserver struct {
 	// Events holds every RoundEvent in delivery order.
 	Events []RoundEvent
@@ -31,21 +25,3 @@ type TraceObserver struct {
 
 // OnRound implements Observer.
 func (t *TraceObserver) OnRound(ev RoundEvent) { t.Events = append(t.Events, ev) }
-
-// Lambdas returns the per-round λ values (the old LambdaTrace).
-func (t *TraceObserver) Lambdas() []float64 {
-	out := make([]float64, len(t.Events))
-	for i, ev := range t.Events {
-		out[i] = ev.Lambda
-	}
-	return out
-}
-
-// Betas returns the per-round β values (the old BetaTrace).
-func (t *TraceObserver) Betas() []float64 {
-	out := make([]float64, len(t.Events))
-	for i, ev := range t.Events {
-		out[i] = ev.Beta
-	}
-	return out
-}
