@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -75,5 +78,51 @@ func TestFastExperimentsShort(t *testing.T) {
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: no rows", id)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+
+// TestQuickTablesPinned pins every row cell of E11, E16 and ES at
+// Config{Quick: true, Seed: 5} against a committed golden: the clique
+// protocol's pairs, each algorithm's weight and meters, and the
+// semi-streaming baselines' ratios and passes. E16's wall-clock ms
+// column is left out, and so are the notes (one names GOMAXPROCS).
+func TestQuickTablesPinned(t *testing.T) {
+	cfg := Config{Quick: true, Seed: 5}
+	var buf strings.Builder
+	for _, id := range []string{"e11", "e16", "es"} {
+		fn, _ := ByID(id)
+		tab := fn(cfg)
+		skip := -1
+		if tab.ID == "E16" {
+			skip = slices.Index(tab.Columns, "ms")
+		}
+		for _, row := range tab.Rows {
+			cells := []string{tab.ID}
+			for i, c := range row {
+				if i != skip {
+					cells = append(cells, c)
+				}
+			}
+			buf.WriteString(strings.Join(cells, "\t") + "\n")
+		}
+	}
+	got := buf.String()
+	golden := filepath.Join("testdata", "quick_tables.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("quick tables drifted from golden.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
