@@ -15,7 +15,7 @@
 //	GET  /v1/jobs/{id}        status (queued|running|done|failed)
 //	GET  /v1/jobs/{id}/result final document (409 until terminal)
 //	GET  /v1/jobs/{id}/events SSE stream of per-round solver events
-//	GET  /v1/algorithms       the algorithm registry
+//	GET  /v1/algorithms       the algorithm table
 //	GET  /metrics             Prometheus text format
 //	GET  /healthz             liveness
 //

@@ -14,11 +14,11 @@
 //	matchsolve -input e.txt -convert g.rbg -codec rbg1      # force the fixed-record codec
 //	matchsolve -n 200 -m 2000 -json                   # machine-readable result
 //	matchsolve -n 200 -m 2000 -max-rounds 2           # enforce a round budget
-//	matchsolve -algo list                             # enumerate the registry
+//	matchsolve -algo list                             # enumerate the algorithms
 //	matchsolve -n 200 -m 2000 -algo greedy            # a different substrate
 //	matchsolve -n 200 -m 2000 -repeat 5 -warm-duals   # session reuse + warm-started duals
 //
-// Every algorithm in the registry (-algo list) runs under the same
+// Every algorithm in the table (-algo list) runs under the same
 // engine driver: budgets, the stats meters and context handling behave
 // identically whichever substrate computes the matching.
 //
@@ -271,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printAlgorithms renders the registry as an aligned table — the
+// printAlgorithms renders the algorithm table, aligned — the
 // -algo list enumeration.
 func printAlgorithms(w io.Writer) {
 	infos := match.Algorithms()

@@ -11,17 +11,17 @@
 // and round boundaries, match.Budget makes the paper's resource axes
 // (passes, rounds, space) enforceable with best-so-far semantics, an
 // Observer streams the per-round dual trajectory, and
-// match.WithAlgorithm selects any substrate from the algorithm registry
+// match.WithAlgorithm selects any substrate from the algorithm table
 // (match.Algorithms) — all of them run on one shared round-loop driver,
 // so resources meter and budget identically across models of
 // computation. See the package documentation of repro/match for
 // runnable examples.
 //
-// The machinery lives under internal/: the shared round-loop driver,
-// the session every solve runs through and the registry (engine), the
-// dual-primal solver (core) and the ported
-// substrates behind the registry (algos), the components they depend on
-// (sketch, sparsify, matching, lp, oddset, cover, pack, levels, stream,
+// The machinery lives under internal/: the shared round-loop driver and
+// engine.Solve, the one call every solve runs through (engine), the
+// dual-primal solver (core), the table that builds every algorithm and
+// the ported substrates in it (algos), the components they depend on
+// (sketch, sparsify, matching, lp, oddset, pack, levels, stream,
 // graph, parallel — the sharded worker pool), the distributed-model
 // simulators (mapreduce, congest, semistream) and the experiment
 // harness (bench). See DESIGN.md for the system inventory (section 8

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/stream"
 	"repro/match"
 )
@@ -29,15 +28,7 @@ func main() {
 	for _, p := range []float64{1.5, 2, 3} {
 		res := congest.MaximalMatchingClique(g, p, 31, 0)
 		// Validate the result centrally.
-		bestIdx := map[uint64]int{}
-		for i, e := range g.Edges() {
-			bestIdx[e.Key()] = i
-		}
-		m := &matching.Matching{Mult: []int{}}
-		for i, pr := range res.Pairs {
-			m.EdgeIdx = append(m.EdgeIdx, bestIdx[graph.KeyOf(pr[0], pr[1])])
-			m.Mult = append(m.Mult, res.Mults[i])
-		}
+		m, _ := res.Matching(g)
 		status := "MAXIMAL"
 		if err := m.Validate(g); err != nil {
 			status = "INVALID: " + err.Error()
@@ -49,16 +40,16 @@ func main() {
 			p, len(res.Pairs), res.Stats.Rounds, res.MaxSampleMsgWords, budget, status)
 	}
 
-	// The same protocol through the public registry: the engine driver
+	// The same protocol through the public facade: the engine driver
 	// owns the loop, so the clique rounds land on the same Stats meters
 	// (and under the same budgets) as every other algorithm.
-	viaRegistry, err := match.Solve(context.Background(), stream.NewEdgeStream(g),
+	viaFacade, err := match.Solve(context.Background(), stream.NewEdgeStream(g),
 		match.WithAlgorithm("clique-maximal"), match.WithSpaceExponent(2), match.WithSeed(31))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("via match.WithAlgorithm(%q): %d edges, %d driver rounds = simulated clique rounds\n",
-		"clique-maximal", viaRegistry.Matching.Size(), viaRegistry.Stats.SamplingRounds)
+		"clique-maximal", viaFacade.Matching.Size(), viaFacade.Stats.SamplingRounds)
 
 	// Centralized reference: the (1-ε) dual-primal solver through the
 	// public facade, on the same instance.

@@ -55,41 +55,13 @@ func (a *cliqueAlg) Round(_ context.Context, run *engine.Run) (bool, error) {
 }
 
 // Finish maps the matched (u, v) pairs back to edge indices of the
-// stream (first index per endpoint pair; multiplicities preserved).
+// stream (congest.MatchingResult.Matching).
 func (a *cliqueAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 	if a.proto == nil {
 		return nil, engine.Extras{}
 	}
-	res := a.proto.Result()
-	idxOf := make(map[uint64]int, a.g.M())
-	weightOf := make(map[uint64]float64, a.g.M())
-	for i, e := range a.g.Edges() {
-		k := e.Key()
-		if _, ok := idxOf[k]; !ok {
-			idxOf[k] = i
-			weightOf[k] = e.W
-		}
-	}
-	m := &matching.Matching{Mult: []int{}}
-	weight := 0.0
-	for i, pr := range res.Pairs {
-		k := graph.KeyOf(pr[0], pr[1])
-		m.EdgeIdx = append(m.EdgeIdx, idxOf[k])
-		m.Mult = append(m.Mult, res.Mults[i])
-		weight += weightOf[k] * float64(res.Mults[i])
-	}
+	m, weight := a.proto.Result().Matching(a.g)
 	// EarlyStopped means genuine quiescence (every node halted before
 	// the cap) — a run cut off by its own round cap is not "converged".
 	return m, engine.Extras{Weight: weight, Stats: engine.Stats{EarlyStopped: a.proto.Quiesced()}}
-}
-
-func init() {
-	engine.Register(engine.Info{
-		Name:      "clique-maximal",
-		Model:     "congested clique (simulated)",
-		Guarantee: "maximal b-matching (1/2 of maximum cardinality)",
-		Resources: "O(p) clique rounds, O(n^(1/p)) words/message, full graph at the nodes",
-	}, func(p engine.Params) (engine.Algorithm, error) {
-		return &cliqueAlg{p: p.P, seed: p.Seed, maxRounds: p.MaxRounds}, nil
-	})
 }

@@ -77,14 +77,3 @@ func (a *hkAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 	m := a.h.Matching()
 	return m, engine.Extras{Weight: m.Weight(a.g), Stats: engine.Stats{EarlyStopped: a.done}}
 }
-
-func init() {
-	engine.Register(engine.Info{
-		Name:      "hopcroft-karp",
-		Model:     "offline (exact baseline)",
-		Guarantee: "maximum cardinality, bipartite unit capacities",
-		Resources: "1 pass, O(sqrt(n)) phases, full graph in memory",
-	}, func(engine.Params) (engine.Algorithm, error) {
-		return &hkAlg{}, nil
-	})
-}

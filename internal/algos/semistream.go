@@ -12,7 +12,7 @@ import (
 )
 
 // defaultAugmentRounds is how many length-3 augmentation rounds the
-// greedy-augment algorithm runs when Params.MaxRounds is 0: enough for
+// greedy-augment algorithm runs when Options.MaxRounds is 0: enough for
 // the 2/3-cardinality convergence to flatten on every test family while
 // staying a few-pass algorithm.
 const defaultAugmentRounds = 8
@@ -45,11 +45,11 @@ func (a *greedyAlg) Init(_ context.Context, run *engine.Run, src stream.Source) 
 	return nil
 }
 
-// Reset clears the per-run state for session reuse. The matched-vertex
+// Reset clears the per-run state for instance reuse. The matched-vertex
 // bit buffer and the augmentation scratch are retained, and so is
-// augmentRounds (the factory's configuration); the greedy state and its
-// edge list are not — the previous run's Outcome owns the matching —
-// and cur, which points into the scratch, is dropped.
+// augmentRounds (the table entry's configuration); the greedy state and
+// its edge list are not — the previous run's Outcome owns the matching
+// — and cur, which points into the scratch, is dropped.
 func (a *greedyAlg) Reset() {
 	a.src = nil
 	a.n = 0
@@ -121,27 +121,4 @@ func (a *greedyAlg) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 		m = a.st.Matching()
 	}
 	return m, engine.Extras{Weight: a.weight, Stats: engine.Stats{EarlyStopped: a.earlyStopped}}
-}
-
-func init() {
-	engine.Register(engine.Info{
-		Name:      "greedy",
-		Model:     "semi-streaming",
-		Guarantee: "maximal (1/2 of maximum cardinality)",
-		Resources: "1 pass, 1 round, O(n) words",
-	}, func(engine.Params) (engine.Algorithm, error) {
-		return &greedyAlg{}, nil
-	})
-	engine.Register(engine.Info{
-		Name:      "greedy-augment",
-		Model:     "semi-streaming",
-		Guarantee: "toward 2/3 of maximum cardinality (length-3 augmentation)",
-		Resources: "1+2·rounds passes, O(n) words",
-	}, func(p engine.Params) (engine.Algorithm, error) {
-		rounds := p.MaxRounds
-		if rounds == 0 {
-			rounds = defaultAugmentRounds
-		}
-		return &greedyAlg{augmentRounds: rounds}, nil
-	})
 }

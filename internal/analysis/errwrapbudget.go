@@ -9,7 +9,7 @@ import (
 // ErrWrapBudget keeps error chains matchable across layers: budget trips
 // (match.ErrBudgetExceeded, *engine.BudgetError) and stream I/O failures
 // (*stream.ReadError) are classified with errors.Is/errors.As at the
-// facade, the pool, the serving layer and in CLI exit codes, so any
+// facade, the serving layer and in CLI exit codes, so any
 // fmt.Errorf that re-formats an error with %v/%s instead of wrapping it
 // with %w silently severs that chain. The analyzer flags every
 // error-typed argument formatted with a non-wrapping verb (%T — printing

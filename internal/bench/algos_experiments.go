@@ -9,7 +9,7 @@ import (
 )
 
 // E16Algorithms — one engine, many algorithms: every substrate in the
-// match registry solves the same shared graph families under the same
+// algorithm table solves the same shared graph families under the same
 // round-loop driver, and the table shows what each model of computation
 // pays (passes, rounds, peak central words) for the quality it gets —
 // the cross-model trade-off the paper's Theorems 15/20 price out,

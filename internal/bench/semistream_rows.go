@@ -4,29 +4,30 @@ import (
 	"repro/internal/graph"
 	"repro/internal/semistream"
 	"repro/internal/stream"
+	"repro/match"
 )
 
 // semiStreamRows runs each streaming baseline on g and formats rows.
+// The engine-driven baselines run through the facade; McGregor's
+// replacement rule, which no engine algorithm runs, reads the stream
+// directly.
 func semiStreamRows(g *graph.Graph, opt float64, cfg Config) [][]string {
 	var rows [][]string
 	add := func(algo string, w float64, passes int) {
 		rows = append(rows, []string{d(g.N()), d(g.M()), algo, fr(w / opt), d(passes)})
 	}
-	s1 := stream.NewEdgeStream(g)
-	m1 := semistream.OnePassGreedy(s1)
-	add("one-pass-greedy", m1.Weight(g), s1.Passes())
-
-	s2 := stream.NewEdgeStream(g)
-	m2 := semistream.OnePassReplace(s2, 1)
-	add("one-pass-replace(g=1)", m2.Weight(g), s2.Passes())
-
-	s3 := stream.NewEdgeStream(g)
-	m3 := semistream.ShortAugmentPasses(s3, semistream.OnePassGreedy(s3), 6)
-	add("3-augment-passes", m3.Weight(g), s3.Passes())
-
-	res, err := solveGraph(g, 0.25, 2, cfg.Seed+311, cfg.Workers)
-	if err == nil {
-		add("dual-primal(eps=1/4)", res.Weight, res.Stats.Passes)
+	solve := func(algo string, extra ...match.Option) {
+		if res, err := solveGraph(g, 0.25, 2, cfg.Seed+311, cfg.Workers, extra...); err == nil {
+			add(algo, res.Weight, res.Stats.Passes)
+		}
 	}
+	solve("one-pass-greedy", match.WithAlgorithm("greedy"))
+
+	s := stream.NewEdgeStream(g)
+	m := semistream.OnePassReplace(s, 1)
+	add("one-pass-replace(g=1)", m.Weight(g), s.Passes())
+
+	solve("3-augment-passes", match.WithAlgorithm("greedy-augment"), match.WithMaxRounds(6))
+	solve("dual-primal(eps=1/4)")
 	return rows
 }

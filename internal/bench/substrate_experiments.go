@@ -199,24 +199,11 @@ func E11Congest(cfg Config) Table {
 	g := graph.GNM(n, m, graph.WeightConfig{}, cfg.Seed+97)
 	for _, p := range []float64{2, 3} {
 		res := congest.MaximalMatchingClique(g, p, cfg.Seed+101, 0)
-		mm := pairsToMatching(g, res)
+		mm, _ := res.Matching(g)
 		maximal := mm.IsMaximal(g) && mm.Validate(g) == nil
 		t.AddRow(d(n), d(m), f(p), d(int(math.Ceil(math.Pow(float64(n), 1/p)))),
 			d(res.MaxSampleMsgWords), d(res.Stats.Rounds), yn(maximal))
 	}
 	t.Note("expected shape: max-sample-msg <= n^(1/p); a few rounds per p")
 	return t
-}
-
-func pairsToMatching(g *graph.Graph, res congest.MatchingResult) *matching.Matching {
-	bestIdx := map[uint64]int{}
-	for i, e := range g.Edges() {
-		bestIdx[e.Key()] = i
-	}
-	m := &matching.Matching{Mult: []int{}}
-	for i, pr := range res.Pairs {
-		m.EdgeIdx = append(m.EdgeIdx, bestIdx[graph.KeyOf(pr[0], pr[1])])
-		m.Mult = append(m.Mult, res.Mults[i])
-	}
-	return m
 }

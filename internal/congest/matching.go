@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/xrand"
 )
 
@@ -27,6 +28,29 @@ type MatchingResult struct {
 	// coordinator's saturation broadcasts are accounted separately in
 	// Stats.
 	MaxSampleMsgWords int
+}
+
+// Matching maps the matched (u, v) pairs back to edge indices of g, the
+// graph the protocol ran on: each pair takes the first index of its
+// endpoint pair, multiplicities kept. It returns the matching and its
+// weight.
+func (r MatchingResult) Matching(g *graph.Graph) (*matching.Matching, float64) {
+	edges := g.Edges()
+	idxOf := make(map[uint64]int, len(edges))
+	for i, e := range edges {
+		if _, ok := idxOf[e.Key()]; !ok {
+			idxOf[e.Key()] = i
+		}
+	}
+	m := &matching.Matching{Mult: []int{}}
+	weight := 0.0
+	for i, pr := range r.Pairs {
+		idx := idxOf[graph.KeyOf(pr[0], pr[1])]
+		m.EdgeIdx = append(m.EdgeIdx, idx)
+		m.Mult = append(m.Mult, r.Mults[i])
+		weight += edges[idx].W * float64(r.Mults[i])
+	}
+	return m, weight
 }
 
 // Protocol is the stepping form of the clique matching protocol: one

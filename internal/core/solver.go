@@ -136,9 +136,7 @@ type dualPrimal struct {
 type defJob struct{ q, slot, k int }
 
 // New validates the options and builds a fresh dual-primal solver
-// instance, ready for engine.NewSession. Unlike the registry factory it
-// takes the full Options, so a constant-regime Profile reaches the
-// solver.
+// instance, ready for engine.Solve.
 func New(opt Options) (engine.Algorithm, error) {
 	if !(opt.Eps > 0) || opt.Eps >= 0.5 {
 		return nil, errors.New("core: Eps must be in (0, 0.5)")
@@ -607,18 +605,6 @@ func (a *dualPrimal) Finish(_ *engine.Run) (*matching.Matching, engine.Extras) {
 	ex.Stats = a.stats
 	ex.Duals = a.snapshotDuals()
 	return a.best, ex
-}
-
-func init() {
-	engine.Register(engine.Info{
-		Name:      "dual-primal",
-		Model:     "semi-streaming / MPC / clique (Ahn–Guha)",
-		Guarantee: "(1-O(ε))·OPT weighted b-matching + dual certificate",
-		Resources: "O(n^(1+1/p)) words, O(p/ε) rounds, 3+2·rounds passes",
-	}, func(p engine.Params) (engine.Algorithm, error) {
-		return New(Options{Eps: p.Eps, P: p.P, Seed: p.Seed,
-			Workers: p.Workers, MaxRounds: p.MaxRounds})
-	})
 }
 
 // lambdaOf computes λ = min over the source's kept edges of the

@@ -19,15 +19,15 @@ type result struct {
 	lambdas, betas []float64
 }
 
-// solve drives a fresh dual-primal instance over src through a fresh
-// engine session, the path the match facade takes.
+// solve drives a fresh dual-primal instance over src through
+// engine.Solve, the path the match facade takes.
 func solve(src stream.Source, opt Options) (*result, error) {
 	alg, err := New(opt)
 	if err != nil {
 		return nil, err
 	}
 	res := &result{}
-	res.Outcome, err = engine.NewSession(alg).Solve(context.Background(), src,
+	res.Outcome, err = engine.Solve(context.Background(), alg, src,
 		engine.Extensions{Observer: func(ev engine.RoundEvent) {
 			res.lambdas = append(res.lambdas, ev.Lambda)
 			res.betas = append(res.betas, ev.Beta)

@@ -1,8 +1,8 @@
 package engine_test
 
-// The engine conformance suite: every algorithm in the registry — the
+// The engine conformance suite: every algorithm in the algos table — the
 // dual-primal solver and all ported substrates — must honor the shared
-// resource contract. For each registered algorithm it checks that
+// resource contract. For each algorithm of the table it checks that
 //
 //   - an unbudgeted run completes with nonzero pass and peak-words
 //     meters and a feasible matching whose weight matches the reported
@@ -24,9 +24,8 @@ import (
 	"sync"
 	"testing"
 
-	_ "repro/internal/algos" // register the ported substrates
-	_ "repro/internal/core"  // register the dual-primal solver
-
+	"repro/internal/algos"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -34,40 +33,35 @@ import (
 
 // conformanceParams is the shared configuration every algorithm is
 // driven with.
-var conformanceParams = engine.Params{Eps: 0.25, P: 2, Seed: 7, Workers: 1}
+var conformanceParams = core.Options{Eps: 0.25, P: 2, Seed: 7, Workers: 1}
 
-// conformanceGraph is an instance every registered algorithm supports:
+// conformanceGraph is an instance every algorithm of the table supports:
 // bipartite (for hopcroft-karp), unit capacities, weighted, dense enough
 // that augmentation and multiple rounds actually happen.
 func conformanceGraph() *graph.Graph {
 	return graph.Bipartite(20, 20, 150, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 10}, 5)
 }
 
-// newSession builds a session around a fresh instance of the named
-// algorithm.
-func newSession(t *testing.T, name string) *engine.Session {
+// newSession builds a fresh instance of the named algorithm.
+func newSession(t *testing.T, name string) engine.Algorithm {
 	t.Helper()
-	_, factory, ok := engine.Lookup(name)
-	if !ok {
-		t.Fatalf("algorithm %q not registered", name)
-	}
-	alg, err := factory(conformanceParams)
+	alg, err := algos.New(name, conformanceParams)
 	if err != nil {
-		t.Fatalf("%s: factory: %v", name, err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	return engine.NewSession(alg)
+	return alg
 }
 
-// drive runs one cold solve: a fresh instance in a fresh session.
+// drive runs one cold solve: a fresh instance through engine.Solve.
 func drive(t *testing.T, name string, ctx context.Context, src stream.Source, ext engine.Extensions) (*engine.Outcome, error) {
 	t.Helper()
-	return newSession(t, name).Solve(ctx, src, ext)
+	return engine.Solve(ctx, newSession(t, name), src, ext)
 }
 
 func TestConformanceEveryRegisteredAlgorithm(t *testing.T) {
-	infos := engine.List()
+	infos := algos.List()
 	if len(infos) < 5 {
-		t.Fatalf("registry has %d algorithms, want >= 5: %s", len(infos), engine.Names())
+		t.Fatalf("table has %d algorithms, want >= 5: %v", len(infos), infos)
 	}
 	g := conformanceGraph()
 	cg := cancellationGraph(t)
@@ -235,15 +229,15 @@ func testBudgetTrips(t *testing.T, g *graph.Graph, name string, base *engine.Out
 }
 
 // testSessionReuse is the reuse clause of the conformance suite:
-// solve → Reset → solve through one Session must be bit-identical to
+// solve → Reset → solve on one instance must be bit-identical to
 // two cold solves — including every resource meter, so retained scratch
 // can never surface as live words in the second solve's PeakWords — and
 // the second solve must not mutate the first solve's returned Outcome.
 // A third solve on a different-shape instance checks that reuse does
-// not pin a session to one instance shape.
+// not pin an instance to one graph shape.
 func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Outcome) {
 	sess := newSession(t, name)
-	first, err := sess.Solve(context.Background(), stream.NewEdgeStream(g), engine.Extensions{})
+	first, err := engine.Solve(context.Background(), sess, stream.NewEdgeStream(g), engine.Extensions{})
 	if err != nil {
 		t.Fatalf("first session solve: %v", err)
 	}
@@ -253,7 +247,7 @@ func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Ou
 	// snapshot (retained scratch must not alias returned results).
 	firstIdx := append([]int(nil), first.Matching.EdgeIdx...)
 	firstMult := append([]int(nil), first.Matching.Mult...)
-	second, err := sess.Solve(context.Background(), stream.NewEdgeStream(g), engine.Extensions{})
+	second, err := engine.Solve(context.Background(), sess, stream.NewEdgeStream(g), engine.Extensions{})
 	if err != nil {
 		t.Fatalf("second session solve: %v", err)
 	}
@@ -261,13 +255,13 @@ func testSessionReuse(t *testing.T, g *graph.Graph, name string, cold *engine.Ou
 	if !equalInts(first.Matching.EdgeIdx, firstIdx) || !equalInts(first.Matching.Mult, firstMult) {
 		t.Error("second solve mutated the first solve's returned matching")
 	}
-	// Different shape through the same session.
+	// Different shape through the same instance.
 	g2 := graph.Bipartite(12, 12, 60, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 8}, 9)
 	cold2, err := drive(t, name, context.Background(), stream.NewEdgeStream(g2), engine.Extensions{})
 	if err != nil {
 		t.Fatalf("cold solve on second shape: %v", err)
 	}
-	third, err := sess.Solve(context.Background(), stream.NewEdgeStream(g2), engine.Extensions{})
+	third, err := engine.Solve(context.Background(), sess, stream.NewEdgeStream(g2), engine.Extensions{})
 	if err != nil {
 		t.Fatalf("session solve on second shape: %v", err)
 	}
@@ -288,12 +282,12 @@ func testWarmSessionBudget(t *testing.T, g *graph.Graph, name string, base *engi
 	}
 	sess := newSession(t, name)
 	// First solve, unbudgeted: warms every pool the algorithm retains.
-	if _, err := sess.Solve(context.Background(), stream.NewEdgeStream(g), engine.Extensions{}); err != nil {
+	if _, err := engine.Solve(context.Background(), sess, stream.NewEdgeStream(g), engine.Extensions{}); err != nil {
 		t.Fatalf("warming solve failed: %v", err)
 	}
 	// Second solve under a just-too-small space budget: pooled memory
 	// must still be counted, so the trip must fire exactly as cold.
-	out, err := sess.Solve(context.Background(), stream.NewEdgeStream(g),
+	out, err := engine.Solve(context.Background(), sess, stream.NewEdgeStream(g),
 		engine.Extensions{Budget: engine.Budget{SpaceWords: base.Stats.PeakWords - 1}})
 	if !errors.Is(err, engine.ErrBudgetExceeded) {
 		t.Fatalf("warm run under sub-peak space budget: err = %v, want ErrBudgetExceeded", err)
@@ -361,7 +355,7 @@ func (c *cancelAfterSource) delivered() int {
 // cancellationGraph spans three full blocks and part of a fourth, so a
 // sweep that stops at the next block boundary delivers far fewer edges
 // than one that runs its pass out. It is bipartite with unit
-// capacities, which every registered algorithm serves.
+// capacities, which every algorithm of the table serves.
 func cancellationGraph(t *testing.T) *graph.Graph {
 	m := 3*stream.BlockEdges + 17
 	g := graph.Bipartite(150, 150, m, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 10}, 5)

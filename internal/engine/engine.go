@@ -7,10 +7,11 @@
 // with best-so-far semantics and the per-round observer events, and
 // every Algorithm (the dual-primal solver, the one-pass greedy
 // baselines, the simulated clique protocol, the exact Hopcroft–Karp
-// reference) plugs its own Init/Round/Finish into the same loop. Cross-
-// model comparison then falls out of the registry: every registered
-// algorithm answers with the same Outcome shape, metered the same way,
-// budgeted and cancellable the same way.
+// reference) plugs its own Init/Round/Finish into the same loop, which
+// Solve runs. Cross-model comparison is then one call per algorithm:
+// every algorithm in internal/algos' table answers with the same
+// Outcome shape, metered the same way, budgeted and cancellable the
+// same way.
 package engine
 
 import (
@@ -43,8 +44,8 @@ import (
 //     "best so far" may legitimately be an empty matching.
 //   - Reset prepares the same instance for another driven run: it clears
 //     every per-run field (results, duals, convergence flags) while
-//     *retaining* reusable scratch capacity (a factory-fresh instance and
-//     a Reset one must be indistinguishable to Init). Two contracts
+//     *retaining* reusable scratch capacity (a freshly built instance
+//     and a Reset one must be indistinguishable to Init). Two contracts
 //     follow. Identity: solve → Reset → solve is bit-identical to two
 //     cold solves, including every resource meter — retained capacity
 //     must never surface as live words.
@@ -52,9 +53,9 @@ import (
 //     (the matching's index slices above all) must not be mutated by the
 //     next run; scratch that would alias a result is released, not
 //     retained. The instance size n is not a Reset input — it is
-//     rediscovered from the Source at Init, so one session can serve
-//     instances of different shapes (reuse simply pays allocation again
-//     when the shape grows).
+//     rediscovered from the Source at Init, so one algorithm instance
+//     can serve inputs of different shapes (reuse simply pays
+//     allocation again when the shape grows).
 type Algorithm interface {
 	Init(ctx context.Context, run *Run, src stream.Source) error
 	Round(ctx context.Context, run *Run) (done bool, err error)
@@ -204,7 +205,7 @@ type Stats struct {
 
 // Duals is a portable snapshot of a solve's final dual state, detached
 // from the solver that produced it: installing it cannot alias live
-// session state, and the producing session reusing its buffers cannot
+// solver state, and the producing instance reusing its buffers cannot
 // corrupt it. The dual-primal solver produces it, and installs it as a
 // warm start when it addresses the same discretization.
 type Duals struct {
@@ -240,10 +241,18 @@ type Outcome struct {
 	Extras
 }
 
-// drive runs alg under the shared round loop: cancellation is honored
-// at pass and round boundaries (in-flight sequential sweeps abort at the
-// next block boundary), budgets
-// trip at the same checkpoints, and a trip or cancellation returns the
+// Solve runs one driven solve of alg over src: it Resets the instance,
+// then runs the shared round loop. A fresh instance and a Reset one are
+// indistinguishable to Init (the Algorithm.Reset contract), so the same
+// call serves a cold solve and a reused one, and a reused solve is
+// bit-identical to a cold one, every resource meter included, while
+// keeping the previous solve's scratch capacity. An instance is not
+// safe for concurrent use: run many solves in flight on many instances
+// (one repro/match.Solver per goroutine, as the matchd fleet does).
+//
+// Cancellation is honored at pass and round boundaries (in-flight
+// sequential sweeps abort at the next block boundary), budgets trip at
+// the same checkpoints, and a trip or cancellation returns the
 // best-so-far Outcome together with the error. A *stream.ReadError a
 // sweep raises fails the run through the same abort path. A budget trip
 // fires only at checkpoints, so the dual fields an algorithm reports are
@@ -252,7 +261,8 @@ type Outcome struct {
 // an unsound prefix-minimum, so those runs surrender the certificate:
 // Lambda is zeroed and only the primal matching is the contract. The
 // Outcome is non-nil on every path.
-func drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions) (*Outcome, error) {
+func Solve(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions) (*Outcome, error) {
+	alg.Reset()
 	if ctx == nil {
 		ctx = context.Background()
 	}

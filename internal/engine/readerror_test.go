@@ -11,7 +11,7 @@ import (
 	"repro/internal/stream"
 )
 
-// TestReadErrorSurfacesAsError drives a registered algorithm over a
+// TestReadErrorSurfacesAsError drives an algorithm of the table over a
 // file whose bytes vanish mid-solve: the FileSource sweep panics with a
 // typed *stream.ReadError, and the engine must convert it into an
 // ordinary error with a best-so-far outcome — a bad file fails one

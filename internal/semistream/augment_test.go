@@ -225,7 +225,7 @@ func TestAugmentRoundMatchesMapReference(t *testing.T) {
 			g    *graph.Graph
 		}{{"memory", stream.NewEdgeStream(g), g}, {"rbg2", file, g}, {"generator", gen, genG}} {
 			starts := map[string][]int{
-				"greedy": OnePassGreedy(b.src).EdgeIdx,
+				"greedy": onePassGreedy(b.src).EdgeIdx,
 				"half":   halfMatching(r, b.g),
 			}
 			for _, start := range []string{"greedy", "half"} {

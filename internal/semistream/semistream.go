@@ -1,21 +1,24 @@
 // Package semistream implements the one-pass and few-pass matching
-// algorithms the paper positions itself against in the semi-streaming
-// model (Related Work: Feigenbaum et al. [16], McGregor [29], Zelke [39]):
+// rules the paper positions itself against in the semi-streaming model
+// (Related Work: Feigenbaum et al. [16], McGregor [29], Zelke [39]):
 //
-//   - OnePassGreedy: maximal matching in a single pass, the classic
-//     1/2-approximation for cardinality ([16]);
+//   - GreedyState: one-pass greedy maximal matching, the classic
+//     1/2-approximation for cardinality ([16]), fed one stream edge at
+//     a time;
 //   - OnePassReplace: McGregor's one-pass weighted algorithm — a new edge
 //     evicts its (at most two) conflicting matched edges when it is
 //     (1+γ) times heavier than their sum; 1/(3+2√2)-approximation at the
 //     optimal γ = √2, 1/6 at γ = 1 ([29], improving [16]);
-//   - ShortAugmentPasses: repeated passes that resolve length-3
-//     augmenting paths, lifting a maximal matching toward 2/3 of maximum
-//     cardinality (the engine inside McGregor's (1-ε) multi-pass scheme,
-//     truncated to length-3 augmentations).
+//   - AugmentRound: one round of two passes that resolves length-3
+//     augmenting paths; repeated, it lifts a maximal matching toward 2/3
+//     of maximum cardinality (the engine inside McGregor's (1-ε)
+//     multi-pass scheme, truncated to length-3 augmentations).
 //
-// All functions consume a stream.Source so pass counts are measured and
-// any backend (in-memory, file, generator) can serve the stream,
-// and hold only O(n) matching state — the semi-streaming budget.
+// The engine's greedy and greedy-augment algorithms (internal/algos)
+// drive GreedyState and AugmentRound round by round. Everything here
+// consumes a stream.Source, so pass counts are measured and any backend
+// (in-memory, file, generator) can serve the stream, and holds only
+// O(n) matching state — the semi-streaming budget.
 package semistream
 
 import (
@@ -29,29 +32,23 @@ import (
 
 // GreedyState is the O(n) incremental state of one-pass greedy maximal
 // matching: Offer every edge in stream order and the matched set is
-// maximal when the stream ends. It exists so both OnePassGreedy and the
-// engine-driven greedy algorithm consume the identical decision rule —
-// the round-loop driver feeds it edge by edge and reads the running
-// weight without a second pass.
+// maximal when the stream ends. The engine-driven greedy algorithm
+// feeds it edge by edge and reads the running weight without a second
+// pass.
 type GreedyState struct {
 	used   []bool
 	m      *matching.Matching
 	weight float64
 }
 
-// NewGreedyState returns empty greedy state over n vertices.
-func NewGreedyState(n int) *GreedyState {
-	return &GreedyState{used: make([]bool, n), m: &matching.Matching{}}
-}
-
-// NewGreedyStateIn is NewGreedyState reusing buf for the matched-vertex
-// bits when it is large enough (it is zeroed either way). The matched
-// edge list is always fresh — callers hand it out as a result, so it
-// must never be recycled — which makes this the allocation-shy
-// constructor for sessions that run many greedy passes: the O(n) bit
-// table is the state's dominant allocation and the only reusable one.
-// Returns the state and the (possibly grown) buffer for the caller to
-// retain.
+// NewGreedyStateIn returns empty greedy state over n vertices, reusing
+// buf for the matched-vertex bits when it is large enough (it is zeroed
+// either way; a nil buf allocates). The matched edge list is always
+// fresh — callers hand it out as a result, so it must never be
+// recycled — while the O(n) bit table, the state's dominant allocation
+// and its only reusable one, carries over between the greedy passes of
+// a reused instance. Returns the state and the (possibly grown) buffer
+// for the caller to retain.
 func NewGreedyStateIn(n int, buf []bool) (*GreedyState, []bool) {
 	if cap(buf) >= n {
 		buf = buf[:n]
@@ -84,19 +81,6 @@ func (g *GreedyState) Matching() *matching.Matching { return g.m }
 
 // Weight returns the total weight of the matched set so far.
 func (g *GreedyState) Weight() float64 { return g.weight }
-
-// OnePassGreedy returns a maximal matching built in a single pass: an
-// edge is taken iff both endpoints are currently free.
-func OnePassGreedy(s stream.Source) *matching.Matching {
-	st := NewGreedyState(s.N())
-	stream.ForEachBlocks(s, func(base int, edges []graph.Edge) bool {
-		for i := range edges {
-			st.Offer(base+i, edges[i])
-		}
-		return true
-	})
-	return st.Matching()
-}
 
 // OnePassReplace runs McGregor's replacement algorithm with parameter
 // gamma > 0: edge e replaces its conflicting matched edges C(e) when
@@ -150,24 +134,6 @@ func offerReplace(idx int, e graph.Edge, matchEdge []int, mate []int32, weightAt
 	}
 }
 
-// ShortAugmentPasses improves a matching by resolving vertex-disjoint
-// length-3 augmenting paths (free–matched–free), two passes per round,
-// up to maxPasses rounds or until no augmentation is found.
-// Starting from a maximal matching this converges toward a 2/3
-// approximation of maximum cardinality.
-func ShortAugmentPasses(s stream.Source, m *matching.Matching, maxPasses int) *matching.Matching {
-	cur := slices.Sorted(slices.Values(m.EdgeIdx))
-	var sc AugmentScratch
-	for pass := 0; pass < maxPasses; pass++ {
-		next, augmented, _ := AugmentRound(context.Background(), s, cur, &sc)
-		cur = next
-		if !augmented {
-			break
-		}
-	}
-	return &matching.Matching{EdgeIdx: cur}
-}
-
 // AugmentScratch is AugmentRound's O(n) state, which its caller keeps
 // across rounds (and a session's runs) so that a round allocates
 // nothing once the buffers have grown: per vertex, the position of its
@@ -202,8 +168,8 @@ type wings struct {
 // and the total matching-weight delta of the applied augmentations.
 // The returned slice belongs to sc: the next round may read it as its
 // cur, and the round after that overwrites it. cur itself is only
-// read. ShortAugmentPasses and the engine-driven greedy-augment
-// algorithm share this exact round.
+// read. The engine-driven greedy-augment algorithm runs one such round
+// per driver round.
 //
 // ctx is checked after each pass. When it is done, the round stops
 // there and returns cur unchanged, with no augmentation and a zero

@@ -1,6 +1,8 @@
 package semistream
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +12,39 @@ import (
 	"repro/internal/xrand"
 )
 
+// onePassGreedy offers every edge of one pass over s to a GreedyState,
+// as the engine's greedy algorithm does, and returns its matching.
+func onePassGreedy(s stream.Source) *matching.Matching {
+	st, _ := NewGreedyStateIn(s.N(), nil)
+	stream.ForEachBlocks(s, func(base int, edges []graph.Edge) bool {
+		for i := range edges {
+			st.Offer(base+i, edges[i])
+		}
+		return true
+	})
+	return st.Matching()
+}
+
+// augmentRounds lifts m by up to rounds AugmentRound calls, stopping
+// after the first that applies no augmenting path, as the engine's
+// greedy-augment algorithm does.
+func augmentRounds(s stream.Source, m *matching.Matching, rounds int) *matching.Matching {
+	cur := slices.Sorted(slices.Values(m.EdgeIdx))
+	var sc AugmentScratch
+	for range rounds {
+		next, augmented, _ := AugmentRound(context.Background(), s, cur, &sc)
+		cur = next
+		if !augmented {
+			break
+		}
+	}
+	return &matching.Matching{EdgeIdx: cur}
+}
+
 func TestOnePassGreedyMaximalOnePass(t *testing.T) {
 	g := graph.GNM(80, 600, graph.WeightConfig{}, 1)
 	s := stream.NewEdgeStream(g)
-	m := OnePassGreedy(s)
+	m := onePassGreedy(s)
 	if s.Passes() != 1 {
 		t.Fatalf("passes = %d, want 1", s.Passes())
 	}
@@ -31,7 +62,7 @@ func TestOnePassGreedyHalfApprox(t *testing.T) {
 		n := 4 + r.Intn(8)
 		m := 3 + r.Intn(12)
 		g := graph.GNM(n, m, graph.WeightConfig{}, seed+5)
-		mm := OnePassGreedy(stream.NewEdgeStream(g))
+		mm := onePassGreedy(stream.NewEdgeStream(g))
 		edges := make([]matching.WEdge, g.M())
 		for i, e := range g.Edges() {
 			edges[i] = matching.WEdge{U: e.U, V: e.V, W: 1}
@@ -112,7 +143,7 @@ func TestShortAugmentPassesImproves(t *testing.T) {
 	g.MustAddEdge(2, 3, 1) // wing
 	m := &matching.Matching{EdgeIdx: []int{1}}
 	s := stream.NewEdgeStream(g)
-	am := ShortAugmentPasses(s, m, 3)
+	am := augmentRounds(s, m, 3)
 	if am.Size() != 2 {
 		t.Fatalf("size %d after augmentation, want 2", am.Size())
 	}
@@ -128,8 +159,8 @@ func TestShortAugmentPassesNeverDegrades(t *testing.T) {
 		m := 5 + r.Intn(80)
 		g := graph.GNM(n, m, graph.WeightConfig{}, seed+11)
 		s := stream.NewEdgeStream(g)
-		base := OnePassGreedy(s)
-		aug := ShortAugmentPasses(s, base, 4)
+		base := onePassGreedy(s)
+		aug := augmentRounds(s, base, 4)
 		if err := aug.Validate(g); err != nil {
 			return false
 		}
@@ -145,7 +176,7 @@ func TestShortAugmentApproachesTwoThirds(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := graph.GNM(60, 180, graph.WeightConfig{}, seed+13)
 		s := stream.NewEdgeStream(g)
-		aug := ShortAugmentPasses(s, OnePassGreedy(s), 8)
+		aug := augmentRounds(s, onePassGreedy(s), 8)
 		edges := make([]matching.WEdge, g.M())
 		for i, e := range g.Edges() {
 			edges[i] = matching.WEdge{U: e.U, V: e.V, W: 1}
@@ -168,8 +199,8 @@ func TestShortAugmentApproachesTwoThirds(t *testing.T) {
 func TestPassBudgets(t *testing.T) {
 	g := graph.GNM(40, 200, graph.WeightConfig{}, 17)
 	s := stream.NewEdgeStream(g)
-	base := OnePassGreedy(s)
-	_ = ShortAugmentPasses(s, base, 3)
+	base := onePassGreedy(s)
+	_ = augmentRounds(s, base, 3)
 	// 1 (greedy) + up to 2 per augment round (snapshot + wings).
 	if s.Passes() > 1+2*3 {
 		t.Fatalf("passes = %d exceeds budget", s.Passes())

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -260,7 +261,9 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // TestSyncSolveCancel pins that a synchronous caller walking away
 // cancels its solve: the job fails with the canceled code and, since
 // its context ended while it was queued, it is never solved, so it
-// keeps no result and reads 0 rounds.
+// keeps no result, reads 0 rounds, and adds nothing to the warm-cache
+// counters or the solve-time histogram (which holds the gated job's
+// solve alone).
 func TestSyncSolveCancel(t *testing.T) {
 	s, ts := startServer(t, Config{PoolSize: 1})
 	gate := make(chan struct{})
@@ -304,6 +307,22 @@ func TestSyncSolveCancel(t *testing.T) {
 	}
 	if st.Result != nil || st.Rounds != 0 {
 		t.Errorf("canceled job kept a result (%v) and %d rounds, want none and 0", st.Result != nil, st.Rounds)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	lines := strings.Split(string(mbody), "\n")
+	for _, want := range []string{
+		"matchd_warm_hits_total 0",
+		"matchd_warm_misses_total 0",
+		"matchd_solve_seconds_count 1",
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("metrics missing %q:\n%s", want, mbody)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ const maxGenEdges = maxJobBody / 16
 //	GET  /v1/jobs/{id}        status document (any state)
 //	GET  /v1/jobs/{id}/result status document once terminal (409 before)
 //	GET  /v1/jobs/{id}/events SSE stream of per-round Observer events
-//	GET  /v1/algorithms       the algorithm registry
+//	GET  /v1/algorithms       the algorithm table
 //	GET  /metrics             Prometheus text format
 //	GET  /healthz             liveness
 func (s *Server) routes() *http.ServeMux {
@@ -223,8 +223,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleAlgorithms is GET /v1/algorithms: the registry, so clients can
-// discover valid JobSpec.Algorithm values.
+// handleAlgorithms is GET /v1/algorithms: the algorithm table, so
+// clients can discover valid JobSpec.Algorithm values.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Default    string                `json:"default"`

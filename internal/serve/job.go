@@ -27,7 +27,7 @@ type JobSpec struct {
 	// Tenant names the submitting tenant; it selects the budget cap the
 	// server clamps this job's budget to.
 	Tenant string `json:"tenant,omitempty"`
-	// Algorithm selects a registry algorithm ("" = server default).
+	// Algorithm selects an algorithm by name ("" = server default).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Eps overrides the accuracy target ε (0 = server default).
 	Eps float64 `json:"eps,omitempty"`

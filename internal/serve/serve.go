@@ -224,20 +224,23 @@ func (s *Server) lookup(id string) *job {
 func (s *Server) work(solver *match.Solver) {
 	defer s.workers.Done()
 	for j := range s.queue {
+		// A drained job, and one whose context ended while it was
+		// queued, settles without a solve: no warm lookup, no solve
+		// sample.
+		err := j.ctx.Err()
 		if s.draining.Load() {
-			j.finish(nil, ErrServerClosed)
+			err = ErrServerClosed
+		}
+		if err != nil {
+			j.finish(nil, err)
 			s.retire(j.id)
 			continue
 		}
 		j.markRunning()
 		extra := s.jobExtras(j)
-		var res *match.Result
-		err := j.ctx.Err()
-		if err == nil {
-			s.inFlight.Add(1)
-			res, err = solver.Solve(j.ctx, j.src, extra...)
-			s.inFlight.Add(-1)
-		}
+		s.inFlight.Add(1)
+		res, err := solver.Solve(j.ctx, j.src, extra...)
+		s.inFlight.Add(-1)
 		if j.warmEligible && s.warm != nil && err == nil && res != nil {
 			s.warm.put(j.fp, res)
 		}

@@ -13,9 +13,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -424,13 +426,13 @@ func TestUnknownJob404s(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsEndpoint pins discovery: the registry over the wire
-// matches match.Algorithms.
+// TestAlgorithmsEndpoint pins discovery: the algorithm table over the
+// wire matches match.Algorithms entry for entry, key for key.
 func TestAlgorithmsEndpoint(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	var doc struct {
-		Default    string                `json:"default"`
-		Algorithms []match.AlgorithmInfo `json:"algorithms"`
+		Default    string            `json:"default"`
+		Algorithms []json.RawMessage `json:"algorithms"`
 	}
 	if code := getJSON(t, ts.URL+"/v1/algorithms", &doc); code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
@@ -438,8 +440,27 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	if doc.Default != match.DefaultAlgorithm {
 		t.Errorf("default = %q, want %q", doc.Default, match.DefaultAlgorithm)
 	}
-	if len(doc.Algorithms) != len(match.Algorithms()) {
-		t.Errorf("%d algorithms on the wire, %d in process", len(doc.Algorithms), len(match.Algorithms()))
+	want := match.Algorithms()
+	if len(doc.Algorithms) != len(want) {
+		t.Fatalf("%d algorithms on the wire, %d in process", len(doc.Algorithms), len(want))
+	}
+	// Each entry must decode to the in-process Info and carry exactly
+	// the wire keys (decoding alone matches keys case-insensitively).
+	for i, raw := range doc.Algorithms {
+		var info match.AlgorithmInfo
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &info); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if info != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, info, want[i])
+		}
+		if keys := slices.Sorted(maps.Keys(fields)); !slices.Equal(keys, []string{"guarantee", "model", "name", "resources"}) {
+			t.Errorf("entry %d keys = %v", i, keys)
+		}
 	}
 }
 

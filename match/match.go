@@ -36,12 +36,13 @@
 // sequence, options) for every backend and worker count, pinned by
 // result digests over a 14-run corpus.
 //
-// The dual-primal solver is one algorithm in a registry: WithAlgorithm
-// selects others (the semi-streaming greedy baselines, the simulated
-// congested-clique protocol, exact Hopcroft–Karp; see Algorithms), all
-// running on the same round-loop driver, so budgets, observers,
-// cancellation and the Stats meters behave identically whichever
-// substrate computes the matching:
+// The dual-primal solver is one entry of a fixed algorithm table:
+// WithAlgorithm selects another (the semi-streaming greedy baselines,
+// the simulated congested-clique protocol, exact Hopcroft–Karp; see
+// Algorithms). Every entry is built from the same options and run by
+// the same round-loop driver, so budgets, observers, cancellation and
+// the Stats meters behave identically whichever substrate computes the
+// matching:
 //
 //	res, err := match.Solve(ctx, src, match.WithAlgorithm("greedy"))
 //
@@ -60,6 +61,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/algos"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/stream"
@@ -89,9 +91,9 @@ const (
 var ErrInvalidOption = errors.New("match: invalid option")
 
 // Solver is a configured solve. Its configuration is immutable after
-// New; internally it caches one reusable solve *session* (the algorithm
-// instance with the scratch it retains), so calling Solve repeatedly on
-// one Solver reuses working memory instead of rebuilding every
+// New; internally it caches one reusable algorithm instance (with the
+// scratch it retains), so calling Solve repeatedly on one Solver
+// reuses working memory instead of rebuilding every
 // structure, with results bit-identical to a fresh Solver's (pinned by
 // the engine conformance suite and the facade's reuse tests). Reuse
 // alone cuts a repeat dual-primal solve's heap bytes 1.6× on a
@@ -100,9 +102,9 @@ var ErrInvalidOption = errors.New("match: invalid option")
 // their per-round results. The order-of-magnitude cuts come from
 // chaining WithInitialDuals, which ends a repeat solve in one round.
 //
-// A Solver remains safe for concurrent Solve calls: the cached session
+// A Solver remains safe for concurrent Solve calls: the cached instance
 // serves one solve at a time and concurrent callers transparently fall
-// back to a fresh throwaway session (same results, cold allocation
+// back to a fresh throwaway instance (same results, cold allocation
 // cost). For a fleet of sessions serving many instances concurrently,
 // hold one Solver per goroutine. The configured Observer is shared
 // across concurrent solves and must tolerate that.
@@ -115,13 +117,13 @@ type Solver struct {
 	cache  *sessionCache
 }
 
-// sessionCache holds the Solver's reusable session behind a mutex.
-// Acquisition uses TryLock: the point of the cache is saved allocation,
-// never serialization, so a busy cache yields a fresh session instead
-// of a wait.
+// sessionCache holds the Solver's reusable algorithm instance behind a
+// mutex. Acquisition uses TryLock: the point of the cache is saved
+// allocation, never serialization, so a busy cache yields a fresh
+// instance instead of a wait.
 type sessionCache struct {
-	mu   sync.Mutex
-	sess *engine.Session
+	mu  sync.Mutex
+	alg engine.Algorithm
 }
 
 // New builds a Solver from functional options; unspecified knobs take
@@ -160,8 +162,8 @@ func (s *Solver) validate() error {
 	if s.budget.Passes < 0 || s.budget.Rounds < 0 || s.budget.SpaceWords < 0 {
 		return fmt.Errorf("%w: budget axes must be >= 0 (0 = unlimited), got %+v", ErrInvalidOption, s.budget)
 	}
-	if _, _, ok := engine.Lookup(s.algo); !ok {
-		return fmt.Errorf("%w: unknown algorithm %q (registered: %s)", ErrInvalidOption, s.algo, engine.Names())
+	if err := algos.Check(s.algo); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 	return nil
 }
@@ -176,9 +178,10 @@ func (s *Solver) Workers() int { return s.opt.Workers }
 func (s *Solver) Algorithm() string { return s.algo }
 
 // Solve runs the configured algorithm over src — the dual-primal solver
-// by default, or any registry algorithm selected with WithAlgorithm. An
-// algorithm that cannot serve the instance (e.g. hopcroft-karp on a
-// nonbipartite graph) fails with an error matching ErrUnsupported.
+// by default, or any algorithm of the table selected with
+// WithAlgorithm. An algorithm that cannot serve the instance (e.g.
+// hopcroft-karp on a nonbipartite graph) fails with an error matching
+// ErrUnsupported.
 //
 // The context is checked at pass and round boundaries on every backend;
 // once it is cancelled (or its deadline passes), in-flight sweeps abort
@@ -201,10 +204,10 @@ func (s *Solver) Algorithm() string { return s.algo }
 //
 // Per-solve options may be appended: they apply to this call only, on
 // top of the Solver's configuration. Extras that leave the
-// session-defining knobs untouched (algorithm, eps, space exponent,
+// instance-defining knobs untouched (algorithm, eps, space exponent,
 // seed, workers, max rounds, profile) — a per-job Budget, an Observer,
-// WithInitialDuals — still reuse the cached session; extras that change
-// them run on a fresh session for the call.
+// WithInitialDuals — still reuse the cached instance; extras that change
+// them run on a fresh instance for the call.
 func (s *Solver) Solve(ctx context.Context, src Source, extra ...Option) (*Result, error) {
 	run := s
 	if len(extra) > 0 {
@@ -222,62 +225,42 @@ func (s *Solver) Solve(ctx context.Context, src Source, extra ...Option) (*Resul
 		obs := run.obs
 		hook = func(ev RoundEvent) { obs.OnRound(ev) }
 	}
-	// The cached session is usable when the session-defining
+	// The cached instance is usable when the instance-defining
 	// configuration is the base Solver's (budget, observer and warm
-	// duals are per-run inputs, not session state).
-	sess, release, err := s.acquire(run, run.algo == s.algo && run.opt == s.opt)
+	// duals are per-run inputs, not instance state).
+	alg, release, err := s.acquire(run, run.algo == s.algo && run.opt == s.opt)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	out, err := sess.Solve(ctx, src, engine.Extensions{Budget: run.budget, Observer: hook, Warm: run.warm})
+	out, err := engine.Solve(ctx, alg, src, engine.Extensions{Budget: run.budget, Observer: hook, Warm: run.warm})
 	if out == nil {
 		return nil, err
 	}
 	return fromOutcome(out, run.opt.Eps), err
 }
 
-// acquire hands out the cached session (creating it on first use) when
-// the configuration allows and no other solve holds it; otherwise a
-// fresh throwaway session for run's configuration. The release func
+// acquire hands out the cached instance (building it on first use)
+// when the configuration allows and no other solve holds it; otherwise
+// a fresh throwaway instance for run's configuration. The release func
 // must be called once the solve is done.
-func (s *Solver) acquire(run *Solver, cacheable bool) (*engine.Session, func(), error) {
+func (s *Solver) acquire(run *Solver, cacheable bool) (engine.Algorithm, func(), error) {
 	if cacheable && s.cache.mu.TryLock() {
-		if s.cache.sess == nil {
-			sess, err := run.newSession()
+		if s.cache.alg == nil {
+			alg, err := algos.New(run.algo, run.opt)
 			if err != nil {
 				s.cache.mu.Unlock()
 				return nil, nil, err
 			}
-			s.cache.sess = sess
+			s.cache.alg = alg
 		}
-		return s.cache.sess, s.cache.mu.Unlock, nil
+		return s.cache.alg, s.cache.mu.Unlock, nil
 	}
-	sess, err := run.newSession()
+	alg, err := algos.New(run.algo, run.opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sess, func() {}, nil
-}
-
-// newSession builds a session around a fresh instance of the configured
-// algorithm: the dual-primal solver from the full Options, so the
-// constant-regime Profile reaches it, and any other algorithm from its
-// registry factory over the model-agnostic Params.
-func (s *Solver) newSession() (*engine.Session, error) {
-	var alg engine.Algorithm
-	var err error
-	if s.algo == DefaultAlgorithm {
-		alg, err = core.New(s.opt)
-	} else {
-		_, factory, _ := engine.Lookup(s.algo) // validate has checked the name
-		alg, err = factory(engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
-			Workers: s.opt.Workers, MaxRounds: s.opt.MaxRounds})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", s.algo, err)
-	}
-	return engine.NewSession(alg), nil
+	return alg, func() {}, nil
 }
 
 // Solve is the one-shot convenience path — match.New plus Solver.Solve

@@ -22,11 +22,16 @@ func TestNewValidatesOptions(t *testing.T) {
 		{"workers-negative", []match.Option{match.WithWorkers(-1)}},
 		{"max-rounds-negative", []match.Option{match.WithMaxRounds(-2)}},
 		{"budget-negative", []match.Option{match.WithBudget(match.Budget{Rounds: -1})}},
+		{"unknown-algorithm", []match.Option{match.WithAlgorithm("auction")}},
 	}
 	for _, tc := range cases {
 		if _, err := match.New(tc.opts...); !errors.Is(err, match.ErrInvalidOption) {
 			t.Errorf("%s: err = %v, want ErrInvalidOption", tc.name, err)
 		}
+	}
+	const unknown = `match: invalid option: unknown algorithm "auction" (registered: clique-maximal, dual-primal, greedy, greedy-augment, hopcroft-karp)`
+	if _, err := match.New(match.WithAlgorithm("auction")); err == nil || err.Error() != unknown {
+		t.Errorf("unknown algorithm: err = %v, want %q", err, unknown)
 	}
 	if s, err := match.New(); err != nil || s.Eps() != match.DefaultEps {
 		t.Fatalf("defaults: %v %v", s, err)
