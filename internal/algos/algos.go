@@ -101,8 +101,8 @@ func List() []Info {
 	return out
 }
 
-// Check returns nil when name is in the table, and otherwise an error
-// that lists every name that is.
+// Check returns nil when name is in the table, and otherwise the error
+// New would return for it.
 func Check(name string) error {
 	_, err := lookup(name)
 	return err
@@ -117,6 +117,8 @@ func New(name string, opt core.Options) (engine.Algorithm, error) {
 	return e.build(opt)
 }
 
+// lookup finds name's entry; the error for a name not in the table
+// lists every name that is.
 func lookup(name string) (entry, error) {
 	for _, e := range table {
 		if e.info.Name == name {
